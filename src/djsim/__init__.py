@@ -17,7 +17,6 @@ from .boolfn import (
     random_balanced_table,
 )
 from .sim import (
-    GateSpec,
     MeasurementRecord,
     PermutationGate,
     RotationGate,
@@ -31,8 +30,6 @@ from .sim import (
     encode_signed,
     init_zero,
     measure,
-    permutation_gate,
-    sample,
     xor_permutation_gate,
 )
 from .gates import (

@@ -34,6 +34,7 @@ from .gates import (
     build_x,
 )
 from .sim import (
+    MAX_QUBITS,
     PermutationGate,
     StateVector,
     apply_block_rotation,
@@ -56,6 +57,26 @@ ALGORITHM_NAMES = ("dj", "alg1", "alg2", "alg3", "err-multi", "err-4node")
 
 class InvariantBreach(AssertionError):
     """An internal cross-check (closed form vs simulation) failed."""
+
+
+def circuit_qubits(algorithm: str, n: int, t: Optional[int]) -> int:
+    """Register width of one driver's circuit at arity n and split size t.
+
+    ``err-multi`` reports the width of one node's independent run; ``alg1``
+    and ``err-4node`` fix t.  Assumes a configuration validate_run_config
+    accepts apart from the width bound.
+    """
+    if algorithm == "dj":
+        return n + 1
+    if algorithm == "alg1":
+        return n
+    if algorithm == "alg2":
+        return (n - t) + (1 << t) + (t + 2) + 1
+    if algorithm == "alg3":
+        return (n - t) + 3 * (1 << (t - 1)) + 3 * t + 2
+    if algorithm == "err-multi":
+        return n - t + 1
+    return n - 1
 
 
 @dataclass
@@ -135,7 +156,7 @@ def _two_stage_constant_prob(s: StateVector, decision: int, input_wires: tuple[i
 def run_dj(f: BooleanFunction) -> RunReport:
     """Single-oracle global algorithm on n+1 qubits."""
     n = f.n
-    q = n + 1
+    q = circuit_qubits("dj", n, None)
     wires = tuple(range(q))
     inputs = tuple(range(n))
     s = init_zero(q)
@@ -154,7 +175,7 @@ def run_algorithm1(f: BooleanFunction) -> RunReport:
     if f.n < 2:
         raise ValueError("the two-node algorithm requires n >= 2")
     d = Decomposition(f, 1)
-    q = f.n
+    q = circuit_qubits("alg1", f.n, 1)
     u = tuple(range(q - 1))
     target = q - 1
     s = init_zero(q)
@@ -179,7 +200,7 @@ def run_algorithm2(f: BooleanFunction, t: int) -> RunReport:
     d = Decomposition(f, t)  # validates 1 <= t < n
     n = f.n
     nodes = 1 << t
-    q = (n - t) + nodes + (t + 2) + 1
+    q = circuit_qubits("alg2", n, t)
     u = tuple(range(n - t))
     oracle_wires = tuple(n - t + w for w in range(nodes))
     dreg = tuple(n - t + nodes + i for i in range(t + 2))
@@ -242,8 +263,9 @@ class _Alg3Layout(NamedTuple):
 def _alg3_layout(n: int, t: int) -> _Alg3Layout:
     pairs = 1 << (t - 1)
     base = n - t
+    q = circuit_qubits("alg3", n, t)
     return _Alg3Layout(
-        q=base + 3 * pairs + 3 * t + 2,
+        q=q,
         u=tuple(range(base)),
         value_wires=tuple(base + 3 * p for p in range(pairs)),
         xor_wires=tuple(base + 3 * p + 1 for p in range(pairs)),
@@ -251,7 +273,7 @@ def _alg3_layout(n: int, t: int) -> _Alg3Layout:
         k_reg=tuple(base + 3 * pairs + i for i in range(t)),
         e_reg=tuple(base + 3 * pairs + t + i for i in range(t)),
         c_reg=tuple(base + 3 * pairs + 2 * t + i for i in range(t + 1)),
-        decision=base + 3 * pairs + 3 * t + 1,
+        decision=q - 1,
     )
 
 
@@ -327,13 +349,15 @@ def run_algorithm3(f: BooleanFunction, t: int, adder_layout: str = "interleaved"
     k_reg, e_reg, c_reg = lay.k_reg, lay.e_reg, lay.c_reg
     decision = lay.decision
 
+    # Allocating first lets init_zero's width check run before any 2^q index
+    # table is built, also for callers that skip validate_run_config.
+    s = init_zero(q)
     # Subfunction w targets its pair's value wire (even w) or XOR wire (odd w).
     targets_by_w = tuple(value_wires[w >> 1] if w % 2 == 0 else xor_wires[w >> 1] for w in range(2 * pairs))
     oracle_layer = _oracle_layer(d, u, targets_by_w)
     src_compute, src_uncompute = _alg3_fixed_sources(n, t, adder_layout)
     op_r = build_Rprime(t, c_reg, decision)
 
-    s = init_zero(q)
     apply_hadamard(s, u)
     apply_permutation(s, oracle_layer)
     apply_composed(s, src_compute)
@@ -410,7 +434,7 @@ def run_erroneous_multinode(f: BooleanFunction, t: int) -> RunReport:
     log = [{"stage": "node_assignment", "nodes": {format(w, f"0{t}b"): {"node": w + 1} for w in range(nodes)}}]
     log.extend(node_log)
     breakdown = {"oracle_calls": nodes, "hadamard_layers": 2 * nodes, "state_prep_x": nodes}
-    return _finish("err-multi", f, t, d.u_bits + 1, breakdown, p_constant, log)
+    return _finish("err-multi", f, t, circuit_qubits("err-multi", f.n, t), breakdown, p_constant, log)
 
 
 def run_erroneous_4node_xor(f: BooleanFunction) -> RunReport:
@@ -419,7 +443,7 @@ def run_erroneous_4node_xor(f: BooleanFunction) -> RunReport:
         raise ValueError("the four-node baseline requires n >= 3")
     t = 2
     d = Decomposition(f, t)
-    q = f.n - 1
+    q = circuit_qubits("err-4node", f.n, t)
     u = tuple(range(q - 1))
     target = q - 1
     s = init_zero(q)
@@ -442,7 +466,11 @@ def run_erroneous_4node_xor(f: BooleanFunction) -> RunReport:
 
 
 def validate_run_config(algorithm: str, n: int, t: Optional[int]) -> None:
-    """Reject invalid (algorithm, n, t) combinations before any run starts."""
+    """Reject invalid (algorithm, n, t) combinations before any run starts.
+
+    This includes circuits wider than the dense simulator holds, which are
+    rejected before any gate or index table is built.
+    """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}")
     if algorithm == "alg1":
@@ -460,6 +488,9 @@ def validate_run_config(algorithm: str, n: int, t: Optional[int]) -> None:
             raise ValueError("err-4node fixes t = 2")
         if n < 3:
             raise ValueError("err-4node requires n >= 3")
+    q = circuit_qubits(algorithm, n, t)
+    if q > MAX_QUBITS:
+        raise ValueError(f"{algorithm} at n={n}, t={t} needs {q} qubits; the simulator holds at most {MAX_QUBITS}")
 
 
 def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder_layout: str = "interleaved") -> RunReport:

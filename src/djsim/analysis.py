@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -9,7 +10,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .algorithms import dj_zero_probability, run_named, validate_run_config
-from .boolfn import BooleanFunction, Decomposition, enumerate_promise_functions, make_function
+# make_function is unused here; it stays importable from this module because
+# perfbench/tracer.py wraps it on every djsim module that imports it.
+from .boolfn import BooleanFunction, Decomposition, enumerate_promise_functions, make_function  # noqa: F401
+
+_SWEEP_CHUNK = 256
 
 
 def per_node_success_prob(k_w: int, n: int, t: int) -> float:
@@ -228,14 +233,34 @@ def _check_one(algorithm: str, f: BooleanFunction, t: Optional[int]) -> Optional
     }
 
 
-def _sweep_chunk(args: tuple[str, int, Optional[int], list[bytes]]) -> tuple[int, list[dict]]:
-    algorithm, n, t, tables = args
-    failures = []
-    for table in tables:
-        failure = _check_one(algorithm, make_function(n, table), t)
-        if failure is not None:
-            failures.append(failure)
-    return len(tables), failures
+def _sweep_chunks(
+    algorithm: str, n: int, t: Optional[int]
+) -> Iterator[tuple[str, Optional[int], list[BooleanFunction]]]:
+    """The promise family in enumeration order, cut into work units."""
+    functions = enumerate_promise_functions(n)
+    while chunk := list(itertools.islice(functions, _SWEEP_CHUNK)):
+        yield algorithm, t, chunk
+
+
+def _sweep_chunk(args: tuple[str, Optional[int], list[BooleanFunction]]) -> tuple[int, list[dict]]:
+    algorithm, t, functions = args
+    failures = [failure for f in functions if (failure := _check_one(algorithm, f, t)) is not None]
+    return len(functions), failures
+
+
+def _sweep_results(chunks: Iterator[tuple], jobs: int) -> Iterator[tuple[int, list[dict]]]:
+    """Check the chunks in this process, or across ``jobs`` worker processes.
+
+    Results come back in chunk order either way, so the failure list, and
+    with it ``--deterministic`` output, does not depend on ``jobs``.
+    """
+    if jobs <= 1:
+        yield from map(_sweep_chunk, chunks)
+        return
+    import multiprocessing  # deferred: serial sweeps never pay for the import
+
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(_sweep_chunk, chunks)
 
 
 def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: Optional[int] = None) -> VerificationSummary:
@@ -243,35 +268,16 @@ def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: Optional[int] =
 
     A failure is any function whose verdict differs from its promise label or
     whose winning-label probability is not 1 within tolerance.  Workers are
-    stateless, so the family can be partitioned across processes.
+    stateless, so the family can be partitioned across processes; serial and
+    parallel sweeps check the same chunks.
     """
     if jobs is None:
         jobs = default_jobs()
     validate_run_config(algorithm, n, t)
     start = time.perf_counter()
     summary = VerificationSummary(n=n, t=t, algorithm=algorithm, functions_checked=0)
-    if jobs <= 1:
-        for f in enumerate_promise_functions(n):
-            summary.functions_checked += 1
-            failure = _check_one(algorithm, f, t)
-            if failure is not None:
-                summary.failures.append(failure)
-    else:
-        import multiprocessing
-
-        chunk_size = 256
-        chunks = []
-        current: list[bytes] = []
-        for f in enumerate_promise_functions(n):
-            current.append(f.table)
-            if len(current) >= chunk_size:
-                chunks.append((algorithm, n, t, current))
-                current = []
-        if current:
-            chunks.append((algorithm, n, t, current))
-        with multiprocessing.Pool(jobs) as pool:
-            for count, failures in pool.imap_unordered(_sweep_chunk, chunks):
-                summary.functions_checked += count
-                summary.failures.extend(failures)
+    for count, failures in _sweep_results(_sweep_chunks(algorithm, n, t), jobs):
+        summary.functions_checked += count
+        summary.failures.extend(failures)
     summary.wall_time = time.perf_counter() - start
     return summary

@@ -1,7 +1,8 @@
 """Constructors for the named circuit operators, bound to explicit qubit layouts.
 
 Every operator here is either an XOR-form basis permutation (oracles,
-arithmetic adders, CNOT/CCNOT) or a controlled block rotation.  Arithmetic
+arithmetic adders, CNOT/CCNOT) or a controlled block rotation.  Both have
+real matrices, which is why the simulator stores real amplitudes.  Arithmetic
 results are written two's complement modulo the result register width, which
 keeps every XOR action a bijection regardless of operand range; the rotation
 gates decode the same encoding when reading the register back.

@@ -5,10 +5,15 @@ Conventions:
 * Qubit 0 is the topmost circuit wire and the most significant bit of the
   basis index (big-endian), so a register occupying consecutive wires is a
   contiguous bit field of the index.
-* Gates come in three kinds: Hadamard layers, basis permutations (classical
-  reversible logic, including every oracle and arithmetic operator), and
-  block rotations (a real 2x2 rotation of one target qubit selected by the
-  bit pattern of a control register).
+* Gates come in three kinds: Hadamard layers, XOR-form basis permutations
+  (classical reversible logic, including every oracle and arithmetic
+  operator), and block rotations (a real 2x2 rotation of one target qubit
+  selected by the bit pattern of a control register).  Pauli-Z is the only
+  other operator.
+* Amplitudes are real ``float64``: every operator above has a real matrix and
+  the circuits start from |0...0>, so no amplitude ever gains an imaginary
+  part.  A real state takes half the memory of a complex one and keeps the
+  Hadamard matmul and the permutation gathers in real arithmetic.
 * Signed register values are two's complement over the register width; the
   rotation gates decode them accordingly.
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,7 +98,7 @@ def encode_signed(value: int, width: int) -> int:
 
 
 class StateVector:
-    """Complex amplitude array over q qubits, unit norm."""
+    """Real float64 amplitude array over q qubits, unit norm."""
 
     __slots__ = ("q", "amps", "_scratch")
 
@@ -109,14 +114,14 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        return self.amps * self.amps
 
 
 def init_zero(q: int) -> StateVector:
     """All-zeros computational basis state |0...0>."""
     if not 1 <= q <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {q}")
-    amps = np.zeros(1 << q, dtype=np.complex128)
+    amps = np.zeros(1 << q, dtype=np.float64)
     amps[0] = 1.0
     return StateVector(q, amps)
 
@@ -180,32 +185,27 @@ def apply_pauli_z(state: StateVector, qubit: int) -> StateVector:
 
 @dataclass(eq=False)
 class PermutationGate:
-    """Basis permutation on an ordered set of target qubits.
+    """XOR-form basis permutation on a control and a result register.
 
-    Most gates in this package are XOR-form: a value computed from a control
-    subregister is XORed into a disjoint result subregister, which is always a
-    self-inverse bijection.  General bijections carry an explicit lookup table
-    instead and are verified on construction.
+    A value looked up from the control pattern is XORed into the disjoint
+    result register, which is always a self-inverse bijection.  Every oracle
+    and arithmetic operator of the circuits has this form.
     """
 
-    targets: tuple[int, ...]
     control_qubits: tuple[int, ...]
     result_qubits: tuple[int, ...]
-    value_table: Optional[np.ndarray]  # XOR form: control pattern -> XOR value
-    table: Optional[np.ndarray]  # general form: full pattern -> pattern
+    value_table: np.ndarray  # control pattern -> XOR value
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
     kind = "permutation"
 
     @property
-    def is_xor_form(self) -> bool:
-        return self.value_table is not None
+    def targets(self) -> tuple[int, ...]:
+        return self.control_qubits + self.result_qubits
 
     def action_table(self) -> np.ndarray:
-        """Full pattern-to-pattern lookup over the target qubits."""
-        if self.table is not None:
-            return self.table
+        """Full pattern-to-pattern lookup over the target qubits (controls then results)."""
         k = len(self.targets)
         kr = len(self.result_qubits)
         pats = np.arange(1 << k, dtype=np.int64)
@@ -217,44 +217,14 @@ class PermutationGate:
         cached = self._cache.get(q)
         if cached is not None:
             return cached
-        idx = _indices(q)
-        if self.is_xor_form:
-            # Spread the small value table once, then gather per index.
-            # XOR by a control-selected constant is an involution, so the
-            # gather source equals the scatter destination.
-            flip_table = _spread(self.value_table, q, self.result_qubits)
-            src = idx ^ flip_table[_patterns(q, self.control_qubits)]
-        else:
-            mask = int(_spread(np.array([(1 << len(self.targets)) - 1], dtype=np.int64), q, self.targets)[0])
-            dest = (idx & ~mask) | _spread(self.table[_extract(idx, q, self.targets)], q, self.targets)
-            src = np.empty_like(dest)
-            src[dest] = idx
+        # Spread the small value table once, then gather per index.  XOR by a
+        # control-selected constant is an involution, so the gather source
+        # equals the scatter destination.
+        flip_table = _spread(self.value_table, q, self.result_qubits)
+        src = _indices(q) ^ flip_table[_patterns(q, self.control_qubits)]
         if q <= _DEST_CACHE_MAX_Q:
             self._cache[q] = src
         return src
-
-
-def permutation_gate(targets: Sequence[int], action: Callable[[int], int], name: str = "") -> PermutationGate:
-    """Build a general basis permutation from a classical bijection on patterns.
-
-    The action is tabulated and checked to be a bijection (image-set check),
-    which bounds the target count at 20 qubits.
-    """
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"gate targets must be distinct, got {targets}")
-    k = len(targets)
-    if k > 20:
-        raise ValueError(f"general permutation gates support at most 20 target qubits, got {k}")
-    size = 1 << k
-    table = np.fromiter((action(p) for p in range(size)), dtype=np.int64, count=size)
-    if table.min() < 0 or table.max() >= size:
-        raise ValueError("permutation action escapes the target pattern space")
-    if len(np.unique(table)) != size:
-        raise ValueError("permutation action is not a bijection on the target patterns")
-    return PermutationGate(
-        targets=targets, control_qubits=(), result_qubits=(), value_table=None, table=table, name=name
-    )
 
 
 def xor_permutation_gate(
@@ -275,9 +245,7 @@ def xor_permutation_gate(
     width = len(results)
     if table.min() < 0 or table.max() >= 1 << width:
         raise ValueError(f"XOR values must fit the {width}-bit result register")
-    return PermutationGate(
-        targets=targets, control_qubits=controls, result_qubits=results, value_table=table, table=None, name=name
-    )
+    return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table, name=name)
 
 
 def apply_permutation(state: StateVector, gate: PermutationGate) -> StateVector:
@@ -390,9 +358,6 @@ def apply_block_rotation(state: StateVector, gate: RotationGate) -> StateVector:
     return state
 
 
-GateSpec = Union[PermutationGate, RotationGate]
-
-
 class MeasurementRecord:
     """Exact outcome distribution of a partial measurement, with branch access."""
 
@@ -439,15 +404,7 @@ def probability_all_zero(state: StateVector, qubits: Sequence[int]) -> float:
         pre = 1 << qubits[0]
         mid = 1 << len(qubits)
         view = state.amps.reshape(pre, mid, -1)[:, 0, :]
-        return float(np.sum(view.real**2 + view.imag**2))
+        return float(np.sum(view * view))
     pat = _patterns(state.q, qubits)
     return float(np.sum(state.probabilities()[pat == 0]))
 
-
-def sample(state: StateVector, qubits: Sequence[int], seed: int) -> str:
-    """Draw one outcome bitstring from the measurement distribution, deterministically per seed."""
-    record = measure(state, qubits)
-    probs = record._probs / record._probs.sum()
-    rng = np.random.default_rng(seed)
-    outcome = int(rng.choice(len(probs), p=probs))
-    return format(outcome, f"0{len(record.measured_qubits)}b")

@@ -230,11 +230,11 @@ class TestCriterion7OperatorUnitarity:
         ok = True
         for name, (gate, q) in gates.items():
             dim = 1 << q
-            batch = rng.normal(size=(self.STATES_PER_GATE, dim)) + 1j * rng.normal(size=(self.STATES_PER_GATE, dim))
+            batch = rng.normal(size=(self.STATES_PER_GATE, dim))
             batch /= np.linalg.norm(batch, axis=1, keepdims=True)
             for row in batch:
                 s = init_zero(q)
-                s.amps = row.astype(np.complex128)
+                s.amps = row.copy()
                 if gate.kind == "rotation":
                     apply_block_rotation(s, gate)
                 else:

@@ -292,6 +292,11 @@ class TestRunNamed:
         with pytest.raises(ValueError):
             run_named(name, two_node_example, t)
 
+    def test_circuit_wider_than_the_simulator_rejected(self):
+        # alg2 at n=10, t=4 needs 10 + 16 + 3 = 29 qubits
+        with pytest.raises(ValueError, match="needs 29 qubits"):
+            run_named("alg2", make_function(10, [0] * 1024), 4)
+
 
 def test_distributed_verdicts_agree_with_single_node():
     rng = np.random.default_rng(31)

@@ -156,11 +156,21 @@ class TestVerifySweep:
         assert multi.functions_checked == xor4.functions_checked == 12872
         assert multi.failures and xor4.failures
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         serial = verify_sweep(2, 1, "alg2", jobs=1)
         parallel = verify_sweep(2, 1, "alg2", jobs=2)
         assert serial.functions_checked == parallel.functions_checked == 8
         assert serial.failures == parallel.failures == []
+        # A sweep with findings, cut into nine chunks: both paths must report
+        # the same failures in the same order.
+        from djsim import analysis
+
+        monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 8)
+        serial = verify_sweep(3, 1, "err-multi", jobs=1)
+        parallel = verify_sweep(3, 1, "err-multi", jobs=2)
+        assert serial.functions_checked == parallel.functions_checked == 72
+        assert serial.failures
+        assert serial.failures == parallel.failures
 
     def test_record_shape(self):
         record = verify_sweep(2, 1, "alg1").to_record()

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +117,21 @@ class TestRun:
     def test_invalid_combo(self, capsys):
         assert cli.main(["run", "--gen", "zeros", "--n", "4", "--alg", "alg2"]) == 1
         capsys.readouterr()
+
+    def test_oversized_circuit_fails_fast(self):
+        # alg3 at n=10, t=3 needs 30 qubits.  The width check must reject it
+        # before any 2^30-entry index table exists; the child is capped at
+        # 1 GiB of address space so a regression fails instead of taking 8 GiB.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        argv = [sys.executable, "-m", "djsim.cli", "run", "--gen", "random", "--n", "10", "--t", "3", "--alg", "alg3"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: alg3 at n=10, t=3 needs 30 qubits; the simulator holds at most 26\n"
 
     def test_invariant_breach_exit_code(self, tmp_path, capsys, monkeypatch):
         from djsim.algorithms import InvariantBreach

@@ -25,8 +25,8 @@ from djsim.sim import (
 
 def random_state(q, rng):
     s = init_zero(q)
-    amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
-    s.amps = (amps / np.linalg.norm(amps)).astype(np.complex128)
+    amps = rng.normal(size=1 << q)
+    s.amps = amps / np.linalg.norm(amps)
     return s
 
 
