@@ -1,27 +1,32 @@
-"""End-to-end circuit drivers producing exact output-label probabilities.
+"""The six algorithms as circuit descriptions, and the one executor that runs them.
 
-Every driver enumerates both measurement branches analytically (postselection
-on the exact distribution), so reported probabilities carry no sampling noise
-and exactness claims can be asserted at 1e-12.
+``circuit(algorithm, n, t, adder_layout)`` describes an algorithm as data: its
+width, ordered layers (``Op``), readout plan and static node-assignment log
+entry.  ``_execute`` runs any description on the dense engine, enumerating
+both measurement branches analytically, so reported probabilities carry no
+sampling noise and exactness can be asserted at 1e-12.  Qubit counts, gate
+breakdowns and ``analysis.resource_table`` are read from the description.
 
 Gate accounting: each Hadamard layer, oracle call, named arithmetic or
 rotation operator, and Pauli/CNOT/CCNOT counts as one gate; circuits that
 allocate dedicated work registers (the two multi-node algorithms) count the
-preparation of that workspace as one additional operation.  The per-category
-breakdown is recorded in every report.
+preparation of that workspace as one additional operation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
 from .boolfn import BooleanFunction, Decomposition, compute_stats, make_function
-from .gates import (
+# build_oracle is unused here; it stays importable from this module because
+# perfbench/tracer.py wraps every gate builder on this module by name.
+from .gates import (  # noqa: F401
     build_A,
     build_Aprime,
     build_ccnot,
@@ -34,8 +39,8 @@ from .gates import (
     build_x,
 )
 from .sim import (
+    _DEST_CACHE_MAX_Q,
     MAX_QUBITS,
-    PermutationGate,
     StateVector,
     apply_block_rotation,
     apply_composed,
@@ -59,24 +64,352 @@ class InvariantBreach(AssertionError):
     """An internal cross-check (closed form vs simulation) failed."""
 
 
-def circuit_qubits(algorithm: str, n: int, t: Optional[int]) -> int:
-    """Register width of one driver's circuit at arity n and split size t.
+@dataclass(frozen=True, eq=False)
+class Op:
+    """One circuit layer, counted as ``count`` gates of breakdown ``category``.
 
-    ``err-multi`` reports the width of one node's independent run; ``alg1``
-    and ``err-4node`` fix t.  Assumes a configuration validate_run_config
-    accepts apart from the width bound.
+    Kinds: "hadamard" on ``wires[0]``; "oracle", one query round in which
+    subfunction w of ``ws`` XORs its value at control pattern ``wires[0]`` into
+    wire ``target(w)``; "fixed", function-independent XOR permutations from
+    ``build``; "rotation", the block rotation from ``build``; "z" on
+    ``wires[0]``.  ``wires`` are ascending ranges; a layer with a ``name`` is a
+    named operator of the resource table, as wide as the span of its wires.
     """
+
+    kind: str
+    category: str
+    count: int
+    wires: tuple[range, ...]
+    name: str = ""
+    build: Optional[Callable[[], list]] = None
+    ws: range = range(0)
+    target: Optional[Callable[[int], int]] = None
+
+
+@dataclass(eq=False)
+class Circuit:
+    """One algorithm at (n, t) as data, lazy in 2^n and 2^t so any width can be described.
+
+    Readout: with ``decision`` None the input register is measured; otherwise
+    the decision qubit, then on outcome 0 the input register after a
+    Hadamard.  ``work`` registers must read zero after the uncompute.  With
+    ``runs`` > 1 the circuit runs once per subfunction on its own register.
+    ``node_entry`` builds the static node-assignment log entry, afresh for
+    each report.
+    """
+
+    t: Optional[int]
+    q: int
+    ops: tuple[Op, ...]
+    inputs: range
+    decision: Optional[int] = None
+    work: tuple[range, ...] = ()
+    runs: int = 1
+    node_entry: Optional[Callable[[], dict]] = None
+    # Executor state: compiled steps, and the composed permutations of their
+    # fixed runs (kept only for q <= _DEST_CACHE_MAX_Q).
+    steps: Optional[list] = field(default=None, repr=False)
+    sources: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def gate_breakdown(self) -> dict[str, int]:
+        counts = Counter()
+        for op in self.ops:
+            counts[op.category] += op.count
+        if self.decision is not None:
+            counts["hadamard_layers"] += 1  # the readout's input-register Hadamard
+        if self.work:
+            counts["workspace_prep"] += 1
+        return {category: count * self.runs for category, count in counts.items()}
+
+    @property
+    def gate_count(self) -> int:
+        return sum(self.gate_breakdown.values())
+
+    @property
+    def operator_widths(self) -> dict[str, int]:
+        """Wire span of each named operator; one applied twice reports its first placement."""
+        widths: dict[str, int] = {}
+        for op in self.ops:
+            if op.name:
+                widths.setdefault(op.name, max(r[-1] for r in op.wires) - min(r[0] for r in op.wires) + 1)
+        return widths
+
+    @property
+    def oracle_qubits(self) -> int:
+        """Wires one oracle query touches: its controls and one target."""
+        return len(next(op for op in self.ops if op.kind == "oracle").wires[0]) + 1
+
+
+def _hadamard(wires: range) -> Op:
+    return Op("hadamard", "hadamard_layers", 1, (wires,))
+
+
+def _oracle_round(controls: range, ws: range, target: Callable[[int], int]) -> Op:
+    return Op("oracle", "oracle_calls", len(ws), (controls,), ws=ws, target=target)
+
+
+def _dj(n: int) -> Circuit:
+    h = _hadamard(range(n + 1))
+    x = Op("fixed", "state_prep_x", 1, (range(n, n + 1),), build=lambda: [build_x(n)])
+    return Circuit(None, n + 1, (x, h, _oracle_round(range(n), range(1), lambda w: n), h), range(n))
+
+
+def _shared_target(n: int, t: int, nodes: Callable[[range], dict]) -> Circuit:
+    """alg1 (t=1) and err-4node (t=2): each half of the subfunctions queries one shared target, Pauli-Z between."""
+    u, target, half = range(n - t), n - t, 1 << (t - 1)
+    ops = (
+        _hadamard(u),
+        _oracle_round(u, range(half), lambda w: target),
+        Op("z", "pauli_z", 1, (range(target, target + 1),), name="Z"),
+        _oracle_round(u, range(half, 2 * half), lambda w: target),
+    )
+    return Circuit(t, target + 1, ops, u, decision=target, node_entry=lambda: {"nodes": nodes(u), "shared_target_wire": target})
+
+
+def _mirrored(t: int, compute: list[Op], rotation: Op, work: tuple[range, ...], arithmetic: range) -> Circuit:
+    """alg2 and alg3: compute (starting with the oracle round), rotate, uncompute.
+
+    The uncompute is the compute list reversed: each operator must see the
+    operand registers it originally read still intact.
+    """
+    oracle = compute[0]
+    u = oracle.wires[0]
+    decision = rotation.wires[-1][0]
+
+    def entry() -> dict:
+        targets = {format(w, f"0{t}b"): {"node": w + 1, "wire": oracle.target(w)} for w in oracle.ws}
+        return {
+            "nodes": {
+                "input_register": {"node": 1, "wires": list(u)},
+                "oracle_targets": targets,
+                "arithmetic_and_rotation": {"node": 1, "wires": list(arithmetic)},
+            },
+        }
+
+    ops = (_hadamard(u), *compute, rotation, *reversed(compute))
+    return Circuit(t, decision + 1, ops, u, decision=decision, work=work, node_entry=entry)
+
+
+def _alg2(n: int, t: int) -> Circuit:
+    """Sum-difference register and controlled rotation."""
+    u, wires = range(n - t), range(n - t, n - t + (1 << t))
+    dreg = range(wires.stop, wires.stop + t + 2)
+    decision = dreg.stop
+    compute = [
+        _oracle_round(u, range(1 << t), wires.__getitem__),
+        Op("fixed", "sum_difference_ops", 1, (wires, dreg), "U", lambda: [build_U(t, tuple(wires), tuple(dreg))]),
+    ]
+    rotation = Op(
+        "rotation", "rotation_ops", 1, (dreg, range(decision, decision + 1)), "R",
+        lambda: [build_R(t, tuple(dreg), decision)],
+    )
+    return _mirrored(t, compute, rotation, (wires, dreg), range(dreg.start, decision + 1))
+
+
+def _alg3(n: int, t: int, adder_layout: str) -> Circuit:
+    """Subfunctions paired by the low-order bit of w, three wires (value, XOR, AND) per pair.
+
+    Two adders accumulate the XOR and AND sums, the pair-difference operator
+    combines them, and the rotation reads the signed result.
+    """
+    pairs, base = 1 << (t - 1), n - t
+    u = range(base)
+    value, xor, conj = (range(base + k, base + 3 * pairs, 3) for k in range(3))
+    k_reg = range(base + 3 * pairs, base + 3 * pairs + t)
+    e_reg = range(k_reg.stop, k_reg.stop + t)
+    c_reg = range(e_reg.stop, e_reg.stop + t + 1)
+    decision = c_reg.stop
+    # "compact" only renames A to A': both run on the interleaved wires.
+    name = "A" if adder_layout == "interleaved" else "A'"
+
+    def adder(controls: range, results: range) -> Op:
+        build = build_A if name == "A" else build_Aprime
+        return Op("fixed", "adder_ops", 1, (controls, results), name, lambda: [build(t, tuple(controls), tuple(results))])
+
+    compute = [
+        # Subfunction w writes its pair's value wire (even w) or XOR wire (odd w).
+        _oracle_round(u, range(2 * pairs), lambda w: base + 3 * (w >> 1) + (w & 1)),
+        Op("fixed", "ccnot", pairs, (value, xor, conj), build=lambda: [build_ccnot(*p) for p in zip(value, xor, conj)]),
+        Op("fixed", "cnot", pairs, (value, xor), build=lambda: [build_cnot(*p) for p in zip(value, xor)]),
+        adder(xor, k_reg),
+        adder(conj, e_reg),
+        Op(
+            "fixed", "pair_difference_ops", 1, (k_reg, e_reg, c_reg), "V",
+            lambda: [build_V(t, tuple(k_reg), tuple(e_reg), tuple(c_reg))],
+        ),
+    ]
+    rotation = Op(
+        "rotation", "rotation_ops", 1, (c_reg, range(decision, decision + 1)), "R'",
+        lambda: [build_Rprime(t, tuple(c_reg), decision)],
+    )
+    return _mirrored(t, compute, rotation, (value, xor, conj, k_reg, e_reg, c_reg), range(k_reg.start, decision + 1))
+
+
+def _err_multi(n: int, t: int) -> Circuit:
+    """The single-node circuit at n - t, run once per subfunction."""
+    sub = _dj(n - t)
+
+    def entry() -> dict:
+        return {"nodes": {format(w, f"0{t}b"): {"node": w + 1} for w in range(1 << t)}}
+
+    return Circuit(t, sub.q, sub.ops, sub.inputs, runs=1 << t, node_entry=entry)
+
+
+@lru_cache(maxsize=64)
+def _describe(algorithm: str, n: int, t: Optional[int], adder_layout: str) -> Circuit:
     if algorithm == "dj":
-        return n + 1
+        return _dj(n)
     if algorithm == "alg1":
-        return n
+        return _shared_target(n, 1, lambda u: {"node1": {"oracle": "f_0", "wires": list(u)}, "node2": {"oracle": "f_1"}})
     if algorithm == "alg2":
-        return (n - t) + (1 << t) + (t + 2) + 1
+        return _alg2(n, t)
     if algorithm == "alg3":
-        return (n - t) + 3 * (1 << (t - 1)) + 3 * t + 2
+        return _alg3(n, t, adder_layout)
     if algorithm == "err-multi":
-        return n - t + 1
-    return n - 1
+        return _err_multi(n, t)
+    return _shared_target(n, 2, lambda u: {format(w, "02b"): {"node": w + 1} for w in range(4)})
+
+
+def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str = "interleaved") -> Circuit:
+    """The cached description of one algorithm at arity n and split size t.
+
+    Raises ValueError for a configuration that has no circuit.  Allocates
+    nothing that grows with 2^n or 2^t, so widths far beyond the simulator
+    can be described.  ``dj`` ignores t; ``alg1`` and ``err-4node`` fix it.
+    """
+    if algorithm not in ALGORITHM_NAMES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}")
+    if algorithm == "dj":
+        t = None
+    elif algorithm in ("alg1", "err-4node"):
+        fixed = 1 if algorithm == "alg1" else 2
+        if t not in (None, fixed):
+            raise ValueError(f"{algorithm} fixes t = {fixed}")
+        if n < fixed + 1:
+            raise ValueError(f"{algorithm} requires n >= {fixed + 1}")
+        t = fixed
+    else:
+        if t is None:
+            raise ValueError(f"{algorithm} requires a split size t")
+        if not 1 <= t < n:
+            raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
+    if algorithm != "alg3":
+        adder_layout = "interleaved"
+    elif adder_layout not in ("interleaved", "compact"):
+        raise ValueError(f"adder_layout must be 'interleaved' or 'compact', got {adder_layout!r}")
+    return _describe(algorithm, n, t, adder_layout)
+
+
+def validate_run_config(algorithm: str, n: int, t: Optional[int], adder_layout: str = "interleaved") -> Circuit:
+    """The circuit of a run, after rejecting an invalid (algorithm, n, t) with ValueError.
+
+    Circuits wider than the dense simulator holds are rejected before any gate
+    or index table is built.
+    """
+    c = circuit(algorithm, n, t, adder_layout)
+    if c.q > MAX_QUBITS:
+        raise ValueError(f"{algorithm} at n={n}, t={c.t} needs {c.q} qubits; the simulator holds at most {MAX_QUBITS}")
+    return c
+
+
+def _compile(c: Circuit) -> list:
+    """The ops as executor steps, built once per circuit.
+
+    A maximal run of fixed layers is one step, composed into one source array
+    (exact index arithmetic, so the state matches gate-by-gate application bit
+    for bit).  An oracle round is one XOR gate per run, carrying each queried
+    subfunction's bit at its target's position, XORed where targets repeat.
+    """
+    steps: list = []
+    for op in c.ops:
+        if op.kind == "fixed":
+            if steps and steps[-1][0] == "fixed":
+                steps[-1][2].extend(op.build())
+            else:
+                steps.append(("fixed", len(steps), op.build()))
+        elif op.kind == "oracle":
+            targets = [op.target(w) for w in op.ws]
+            results = tuple(dict.fromkeys(targets))
+            shifts = [(w, len(results) - 1 - results.index(wire)) for w, wire in zip(op.ws, targets)]
+            steps.append(("oracle", id(op), tuple(op.wires[0]), results, shifts))
+        elif op.kind == "rotation":
+            steps.append(("rotation", op.build()[0]))
+        elif op.kind == "hadamard":
+            steps.append(("hadamard", tuple(op.wires[0])))
+        else:
+            steps.append(("z", op.wires[0][0]))
+    if c.q <= _DEST_CACHE_MAX_Q:
+        c.sources = {i: compose_permutation_sources(step[2], c.q) for i, step in enumerate(steps) if step[0] == "fixed"}
+    return steps
+
+
+def _execute(c: Circuit, rows: np.ndarray) -> tuple[float, list, Optional[float]]:
+    """Run the circuit once: (constant-label probability, branch log, work-register p_all_zero).
+
+    ``rows`` is the oracle table with one row per control pattern and one
+    int64 column per subfunction.  This is the only caller of the simulator
+    kernels, through this module's names.
+    """
+    # The first run allocates its state before compiling, so the composed
+    # permutations sit above it on the heap and later runs reuse the state's
+    # freed pages (compiling first: 609 against 485 page faults a run in the
+    # alg3 sweep over both adder layouts).
+    s = init_zero(c.q)
+    if c.steps is None:
+        c.steps = _compile(c)
+    layers: dict = {}
+    for step in c.steps:
+        kind = step[0]
+        if kind == "hadamard":
+            apply_hadamard(s, step[1])
+        elif kind == "oracle":
+            _, key, controls, results, shifts = step
+            gate = layers.get(key)
+            if gate is None:
+                values = np.zeros(rows.shape[0], dtype=np.int64)
+                for w, shift in shifts:
+                    values ^= rows[:, w] << shift
+                gate = layers[key] = xor_permutation_gate(controls, results, values, name="oracle-layer")
+            apply_permutation(s, gate)
+        elif kind == "fixed":
+            src = c.sources.get(step[1])
+            apply_composed(s, compose_permutation_sources(step[2], c.q) if src is None else src)
+        elif kind == "rotation":
+            apply_block_rotation(s, step[1])
+        else:
+            apply_pauli_z(s, step[1])
+    return _readout(c, s)
+
+
+def _readout(c: Circuit, s: StateVector) -> tuple[float, list, Optional[float]]:
+    """The readout plan on the final state.
+
+    A function of its own so that the collapsed branch is freed before the
+    state it came from: inlined, the allocator handed alg3 at n=4 fresh pages
+    on every run (579 against 352 page faults a run, 10-20% slower).
+    """
+    log: list = []
+    anc = None
+    if c.work:
+        work = tuple(w for reg in c.work for w in reg)
+        anc = probability_all_zero(s, work)
+        log.append({"stage": "work_registers_after_uncompute", "qubits": list(work), "p_all_zero": anc})
+    inputs = tuple(c.inputs)
+    p_zero = 1.0
+    if c.decision is not None:
+        rec = measure(s, (c.decision,))
+        log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": rec.distribution})
+        p_zero = rec.probability(0)
+        if p_zero <= _PROB_FLOOR:
+            return 0.0, log, anc
+        s = rec.collapse(0)
+        apply_hadamard(s, inputs)
+    rec = measure(s, inputs)
+    log.append({"stage": "input_register", "qubits": list(inputs), "distribution": rec.distribution})
+    if c.decision is not None:
+        log[-1]["conditioned_on"] = {"decision_qubit": 0}
+    return p_zero * rec.probability(0), log, anc
 
 
 @dataclass
@@ -98,304 +431,59 @@ class RunReport:
     ancilla_zero_prob: Optional[float] = None
 
 
-def _finish(
-    algorithm: str,
-    f: BooleanFunction,
-    t: Optional[int],
-    q_used: int,
-    breakdown: dict[str, int],
-    p_constant: float,
-    branch_log: list,
-    ancilla_zero_prob: Optional[float] = None,
-) -> RunReport:
+def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder_layout: str = "interleaved") -> RunReport:
+    """Run the algorithm named by the CLI selector on f."""
+    c = validate_run_config(algorithm, f.n, t, adder_layout)
+    rows = f.as_array().reshape(-1, 1 << (c.t or 0)).astype(np.int64)
+    if c.runs == 1:
+        p_constant, log, anc = _execute(c, rows)
+    else:
+        # Independent nodes share no quantum state: the label is "constant"
+        # only if every node measures all zeros.
+        p_constant, log, anc = 1.0, [], None
+        for w in range(c.runs):
+            p_w, node_log, _ = _execute(c, rows[:, w : w + 1])
+            dist = node_log[-1]["distribution"]
+            log.append({"stage": "node_measurement", "w": format(w, f"0{c.t}b"), "p_all_zero": p_w, "distribution": dist})
+            p_constant *= p_w
+    if c.node_entry is not None:
+        log.insert(0, {"stage": "node_assignment", **c.node_entry()})
     p_balanced = 1.0 - p_constant
-    verdict = "constant" if p_constant >= p_balanced else "balanced"
-    exact = max(p_constant, p_balanced) >= 1.0 - EXACTNESS_TOL
     return RunReport(
         algorithm=algorithm,
         function_id=f.digest(),
         n=f.n,
-        t=t,
-        q_used=q_used,
-        gate_count=sum(breakdown.values()),
-        gate_breakdown=breakdown,
+        t=c.t,
+        q_used=c.q,
+        gate_count=c.gate_count,
+        gate_breakdown=dict(c.gate_breakdown),
         p_constant=p_constant,
         p_balanced=p_balanced,
-        verdict=verdict,
-        verdict_exact=exact,
-        branch_log=branch_log,
-        ancilla_zero_prob=ancilla_zero_prob,
+        verdict="constant" if p_constant >= p_balanced else "balanced",
+        verdict_exact=max(p_constant, p_balanced) >= 1.0 - EXACTNESS_TOL,
+        branch_log=log,
+        ancilla_zero_prob=anc,
     )
-
-
-def _two_stage_constant_prob(s: StateVector, decision: int, input_wires: tuple[int, ...], log: list) -> float:
-    """Shared ending: measure the decision qubit, postselect 0, transform, measure the input register.
-
-    Returns the joint probability of the constant-labelled path (decision 0
-    followed by the all-zero input outcome).
-    """
-    rec = measure(s, (decision,))
-    log.append({"stage": "decision_qubit", "qubits": [decision], "distribution": rec.distribution})
-    p_zero = rec.probability(0)
-    if p_zero <= _PROB_FLOOR:
-        return 0.0
-    branch = rec.collapse(0)
-    apply_hadamard(branch, input_wires)
-    rec2 = measure(branch, input_wires)
-    log.append(
-        {
-            "stage": "input_register",
-            "qubits": list(input_wires),
-            "conditioned_on": {"decision_qubit": 0},
-            "distribution": rec2.distribution,
-        }
-    )
-    return p_zero * rec2.probability(0)
 
 
 def run_dj(f: BooleanFunction) -> RunReport:
     """Single-oracle global algorithm on n+1 qubits."""
-    n = f.n
-    q = circuit_qubits("dj", n, None)
-    wires = tuple(range(q))
-    inputs = tuple(range(n))
-    s = init_zero(q)
-    apply_permutation(s, build_x(n))
-    apply_hadamard(s, wires)
-    apply_permutation(s, build_oracle(f, None, inputs, n))
-    apply_hadamard(s, wires)
-    rec = measure(s, inputs)
-    log = [{"stage": "input_register", "qubits": list(inputs), "distribution": rec.distribution}]
-    breakdown = {"state_prep_x": 1, "hadamard_layers": 2, "oracle_calls": 1}
-    return _finish("dj", f, None, q, breakdown, rec.probability(0), log)
+    return run_named("dj", f)
 
 
 def run_algorithm1(f: BooleanFunction) -> RunReport:
-    """Two-node driver: one query per subfunction oracle, phase flip in between."""
-    if f.n < 2:
-        raise ValueError("the two-node algorithm requires n >= 2")
-    d = Decomposition(f, 1)
-    q = circuit_qubits("alg1", f.n, 1)
-    u = tuple(range(q - 1))
-    target = q - 1
-    s = init_zero(q)
-    apply_hadamard(s, u)
-    apply_permutation(s, build_oracle(d, 0, u, target))
-    apply_pauli_z(s, target)
-    apply_permutation(s, build_oracle(d, 1, u, target))
-    log = [
-        {
-            "stage": "node_assignment",
-            "nodes": {"node1": {"oracle": "f_0", "wires": list(u)}, "node2": {"oracle": "f_1"}},
-            "shared_target_wire": target,
-        }
-    ]
-    p_constant = _two_stage_constant_prob(s, target, u, log)
-    breakdown = {"hadamard_layers": 2, "oracle_calls": 2, "pauli_z": 1}
-    return _finish("alg1", f, 1, q, breakdown, p_constant, log)
+    """Two-node algorithm: one query per subfunction oracle, phase flip in between."""
+    return run_named("alg1", f)
 
 
 def run_algorithm2(f: BooleanFunction, t: int) -> RunReport:
-    """Multi-node driver with the sum-difference register and controlled rotation."""
-    d = Decomposition(f, t)  # validates 1 <= t < n
-    n = f.n
-    nodes = 1 << t
-    q = circuit_qubits("alg2", n, t)
-    u = tuple(range(n - t))
-    oracle_wires = tuple(n - t + w for w in range(nodes))
-    dreg = tuple(n - t + nodes + i for i in range(t + 2))
-    decision = q - 1
-
-    oracles = [build_oracle(d, w, u, oracle_wires[w]) for w in range(nodes)]
-    op_u = build_U(t, oracle_wires, dreg)
-    op_r = build_R(t, dreg, decision)
-
-    s = init_zero(q)
-    apply_hadamard(s, u)
-    for g in oracles:
-        apply_permutation(s, g)
-    apply_permutation(s, op_u)
-    apply_block_rotation(s, op_r)
-    # Uncompute: the register must be cleared while the oracle wires still
-    # hold their values, so the adder precedes the oracles here.
-    apply_permutation(s, op_u)
-    for g in oracles:
-        apply_permutation(s, g)
-
-    work = oracle_wires + dreg
-    anc = probability_all_zero(s, work)
-    log = [
-        {
-            "stage": "node_assignment",
-            "nodes": {
-                "input_register": {"node": 1, "wires": list(u)},
-                "oracle_targets": {
-                    format(w, f"0{t}b"): {"node": w + 1, "wire": oracle_wires[w]} for w in range(nodes)
-                },
-                "arithmetic_and_rotation": {"node": 1, "wires": list(dreg) + [decision]},
-            },
-        },
-        {"stage": "work_registers_after_uncompute", "qubits": list(work), "p_all_zero": anc},
-    ]
-    p_constant = _two_stage_constant_prob(s, decision, u, log)
-    breakdown = {
-        "hadamard_layers": 2,
-        "oracle_calls": 2 * nodes,
-        "sum_difference_ops": 2,
-        "rotation_ops": 1,
-        "workspace_prep": 1,
-    }
-    return _finish("alg2", f, t, q, breakdown, p_constant, log, ancilla_zero_prob=anc)
-
-
-class _Alg3Layout(NamedTuple):
-    q: int
-    u: tuple[int, ...]
-    value_wires: tuple[int, ...]
-    xor_wires: tuple[int, ...]
-    and_wires: tuple[int, ...]
-    k_reg: tuple[int, ...]
-    e_reg: tuple[int, ...]
-    c_reg: tuple[int, ...]
-    decision: int
-
-
-def _alg3_layout(n: int, t: int) -> _Alg3Layout:
-    pairs = 1 << (t - 1)
-    base = n - t
-    q = circuit_qubits("alg3", n, t)
-    return _Alg3Layout(
-        q=q,
-        u=tuple(range(base)),
-        value_wires=tuple(base + 3 * p for p in range(pairs)),
-        xor_wires=tuple(base + 3 * p + 1 for p in range(pairs)),
-        and_wires=tuple(base + 3 * p + 2 for p in range(pairs)),
-        k_reg=tuple(base + 3 * pairs + i for i in range(t)),
-        e_reg=tuple(base + 3 * pairs + t + i for i in range(t)),
-        c_reg=tuple(base + 3 * pairs + 2 * t + i for i in range(t + 1)),
-        decision=q - 1,
-    )
-
-
-def _alg3_fixed_gates(n: int, t: int, adder_layout: str) -> tuple[list[PermutationGate], list[PermutationGate]]:
-    """The function-independent gates of the pairing circuit, compute and uncompute order."""
-    lay = _alg3_layout(n, t)
-    pairs = 1 << (t - 1)
-    build_adder = build_A if adder_layout == "interleaved" else build_Aprime
-    ccnots = [build_ccnot(lay.value_wires[p], lay.xor_wires[p], lay.and_wires[p]) for p in range(pairs)]
-    cnots = [build_cnot(lay.value_wires[p], lay.xor_wires[p]) for p in range(pairs)]
-    adder_xor = build_adder(t, lay.xor_wires, lay.k_reg)
-    adder_and = build_adder(t, lay.and_wires, lay.e_reg)
-    op_v = build_V(t, lay.k_reg, lay.e_reg, lay.c_reg)
-    compute: list[PermutationGate] = []
-    for p in range(pairs):
-        compute.extend((ccnots[p], cnots[p]))
-    compute.extend((adder_xor, adder_and, op_v))
-    # Uncompute mirrors the compute order: each operator must see the operand
-    # registers it originally read still intact.
-    uncompute: list[PermutationGate] = [op_v, adder_and, adder_xor]
-    for p in range(pairs):
-        uncompute.extend((cnots[p], ccnots[p]))
-    return compute, uncompute
-
-
-@lru_cache(maxsize=64)
-def _alg3_fixed_sources(n: int, t: int, adder_layout: str):
-    compute, uncompute = _alg3_fixed_gates(n, t, adder_layout)
-    lay = _alg3_layout(n, t)
-    return (
-        compose_permutation_sources(compute, lay.q),
-        compose_permutation_sources(uncompute, lay.q),
-    )
-
-
-def _oracle_layer(d: Decomposition, controls: tuple[int, ...], targets_by_w: tuple[int, ...]) -> PermutationGate:
-    """All per-node oracles of one query round merged into a single XOR gate.
-
-    The oracles write disjoint target wires under the same controls, so they
-    commute and their product equals one XOR gate whose value table carries
-    every subfunction bit at its wire position.
-    """
-    nodes = 1 << d.t
-    rows = d.base.as_array().reshape(-1, nodes).astype(np.int64)
-    width = len(targets_by_w)
-    values = np.zeros(rows.shape[0], dtype=np.int64)
-    for w in range(nodes):
-        values |= rows[:, w] << (width - 1 - w)
-    return xor_permutation_gate(controls, targets_by_w, values, name="oracle-layer")
+    """Multi-node algorithm with the sum-difference register and controlled rotation."""
+    return run_named("alg2", f, t)
 
 
 def run_algorithm3(f: BooleanFunction, t: int, adder_layout: str = "interleaved") -> RunReport:
-    """Multi-node driver pairing subfunctions by the low-order bit of w.
-
-    Each pair occupies three wires (value, XOR, AND); two adders accumulate
-    the XOR and AND sums, the pair-difference operator combines them, and the
-    rotation reads the signed result.  ``adder_layout`` selects the interleaved
-    adder or its compacted variant; both act identically on the statevector.
-
-    The oracles of one query round and the fixed arithmetic block are applied
-    as pre-composed permutations; composition is exact index arithmetic, so
-    the state matches gate-by-gate application bit for bit.
-    """
-    if adder_layout not in ("interleaved", "compact"):
-        raise ValueError(f"adder_layout must be 'interleaved' or 'compact', got {adder_layout!r}")
-    d = Decomposition(f, t)
-    n = f.n
-    pairs = 1 << (t - 1)
-    lay = _alg3_layout(n, t)
-    q = lay.q
-    u = lay.u
-    value_wires, xor_wires, and_wires = lay.value_wires, lay.xor_wires, lay.and_wires
-    k_reg, e_reg, c_reg = lay.k_reg, lay.e_reg, lay.c_reg
-    decision = lay.decision
-
-    # Allocating first lets init_zero's width check run before any 2^q index
-    # table is built, also for callers that skip validate_run_config.
-    s = init_zero(q)
-    # Subfunction w targets its pair's value wire (even w) or XOR wire (odd w).
-    targets_by_w = tuple(value_wires[w >> 1] if w % 2 == 0 else xor_wires[w >> 1] for w in range(2 * pairs))
-    oracle_layer = _oracle_layer(d, u, targets_by_w)
-    src_compute, src_uncompute = _alg3_fixed_sources(n, t, adder_layout)
-    op_r = build_Rprime(t, c_reg, decision)
-
-    apply_hadamard(s, u)
-    apply_permutation(s, oracle_layer)
-    apply_composed(s, src_compute)
-    apply_block_rotation(s, op_r)
-    apply_composed(s, src_uncompute)
-    apply_permutation(s, oracle_layer)
-
-    work = value_wires + xor_wires + and_wires + k_reg + e_reg + c_reg
-    anc = probability_all_zero(s, work)
-    node_info = {}
-    for p in range(pairs):
-        wp = format(2 * p, f"0{t}b")
-        wq = format(2 * p + 1, f"0{t}b")
-        node_info[wp] = {"node": 2 * p + 1, "wire": value_wires[p]}
-        node_info[wq] = {"node": 2 * p + 2, "wire": xor_wires[p]}
-    log = [
-        {
-            "stage": "node_assignment",
-            "nodes": {
-                "input_register": {"node": 1, "wires": list(u)},
-                "oracle_targets": node_info,
-                "arithmetic_and_rotation": {"node": 1, "wires": list(k_reg + e_reg + c_reg) + [decision]},
-            },
-        },
-        {"stage": "work_registers_after_uncompute", "qubits": list(work), "p_all_zero": anc},
-    ]
-    p_constant = _two_stage_constant_prob(s, decision, u, log)
-    breakdown = {
-        "hadamard_layers": 2,
-        "oracle_calls": 4 * pairs,
-        "ccnot": 2 * pairs,
-        "cnot": 2 * pairs,
-        "adder_ops": 4,
-        "pair_difference_ops": 2,
-        "rotation_ops": 1,
-        "workspace_prep": 1,
-    }
-    return _finish("alg3", f, t, q, breakdown, p_constant, log, ancilla_zero_prob=anc)
+    """Multi-node algorithm pairing subfunctions; ``adder_layout`` "compact" renames the adder A to A'."""
+    return run_named("alg3", f, t, adder_layout)
 
 
 @lru_cache(maxsize=65536)
@@ -409,104 +497,13 @@ def dj_zero_probability(n_sub: int, table: bytes) -> float:
 
 
 def run_erroneous_multinode(f: BooleanFunction, t: int) -> RunReport:
-    """Baseline that runs the single-node algorithm independently per subfunction.
-
-    Outputs "constant" only if every node measures all zeros; the nodes share
-    no quantum state, so each node is its own (n-t+1)-qubit run and q_used
-    reports that per-node width.
-    """
-    d = Decomposition(f, t)
-    nodes = 1 << t
-    p_constant = 1.0
-    node_log = []
-    for w in range(nodes):
-        sub = make_function(d.u_bits, d.sub_table(w))
-        rep = run_dj(sub)
-        node_log.append(
-            {
-                "stage": "node_measurement",
-                "w": format(w, f"0{t}b"),
-                "p_all_zero": rep.p_constant,
-                "distribution": rep.branch_log[-1]["distribution"],
-            }
-        )
-        p_constant *= rep.p_constant
-    log = [{"stage": "node_assignment", "nodes": {format(w, f"0{t}b"): {"node": w + 1} for w in range(nodes)}}]
-    log.extend(node_log)
-    breakdown = {"oracle_calls": nodes, "hadamard_layers": 2 * nodes, "state_prep_x": nodes}
-    return _finish("err-multi", f, t, circuit_qubits("err-multi", f.n, t), breakdown, p_constant, log)
+    """Baseline running the single-node algorithm once per subfunction; q_used is the per-node width."""
+    return run_named("err-multi", f, t)
 
 
 def run_erroneous_4node_xor(f: BooleanFunction) -> RunReport:
     """Four-node baseline chaining all four oracles onto one shared target qubit."""
-    if f.n < 3:
-        raise ValueError("the four-node baseline requires n >= 3")
-    t = 2
-    d = Decomposition(f, t)
-    q = circuit_qubits("err-4node", f.n, t)
-    u = tuple(range(q - 1))
-    target = q - 1
-    s = init_zero(q)
-    apply_hadamard(s, u)
-    apply_permutation(s, build_oracle(d, 0b00, u, target))
-    apply_permutation(s, build_oracle(d, 0b01, u, target))
-    apply_pauli_z(s, target)
-    apply_permutation(s, build_oracle(d, 0b10, u, target))
-    apply_permutation(s, build_oracle(d, 0b11, u, target))
-    log = [
-        {
-            "stage": "node_assignment",
-            "nodes": {format(w, "02b"): {"node": w + 1} for w in range(4)},
-            "shared_target_wire": target,
-        }
-    ]
-    p_constant = _two_stage_constant_prob(s, target, u, log)
-    breakdown = {"hadamard_layers": 2, "oracle_calls": 4, "pauli_z": 1}
-    return _finish("err-4node", f, t, q, breakdown, p_constant, log)
-
-
-def validate_run_config(algorithm: str, n: int, t: Optional[int]) -> None:
-    """Reject invalid (algorithm, n, t) combinations before any run starts.
-
-    This includes circuits wider than the dense simulator holds, which are
-    rejected before any gate or index table is built.
-    """
-    if algorithm not in ALGORITHM_NAMES:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}")
-    if algorithm == "alg1":
-        if t not in (None, 1):
-            raise ValueError("alg1 is the two-node algorithm; t must be 1")
-        if n < 2:
-            raise ValueError("alg1 requires n >= 2")
-    elif algorithm in ("alg2", "alg3", "err-multi"):
-        if t is None:
-            raise ValueError(f"{algorithm} requires a split size t")
-        if not 1 <= t < n:
-            raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
-    elif algorithm == "err-4node":
-        if t not in (None, 2):
-            raise ValueError("err-4node fixes t = 2")
-        if n < 3:
-            raise ValueError("err-4node requires n >= 3")
-    q = circuit_qubits(algorithm, n, t)
-    if q > MAX_QUBITS:
-        raise ValueError(f"{algorithm} at n={n}, t={t} needs {q} qubits; the simulator holds at most {MAX_QUBITS}")
-
-
-def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder_layout: str = "interleaved") -> RunReport:
-    """Dispatch by the CLI algorithm selector."""
-    validate_run_config(algorithm, f.n, t)
-    if algorithm == "dj":
-        return run_dj(f)
-    if algorithm == "alg1":
-        return run_algorithm1(f)
-    if algorithm == "alg2":
-        return run_algorithm2(f, t)
-    if algorithm == "alg3":
-        return run_algorithm3(f, t, adder_layout=adder_layout)
-    if algorithm == "err-multi":
-        return run_erroneous_multinode(f, t)
-    return run_erroneous_4node_xor(f)
+    return run_named("err-4node", f)
 
 
 def probability_oracle(report: RunReport, f: BooleanFunction, t: Optional[int] = None, tol: float = 1e-10) -> float:

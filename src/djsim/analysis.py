@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .algorithms import dj_zero_probability, run_named, validate_run_config
+from .algorithms import circuit, dj_zero_probability, run_named, validate_run_config
 # make_function is unused here; it stays importable from this module because
 # perfbench/tracer.py wraps it on every djsim module that imports it.
 from .boolfn import BooleanFunction, Decomposition, enumerate_promise_functions, make_function  # noqa: F401
@@ -133,7 +133,7 @@ def mean_simulated_misid(n: int, t: int) -> float:
 
 @dataclass(frozen=True)
 class ResourceTable:
-    """Closed-form qubit and gate counts per algorithm at a given (t, n)."""
+    """Qubit and gate counts per algorithm at a given (t, n), read from the circuit descriptions."""
 
     t: int
     n: int
@@ -150,30 +150,20 @@ class ResourceTable:
 
 
 def resource_table(t: int, n: int) -> ResourceTable:
-    """Evaluate every closed-form resource count for split size t at arity n."""
+    """Total qubits, gate count and named-operator widths of the exact circuits at split size t, arity n."""
     if t < 1:
         raise ValueError(f"split size must be at least 1, got {t}")
     if n <= t:
         raise ValueError(f"arity must exceed the split size, got n={n}, t={t}")
-    pairs = 1 << (t - 1)
-    algorithms = {
-        "alg1": {
-            "total_qubits": n,
-            "gate_count": 5,
-            "operator_widths": {"Z": 1},
-        },
-        "alg2": {
-            "total_qubits": n + (1 << t) + 3,
-            "gate_count": (1 << (t + 1)) + 6,
-            "operator_widths": {"U": (1 << t) + t + 2, "R": t + 3},
-        },
-        "alg3": {
-            "total_qubits": n + 3 * pairs + 2 * t + 2,
-            "gate_count": (1 << (t + 2)) + 10,
-            "operator_widths": {"A": 3 * pairs + t - 1, "V": 3 * t + 1, "R'": t + 2, "A'": pairs + t},
-        },
-    }
-    oracle_qubits = {"dj": n + 1, "distributed": n - t + 1}
+    algorithms = {}
+    for name in ("alg1", "alg2", "alg3"):
+        c = circuit(name, n, t if name != "alg1" else 1)
+        algorithms[name] = {"total_qubits": c.q, "gate_count": c.gate_count, "operator_widths": c.operator_widths}
+    # The compact adder A' has no placement of its own yet: the compact
+    # layout runs it on A's interleaved wires.  Its width is therefore the
+    # closed form of the packed placement, 2^(t-1) controls plus t results.
+    algorithms["alg3"]["operator_widths"]["A'"] = (1 << (t - 1)) + t
+    oracle_qubits = {"dj": circuit("dj", n).oracle_qubits, "distributed": circuit("alg2", n, t).oracle_qubits}
     return ResourceTable(t=t, n=n, algorithms=algorithms, oracle_qubits=oracle_qubits)
 
 

@@ -251,6 +251,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise UsageError("--alg is required for verify")
     if args.n is None:
         raise UsageError("--n is required for verify")
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         summary = analysis.verify_sweep(args.n, args.t, args.alg, jobs=args.jobs)
     except ValueError as exc:

@@ -29,8 +29,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 MAX_QUBITS = 26
-# Full-index permutation tables are cached per gate up to this register size;
-# beyond it they are rebuilt per application to bound memory.
+# Full-index tables (the basis indices, bit patterns, per-gate permutation and
+# rotation plans) are cached up to this register size; beyond it they are
+# rebuilt per use to bound memory.
 _DEST_CACHE_MAX_Q = 20
 _PROB_FLOOR = 1e-15
 
@@ -42,7 +43,8 @@ def _indices(q: int) -> np.ndarray:
     idx = _INDEX_CACHE.get(q)
     if idx is None:
         idx = np.arange(1 << q, dtype=np.int64)
-        _INDEX_CACHE[q] = idx
+        if q <= _DEST_CACHE_MAX_Q:
+            _INDEX_CACHE[q] = idx
     return idx
 
 

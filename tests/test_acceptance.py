@@ -183,25 +183,18 @@ class TestCriterion6ResourceTable:
                 "A'": 2 ** (t - 1) + t,
             }
             ok &= table.oracle_qubits == {"dj": n + 1, "distributed": n - t + 1}
-        # executed circuits report the same numbers
+        # executed circuits report the same numbers; runs and table both read
+        # the circuit description, so the runs are checked against the
+        # closed forms above, not against the table
         f = make_function(4, [0] * 16)
-        table = resource_table(1, 4)
         r1 = run_algorithm1(f)
-        ok &= (r1.q_used, r1.gate_count) == (table.algorithms["alg1"]["total_qubits"], 5)
+        ok &= (r1.q_used, r1.gate_count) == (4, 5)
         for t in (1, 2, 3):
-            table = resource_table(t, 4)
             r2 = run_algorithm2(f, t)
-            ok &= (r2.q_used, r2.gate_count) == (
-                table.algorithms["alg2"]["total_qubits"],
-                table.algorithms["alg2"]["gate_count"],
-            )
+            ok &= (r2.q_used, r2.gate_count) == (4 + 2**t + 3, 2 ** (t + 1) + 6)
         for t in (1, 2):
-            table = resource_table(t, 4)
             r3 = run_algorithm3(f, t)
-            ok &= (r3.q_used, r3.gate_count) == (
-                table.algorithms["alg3"]["total_qubits"],
-                table.algorithms["alg3"]["gate_count"],
-            )
+            ok &= (r3.q_used, r3.gate_count) == (4 + 3 * 2 ** (t - 1) + 2 * t + 2, 2 ** (t + 2) + 10)
         report("6", ok, "qubit totals, gate counts, and operator widths match the closed forms for t in {1,2,3}")
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from djsim import Decomposition, Promise, enumerate_promise_functions, make_function, random_balanced_table
+from djsim import sim
 from djsim.algorithms import (
     InvariantBreach,
+    circuit,
     probability_oracle,
     run_algorithm1,
     run_algorithm2,
@@ -189,6 +191,18 @@ def _literal_alg3_p_constant(f, t):
     branch = rec.collapse(0)
     apply_hadamard(branch, u)
     return p0 * measure(branch, u).probability(0)
+
+
+def test_index_caches_stay_within_the_cache_width():
+    # alg3 at n=9, t=2 is 21 qubits, one above the cache width: neither the
+    # basis-index cache nor the circuit's composed permutations may keep a
+    # 2^21-entry array once the run is over.
+    assert run_algorithm3(make_function(9, [0] * 512), 2).q_used == 21
+    assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
+    assert circuit("alg3", 9, 2).sources == {}
+    # Below the width the composed permutations are kept.
+    run_algorithm3(make_function(4, [0] * 16), 2)
+    assert circuit("alg3", 4, 2).sources
 
 
 class TestErroneousMultinode:

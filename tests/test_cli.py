@@ -155,6 +155,13 @@ class TestVerify:
         assert status == 0
         assert payload["failure_count"] > 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        assert cli.main(["verify", "--n", "2", "--alg", "dj", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     def test_exact_failure_exit_two(self, capsys, monkeypatch):
         broken = VerificationSummary(n=2, t=1, algorithm="alg1", functions_checked=8)
         broken.failures.append({"function": "2:3", "promise": "balanced", "verdict": "constant",

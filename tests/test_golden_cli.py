@@ -3,9 +3,12 @@
 ``tests/data/golden_cli.json`` holds argv, exit status and stdout of ``run``
 for all six algorithms (the four conftest tables and seeded random functions
 at n = 5..6, at most 20 qubits) and of ``verify --n 3``, captured from the
-simulator before its amplitudes became real.  An ``@name`` argument stands
-for a truth-table file holding ``tables[name]``.  Changes that only simplify
-the engine must reproduce every byte.
+simulator before its amplitudes became real; and of ``resources`` (t = 1..3
+in json, csv and table, and t = 40) and ``verify --n 3`` for the two inexact
+baselines with their failure lists, captured before the algorithms became
+circuit descriptions.  An ``@name`` argument stands for a truth-table file
+holding ``tables[name]``.  Changes that only simplify the engine must
+reproduce every byte.
 """
 
 import contextlib
