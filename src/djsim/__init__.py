@@ -21,6 +21,7 @@ from .sim import (
     PermutationGate,
     RotationGate,
     StateVector,
+    SupportState,
     apply_block_rotation,
     apply_hadamard,
     apply_pauli_z,

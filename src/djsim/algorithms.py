@@ -2,10 +2,12 @@
 
 ``circuit(algorithm, n, t, adder_layout)`` describes an algorithm as data: its
 width, ordered layers (``Op``), readout plan and static node-assignment log
-entry.  ``_execute`` runs any description on the dense engine, enumerating
-both measurement branches analytically, so reported probabilities carry no
-sampling noise and exactness can be asserted at 1e-12.  Qubit counts, gate
-breakdowns and ``analysis.resource_table`` are read from the description.
+entry.  ``_execute`` runs any description, enumerating both measurement
+branches analytically, so reported probabilities carry no sampling noise and
+exactness can be asserted at 1e-12.  A description with work registers runs
+on a support state (``Circuit.support``), the others on a dense one.  Qubit
+counts, gate breakdowns and ``analysis.resource_table`` are read from the
+description.
 
 Gate accounting: each Hadamard layer, oracle call, named arithmetic or
 rotation operator, and Pauli/CNOT/CCNOT counts as one gate; circuits that
@@ -41,7 +43,8 @@ from .gates import (  # noqa: F401
 from .sim import (
     _DEST_CACHE_MAX_Q,
     MAX_QUBITS,
-    StateVector,
+    MAX_SUPPORT_QUBITS,
+    State,
     apply_block_rotation,
     apply_composed,
     apply_hadamard,
@@ -107,9 +110,30 @@ class Circuit:
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
     # Executor state: compiled steps, and the composed permutations of their
-    # fixed runs (kept only for q <= _DEST_CACHE_MAX_Q).
+    # fixed runs on the dense engine (kept only for q <= _DEST_CACHE_MAX_Q).
     steps: Optional[list] = field(default=None, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def support(self) -> bool:
+        """Whether runs use the support state: the circuits with work registers.
+
+        After the input Hadamard their gates are XOR permutations and one
+        rotation, so at most 2^(n-t+1) of the 2^q amplitudes are nonzero.  The
+        other circuits' dense state is at most twice their support.
+        """
+        return bool(self.work)
+
+    @property
+    def table_bits(self) -> int:
+        """log2 of the longest array a support run builds.
+
+        That is its 2^(n-t+1) entries, or a lookup table over the control
+        registers of one layer (all of its registers but the last), which is at
+        least as long as the table of any gate the layer builds.
+        """
+        controls = [sum(map(len, op.wires[:-1])) for op in self.ops if op.kind in ("fixed", "rotation")]
+        return max(len(self.inputs) + 1, *controls)
 
     @cached_property
     def gate_breakdown(self) -> dict[str, int]:
@@ -276,12 +300,13 @@ def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str =
 
     Raises ValueError for a configuration that has no circuit.  Allocates
     nothing that grows with 2^n or 2^t, so widths far beyond the simulator
-    can be described.  ``dj`` ignores t; ``alg1`` and ``err-4node`` fix it.
+    can be described.  ``dj`` takes no t; ``alg1`` and ``err-4node`` fix it.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}")
     if algorithm == "dj":
-        t = None
+        if t is not None:
+            raise ValueError("dj takes no split size t")
     elif algorithm in ("alg1", "err-4node"):
         fixed = 1 if algorithm == "alg1" else 2
         if t not in (None, fixed):
@@ -304,22 +329,30 @@ def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str =
 def validate_run_config(algorithm: str, n: int, t: Optional[int], adder_layout: str = "interleaved") -> Circuit:
     """The circuit of a run, after rejecting an invalid (algorithm, n, t) with ValueError.
 
-    Circuits wider than the dense simulator holds are rejected before any gate
-    or index table is built.
+    Circuits larger than their state holds are rejected before any gate or
+    index table is built: a dense state holds MAX_QUBITS qubits; a support
+    state holds MAX_SUPPORT_QUBITS, with arrays of at most 2^MAX_QUBITS entries.
     """
     c = circuit(algorithm, n, t, adder_layout)
-    if c.q > MAX_QUBITS:
-        raise ValueError(f"{algorithm} at n={n}, t={c.t} needs {c.q} qubits; the simulator holds at most {MAX_QUBITS}")
+    top = MAX_SUPPORT_QUBITS if c.support else MAX_QUBITS
+    if c.q > top:
+        raise ValueError(f"{algorithm} at n={n}, t={c.t} needs {c.q} qubits; the simulator holds at most {top}")
+    if c.support and c.table_bits > MAX_QUBITS:
+        raise ValueError(
+            f"{algorithm} at n={n}, t={c.t} needs a 2^{c.table_bits}-entry array; the simulator holds at most 2^{MAX_QUBITS}"
+        )
     return c
 
 
 def _compile(c: Circuit) -> list:
     """The ops as executor steps, built once per circuit.
 
-    A maximal run of fixed layers is one step, composed into one source array
-    (exact index arithmetic, so the state matches gate-by-gate application bit
-    for bit).  An oracle round is one XOR gate per run, carrying each queried
-    subfunction's bit at its target's position, XORed where targets repeat.
+    A maximal run of fixed layers is one step.  The dense engine composes it
+    into one source array (exact index arithmetic, so the state matches
+    gate-by-gate application bit for bit); a support state applies its gates
+    one by one, each rewriting only the indices.  An oracle round is one XOR
+    gate per run, carrying each queried subfunction's bit at its target's
+    position, XORed where targets repeat.
     """
     steps: list = []
     for op in c.ops:
@@ -339,23 +372,24 @@ def _compile(c: Circuit) -> list:
             steps.append(("hadamard", tuple(op.wires[0])))
         else:
             steps.append(("z", op.wires[0][0]))
-    if c.q <= _DEST_CACHE_MAX_Q:
-        c.sources = {i: compose_permutation_sources(step[2], c.q) for i, step in enumerate(steps) if step[0] == "fixed"}
     return steps
 
 
-def _execute(c: Circuit, rows: np.ndarray) -> tuple[float, list, Optional[float]]:
+def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[float, list, Optional[float]]:
     """Run the circuit once: (constant-label probability, branch log, work-register p_all_zero).
 
     ``rows`` is the oracle table with one row per control pattern and one
-    int64 column per subfunction.  This is the only caller of the simulator
+    int64 column per subfunction.  The state is a support state when
+    ``c.support`` holds, unless ``dense`` asks for the dense reference, which
+    runs every description.  This is the only caller of the simulator
     kernels, through this module's names.
     """
-    # The first run allocates its state before compiling, so the composed
-    # permutations sit above it on the heap and later runs reuse the state's
-    # freed pages (compiling first: 609 against 485 page faults a run in the
-    # alg3 sweep over both adder layouts).
-    s = init_zero(c.q)
+    support = c.support and not dense
+    # The first run allocates its state before it composes the fixed runs, so
+    # the composed permutations sit above it on the heap and later runs reuse
+    # the state's freed pages (composing first: 609 against 485 page faults a
+    # run in the dense alg3 sweep over both adder layouts).
+    s = init_zero(c.q, support)
     if c.steps is None:
         c.steps = _compile(c)
     layers: dict = {}
@@ -372,9 +406,16 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[float, list, Optional[float]
                     values ^= rows[:, w] << shift
                 gate = layers[key] = xor_permutation_gate(controls, results, values, name="oracle-layer")
             apply_permutation(s, gate)
+        elif kind == "fixed" and support:
+            for gate in step[2]:
+                apply_permutation(s, gate)
         elif kind == "fixed":
             src = c.sources.get(step[1])
-            apply_composed(s, compose_permutation_sources(step[2], c.q) if src is None else src)
+            if src is None:
+                src = compose_permutation_sources(step[2], c.q)
+                if c.q <= _DEST_CACHE_MAX_Q:
+                    c.sources[step[1]] = src
+            apply_composed(s, src)
         elif kind == "rotation":
             apply_block_rotation(s, step[1])
         else:
@@ -382,7 +423,7 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[float, list, Optional[float]
     return _readout(c, s)
 
 
-def _readout(c: Circuit, s: StateVector) -> tuple[float, list, Optional[float]]:
+def _readout(c: Circuit, s: State) -> tuple[float, list, Optional[float]]:
     """The readout plan on the final state.
 
     A function of its own so that the collapsed branch is freed before the

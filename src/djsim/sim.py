@@ -1,4 +1,4 @@
-"""Dense statevector simulation with exact gate application and partial measurement.
+"""Statevector simulation with exact gate application and partial measurement.
 
 Conventions:
 
@@ -16,6 +16,10 @@ Conventions:
   Hadamard matmul and the permutation gathers in real arithmetic.
 * Signed register values are two's complement over the register width; the
   rotation gates decode them accordingly.
+* A state is dense (``StateVector``: all 2^q amplitudes) or a support state
+  (``SupportState``: the basis indices and amplitudes of its nonzero
+  entries).  Every kernel takes either, except that a support state takes
+  its XOR gates one by one, never a composed permutation.
 
 Apply functions mutate the passed state in place and return it.
 """
@@ -24,11 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 MAX_QUBITS = 26
+# A support state's basis indices are int64.
+MAX_SUPPORT_QUBITS = 62
 # Full-index tables (the basis indices, bit patterns, per-gate permutation and
 # rotation plans) are cached up to this register size; beyond it they are
 # rebuilt per use to bound memory.
@@ -37,6 +44,7 @@ _PROB_FLOOR = 1e-15
 
 _INDEX_CACHE: dict[int, np.ndarray] = {}
 _PATTERN_CACHE: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+_COLUMN_CACHE: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
 def _indices(q: int) -> np.ndarray:
@@ -59,33 +67,60 @@ def _patterns(q: int, wires: tuple[int, ...]) -> np.ndarray:
     return pat
 
 
+def _columns(q: int, wires: tuple[int, ...]) -> np.ndarray:
+    """Cached index bits of every bit pattern of a wire set (read-only); the inverse of _patterns."""
+    key = (q, wires)
+    cols = _COLUMN_CACHE.get(key)
+    if cols is None:
+        cols = _spread(np.arange(1 << len(wires), dtype=np.int64), q, wires)
+        if len(wires) <= _DEST_CACHE_MAX_Q and len(_COLUMN_CACHE) < 512:
+            _COLUMN_CACHE[key] = cols
+    return cols
+
+
 def _is_contiguous(wires: Sequence[int]) -> bool:
     return all(wires[j] == wires[0] + j for j in range(len(wires)))
 
 
-def _extract(idx: np.ndarray, q: int, wires: Sequence[int]) -> np.ndarray:
-    """Bit pattern of the given wires for every basis index (first wire = MSB)."""
+@lru_cache(maxsize=1024)
+def _fields(q: int, wires: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The wires as maximal runs of consecutive wires: (index shift, run mask, pattern shift) each."""
     k = len(wires)
-    if k == 0:
+    fields = []
+    start = 0
+    for j in range(k):
+        if j + 1 == k or wires[j + 1] != wires[j] + 1:
+            fields.append((q - 1 - wires[j], (1 << (j - start + 1)) - 1, k - 1 - j))
+            start = j + 1
+    return tuple(fields)
+
+
+def _gather(idx: np.ndarray, fields: tuple[tuple[int, int, int], ...]) -> np.ndarray:
+    """Bit pattern of the wires that ``fields`` describes, for every index (first wire = MSB)."""
+    if not fields:
         return np.zeros_like(idx)
-    if _is_contiguous(wires):
-        return (idx >> (q - wires[-1] - 1)) & ((1 << k) - 1)
-    pat = np.zeros_like(idx)
-    for j, w in enumerate(wires):
-        pat |= ((idx >> (q - 1 - w)) & 1) << (k - 1 - j)
+    shift, mask, out = fields[0]
+    pat = (idx >> shift) & mask
+    if out:
+        pat <<= out
+    for shift, mask, out in fields[1:]:
+        pat |= ((idx >> shift) & mask) << out
     return pat
 
 
-def _spread(values: np.ndarray, q: int, wires: Sequence[int]) -> np.ndarray:
+def _extract(idx: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
+    """Bit pattern of the given wires for every basis index (first wire = MSB)."""
+    return _gather(idx, _fields(q, wires))
+
+
+def _spread(values: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
     """Inverse of _extract: place pattern bits back at the wire positions."""
-    k = len(wires)
-    if k == 0:
-        return np.zeros_like(values)
-    if _is_contiguous(wires):
-        return values << (q - wires[-1] - 1)
+    fields = _fields(q, wires)
+    if len(fields) == 1:
+        return values << fields[0][0]
     out = np.zeros_like(values)
-    for j, w in enumerate(wires):
-        out |= ((values >> (k - 1 - j)) & 1) << (q - 1 - w)
+    for shift, mask, pos in fields:
+        out |= ((values >> pos) & mask) << shift
     return out
 
 
@@ -118,11 +153,103 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return self.amps * self.amps
 
+    def patterns(self, wires: tuple[int, ...]) -> np.ndarray:
+        """Bit pattern of the wires at every amplitude (read-only)."""
+        return _patterns(self.q, wires)
 
-def init_zero(q: int) -> StateVector:
-    """All-zeros computational basis state |0...0>."""
-    if not 1 <= q <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {q}")
+    def select(self, keep: np.ndarray, norm: float) -> "StateVector":
+        """The amplitudes where ``keep`` holds, divided by ``norm``; zero elsewhere."""
+        return StateVector(self.q, np.where(keep, self.amps, 0.0) / norm)
+
+
+class SupportState:
+    """The nonzero amplitudes of a real state over q qubits: int64 basis indices, float64 amplitudes.
+
+    After an input Hadamard, a circuit of XOR permutations and one rotation
+    keeps at most twice the entries that Hadamard made, whatever its width: a
+    permutation rewrites only the indices and the rotation at most doubles
+    the entries.  Memory therefore scales with the entries, not with 2^q.
+    Indices are distinct; exact zeros left by the rotation are dropped.
+    """
+
+    __slots__ = ("q", "index", "amps")
+
+    def __init__(self, q: int, index: np.ndarray, amps: np.ndarray):
+        self.q = q
+        self.index = index
+        self.amps = amps
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def probabilities(self) -> np.ndarray:
+        return self.amps * self.amps
+
+    def patterns(self, wires: tuple[int, ...]) -> np.ndarray:
+        return _extract(self.index, self.q, wires)
+
+    def select(self, keep: np.ndarray, norm: float) -> "SupportState":
+        return SupportState(self.q, self.index[keep], self.amps[keep] / norm)
+
+    def hadamard(self, qubits: tuple[int, ...]) -> "SupportState":
+        """Walsh transform of the listed wires within each group of entries equal on the other wires."""
+        m = len(qubits)
+        cols = _columns(self.q, qubits)
+        rest = self.index & ~int(cols[-1])
+        if not np.count_nonzero(rest != rest[0]):
+            rest, group = rest[:1], 0
+        else:
+            rest, group = np.unique(rest, return_inverse=True)
+        block = np.zeros((len(rest), 1 << m))
+        block[group, _extract(self.index, self.q, qubits)] = self.amps
+        # The Walsh matrix of m wires is the Kronecker product of those of any
+        # split of them: apply it in slices of at most 6 wires, so a matrix
+        # product costs 64 multiply-adds per entry.
+        for low in range(0, m, 6):
+            width = min(6, m - low)
+            block = np.matmul(_walsh(width), block.reshape(-1, 1 << width, 1 << (m - low - width)))
+        self.index = (rest[:, None] | cols).ravel()
+        self.amps = block.ravel()
+        return self
+
+    def permute(self, gate: "PermutationGate") -> "SupportState":
+        fields, flip = gate.xor_plan(self.q)
+        self.index ^= flip[_gather(self.index, fields)]
+        return self
+
+    def rotate(self, gate: "RotationGate") -> "SupportState":
+        """Each entry keeps cos times its amplitude and gives its partner across the target +-sin times it."""
+        fields, tmask, cos, signed_sin = gate.support_plan(self.q)
+        idx, amps = self.index, self.amps
+        pat = _gather(idx, fields)
+        index = np.concatenate((idx, idx ^ tmask))
+        amps = np.concatenate((cos[pat] * amps, signed_sin[pat] * amps))
+        if np.count_nonzero(idx & tmask):
+            # An entry's partner may be an entry too: add coinciding indices.
+            index, where = np.unique(index, return_inverse=True)
+            amps = np.bincount(where, weights=amps)
+        keep = amps != 0.0
+        self.index, self.amps = index[keep], amps[keep]
+        return self
+
+    def probability_all_zero(self, qubits: tuple[int, ...]) -> float:
+        mask = 0
+        for w in qubits:
+            mask |= 1 << (self.q - 1 - w)
+        a = self.amps[(self.index & mask) == 0]
+        return float(a @ a)
+
+
+State = Union[StateVector, SupportState]
+
+
+def init_zero(q: int, support: bool = False) -> State:
+    """All-zeros computational basis state |0...0>, dense or as a support state."""
+    top = MAX_SUPPORT_QUBITS if support else MAX_QUBITS
+    if not 1 <= q <= top:
+        raise ValueError(f"qubit count must be in [1, {top}], got {q}")
+    if support:
+        return SupportState(q, np.zeros(1, dtype=np.int64), np.ones(1))
     amps = np.zeros(1 << q, dtype=np.float64)
     amps[0] = 1.0
     return StateVector(q, amps)
@@ -151,10 +278,12 @@ def _walsh(m: int) -> np.ndarray:
     return mat
 
 
-def apply_hadamard(state: StateVector, qubits: Sequence[int]) -> StateVector:
+def apply_hadamard(state: State, qubits: Sequence[int]) -> State:
     """Tensor-product Hadamard on the listed qubits."""
     _check_wires(state.q, qubits)
     qubits = tuple(qubits)
+    if isinstance(state, SupportState):
+        return state.hadamard(qubits)
     m = len(qubits)
     if m > 0 and qubits == tuple(range(m)) and m <= 12:
         # Leading contiguous block: one matrix product over the whole layer.
@@ -176,9 +305,12 @@ def apply_hadamard(state: StateVector, qubits: Sequence[int]) -> StateVector:
     return state
 
 
-def apply_pauli_z(state: StateVector, qubit: int) -> StateVector:
+def apply_pauli_z(state: State, qubit: int) -> State:
     """Phase flip of the |1> component of one qubit."""
     _check_wires(state.q, (qubit,))
+    if isinstance(state, SupportState):
+        state.amps[(state.index >> (state.q - 1 - qubit)) & 1 == 1] *= -1.0
+        return state
     pre = 1 << qubit
     post = 1 << (state.q - qubit - 1)
     state.amps.reshape(pre, 2, post)[:, 1, :] *= -1.0
@@ -215,6 +347,15 @@ class PermutationGate:
         res = pats & ((1 << kr) - 1)
         return (ctrl << kr) | (res ^ self.value_table[ctrl])
 
+    def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+        """(bit fields of the controls, value table spread onto the result wires' index bits) on q qubits."""
+        key = ("xor", q)
+        plan = self._cache.get(key)
+        if plan is None:
+            _check_wires(q, self.targets)
+            plan = self._cache[key] = (_fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits))
+        return plan
+
     def _source_indices(self, q: int) -> np.ndarray:
         cached = self._cache.get(q)
         if cached is not None:
@@ -250,8 +391,10 @@ def xor_permutation_gate(
     return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table, name=name)
 
 
-def apply_permutation(state: StateVector, gate: PermutationGate) -> StateVector:
+def apply_permutation(state: State, gate: PermutationGate) -> State:
     """Rearrange amplitudes by the gate's bijection on the target bit pattern."""
+    if isinstance(state, SupportState):
+        return state.permute(gate)  # its plan checks the wires once per register size
     _check_wires(state.q, gate.targets)
     return _apply_source(state, gate._source_indices(state.q))
 
@@ -283,7 +426,9 @@ def compose_permutation_sources(gates: Sequence[PermutationGate], q: int) -> np.
 
 
 def apply_composed(state: StateVector, src: np.ndarray) -> StateVector:
-    """Apply a composed permutation produced by compose_permutation_sources."""
+    """Apply a composed permutation produced by compose_permutation_sources (dense states only)."""
+    if isinstance(state, SupportState):
+        raise TypeError("a support state takes its XOR gates one by one, not composed")
     if src.shape != state.amps.shape:
         raise ValueError("composed permutation was built for a different register size")
     return _apply_source(state, src)
@@ -319,6 +464,23 @@ class RotationGate:
         s = self.sin_table[pattern]
         return np.array([[c, -s], [s, c]])
 
+    def support_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], int, np.ndarray, np.ndarray]:
+        """The rotation on q qubits, by (controls, target) pattern: bit fields, target index bit, cos, signed sin.
+
+        The signed sin is what an entry gives its partner across the target:
+        + sin from target 0, - sin from target 1.
+        """
+        key = ("support", q)
+        plan = self._cache.get(key)
+        if plan is None:
+            wires = self.control_qubits + (self.target_qubit,)
+            _check_wires(q, wires)
+            fields = _fields(q, wires)
+            signed_sin = np.stack((self.sin_table, -self.sin_table), axis=1).ravel()
+            plan = (fields, 1 << (q - 1 - self.target_qubit), np.repeat(self.cos_table, 2), signed_sin)
+            self._cache[key] = plan
+        return plan
+
     def _plan(self, q: int):
         plan = self._cache.get(q)
         if plan is None:
@@ -346,7 +508,9 @@ def block_rotation_gate(
     return RotationGate(control_qubits=controls, target_qubit=target_qubit, scale_exponent=scale_exponent, name=name)
 
 
-def apply_block_rotation(state: StateVector, gate: RotationGate) -> StateVector:
+def apply_block_rotation(state: State, gate: RotationGate) -> State:
+    if isinstance(state, SupportState):
+        return state.rotate(gate)  # its plan checks the wires once per register size
     _check_wires(state.q, gate.control_qubits + (gate.target_qubit,))
     cos, signed_sin, partner = gate._plan(state.q)
     scratch = state._scratch
@@ -363,12 +527,12 @@ def apply_block_rotation(state: StateVector, gate: RotationGate) -> StateVector:
 class MeasurementRecord:
     """Exact outcome distribution of a partial measurement, with branch access."""
 
-    def __init__(self, state: StateVector, qubits: Sequence[int]):
+    def __init__(self, state: State, qubits: Sequence[int]):
         _check_wires(state.q, qubits)
         self.measured_qubits = tuple(qubits)
         self._state = state
         k = len(self.measured_qubits)
-        pat = _patterns(state.q, self.measured_qubits)
+        pat = state.patterns(self.measured_qubits)
         self._probs = np.bincount(pat, weights=state.probabilities(), minlength=1 << k)
         listed = np.flatnonzero(self._probs > _PROB_FLOOR)
         self.distribution = {format(int(o), f"0{k}b"): float(self._probs[o]) for o in listed}
@@ -378,30 +542,29 @@ class MeasurementRecord:
             outcome = int(outcome, 2)
         return float(self._probs[outcome])
 
-    def collapse(self, outcome: Union[int, str]) -> StateVector:
+    def collapse(self, outcome: Union[int, str]) -> State:
         """Renormalized post-measurement state for the given outcome."""
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
         p = float(self._probs[outcome])
         if p <= _PROB_FLOOR:
             raise ValueError(f"cannot collapse onto outcome {outcome}: probability {p} is negligible")
-        q = self._state.q
-        pat = _patterns(q, self.measured_qubits)
-        amps = np.where(pat == outcome, self._state.amps, 0.0)
-        return StateVector(q, amps / math.sqrt(p))
+        return self._state.select(self._state.patterns(self.measured_qubits) == outcome, math.sqrt(p))
 
 
-def measure(state: StateVector, qubits: Sequence[int]) -> MeasurementRecord:
+def measure(state: State, qubits: Sequence[int]) -> MeasurementRecord:
     """Exact joint distribution of the listed qubits; does not disturb the state."""
     return MeasurementRecord(state, qubits)
 
 
-def probability_all_zero(state: StateVector, qubits: Sequence[int]) -> float:
+def probability_all_zero(state: State, qubits: Sequence[int]) -> float:
     """Marginal probability that every listed qubit reads 0."""
     _check_wires(state.q, qubits)
     qubits = tuple(qubits)
     if not qubits:
         return 1.0
+    if isinstance(state, SupportState):
+        return state.probability_all_zero(qubits)
     if _is_contiguous(qubits):
         pre = 1 << qubits[0]
         mid = 1 << len(qubits)

@@ -1,6 +1,7 @@
 import pytest
 
-from djsim import make_function
+from djsim import enumerate_promise_functions, make_function
+from djsim.algorithms import run_algorithm3
 
 # Worked reference tables, flat big-endian indexing f(x) = table[x], x = u.w.
 TWO_NODE_TABLE = [1, 0, 0, 0, 0, 1, 1, 1]  # n=3: f_0=(1,0,0,1), f_1=(0,0,1,1)
@@ -27,3 +28,17 @@ def pair_example():
 @pytest.fixture
 def xor_kernel_example():
     return make_function(4, XOR_KERNEL_TABLE)
+
+
+@pytest.fixture(scope="session")
+def alg3_t2_sweep():
+    """Exhaustive n=4, t=2 pairing-circuit results under both adder layouts.
+
+    Shared by the acceptance criteria and the support-versus-dense check.
+    """
+    rows = []
+    for f in enumerate_promise_functions(4):
+        a = run_algorithm3(f, 2, adder_layout="interleaved")
+        b = run_algorithm3(f, 2, adder_layout="compact")
+        rows.append((f.promise.value, a, b))
+    return rows

@@ -53,17 +53,6 @@ def random_promise_functions(count: int, n: int, seed: int):
     return fns
 
 
-@pytest.fixture(scope="module")
-def alg3_t2_sweep():
-    """Exhaustive n=4, t=2 pairing-circuit results under both adder layouts."""
-    rows = []
-    for f in enumerate_promise_functions(4):
-        a = run_algorithm3(f, 2, adder_layout="interleaved")
-        b = run_algorithm3(f, 2, adder_layout="compact")
-        rows.append((f.promise.value, a, b))
-    return rows
-
-
 class TestCriterion1Exactness:
     def test_two_node_sweep(self):
         summary = verify_sweep(3, 1, "alg1")

@@ -7,6 +7,7 @@ from djsim import Decomposition, Promise, enumerate_promise_functions, make_func
 from djsim import sim
 from djsim.algorithms import (
     InvariantBreach,
+    _execute,
     circuit,
     probability_oracle,
     run_algorithm1,
@@ -194,15 +195,18 @@ def _literal_alg3_p_constant(f, t):
 
 
 def test_index_caches_stay_within_the_cache_width():
-    # alg3 at n=9, t=2 is 21 qubits, one above the cache width: neither the
-    # basis-index cache nor the circuit's composed permutations may keep a
-    # 2^21-entry array once the run is over.
-    assert run_algorithm3(make_function(9, [0] * 512), 2).q_used == 21
+    # The dense reference on alg3 at n=9, t=2, 21 qubits, one above the cache
+    # width: neither the basis-index cache nor the circuit's composed
+    # permutations may keep a 2^21-entry array once the run is over.
+    wide = circuit("alg3", 9, 2)
+    assert wide.q == 21
+    _execute(wide, np.zeros((128, 4), dtype=np.int64), dense=True)
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
-    assert circuit("alg3", 9, 2).sources == {}
+    assert wide.sources == {}
     # Below the width the composed permutations are kept.
-    run_algorithm3(make_function(4, [0] * 16), 2)
-    assert circuit("alg3", 4, 2).sources
+    small = circuit("alg3", 4, 2)
+    _execute(small, np.zeros((4, 4), dtype=np.int64), dense=True)
+    assert small.sources
 
 
 class TestErroneousMultinode:
@@ -300,16 +304,21 @@ class TestRunNamed:
 
     @pytest.mark.parametrize(
         "name,t",
-        [("alg1", 2), ("alg2", None), ("alg3", None), ("err-multi", None), ("err-4node", 1), ("nosuch", 1)],
+        [("alg1", 2), ("alg2", None), ("alg3", None), ("err-multi", None), ("err-4node", 1), ("nosuch", 1), ("dj", 1)],
     )
     def test_invalid_combinations(self, two_node_example, name, t):
         with pytest.raises(ValueError):
             run_named(name, two_node_example, t)
 
     def test_circuit_wider_than_the_simulator_rejected(self):
-        # alg2 at n=10, t=4 needs 10 + 16 + 3 = 29 qubits
-        with pytest.raises(ValueError, match="needs 29 qubits"):
-            run_named("alg2", make_function(10, [0] * 1024), 4)
+        # alg3 at n=12, t=6 needs 6 + 96 + 18 + 2 = 122 qubits: no int64 index holds them
+        with pytest.raises(ValueError, match="needs 122 qubits; the simulator holds at most 62"):
+            run_named("alg3", make_function(12, [0] * 4096), 6)
+
+    def test_support_table_larger_than_the_simulator_rejected(self):
+        # alg2 at n=10, t=5 fits 45 qubits, but U reads 32 control wires: a 2^32-entry table
+        with pytest.raises(ValueError, match="needs a 2\\^32-entry array"):
+            run_named("alg2", make_function(10, [0] * 1024), 5)
 
 
 def test_distributed_verdicts_agree_with_single_node():
@@ -324,9 +333,8 @@ def test_distributed_verdicts_agree_with_single_node():
             assert run_algorithm3(f, t).verdict == expected
 
 
-@pytest.mark.skipif("not __import__('os').environ.get('DJSIM_SLOW_TESTS')")
 def test_pairing_circuit_at_three_suffix_bits():
-    # 24-qubit statevector; opt in with DJSIM_SLOW_TESTS=1
+    # 24 qubits, held as a support state of at most 2^3 entries
     report = run_algorithm3(make_function(4, [0] * 16), 3)
     assert report.q_used == 4 + 12 + 8
     assert report.p_constant == pytest.approx(1.0, abs=1e-12)

@@ -118,20 +118,42 @@ class TestRun:
         assert cli.main(["run", "--gen", "zeros", "--n", "4", "--alg", "alg2"]) == 1
         capsys.readouterr()
 
-    def test_oversized_circuit_fails_fast(self):
-        # alg3 at n=10, t=3 needs 30 qubits.  The width check must reject it
-        # before any 2^30-entry index table exists; the child is capped at
-        # 1 GiB of address space so a regression fails instead of taking 8 GiB.
+    @staticmethod
+    def run_capped(*args: str) -> subprocess.CompletedProcess:
+        """``djsim`` in a child process capped at 1 GiB of address space, so a
+        run that allocates by the register width fails instead of taking GiBs."""
+
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        argv = [sys.executable, "-m", "djsim.cli", "run", "--gen", "random", "--n", "10", "--t", "3", "--alg", "alg3"]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)
+        argv = [sys.executable, "-m", "djsim.cli", *args]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)
+
+    def test_oversized_circuit_fails_fast(self):
+        # alg3 at n=12, t=6 needs 122 qubits, past an int64 basis index.  The
+        # width check must reject it before any gate or state exists.
+        proc = self.run_capped("run", "--gen", "random", "--n", "12", "--t", "6", "--alg", "alg3")
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == "error: alg3 at n=10, t=3 needs 30 qubits; the simulator holds at most 26\n"
+        assert proc.stderr == "error: alg3 at n=12, t=6 needs 122 qubits; the simulator holds at most 62\n"
+
+    def test_wide_support_circuit_runs(self):
+        # alg3 at n=10, t=3 needs 30 qubits, past the dense engine, but keeps
+        # at most 2^8 nonzero amplitudes.
+        proc = self.run_capped("run", "--gen", "random", "--n", "10", "--t", "3", "--alg", "alg3", "--deterministic")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["q_used"] == 30
+        assert payload["verdict"] == "balanced" and payload["verdict_exact"] is True
+        assert payload["p_balanced"] == 1.0 and payload["ancilla_zero_prob"] == 1.0
+
+    def test_dj_rejects_a_split_size(self, capsys):
+        assert cli.main(["run", "--gen", "zeros", "--n", "3", "--alg", "dj", "--t", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dj takes no split size t\n"
 
     def test_invariant_breach_exit_code(self, tmp_path, capsys, monkeypatch):
         from djsim.algorithms import InvariantBreach

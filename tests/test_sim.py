@@ -15,6 +15,7 @@ from djsim.sim import (
     init_zero,
     measure,
     probability_all_zero,
+    SupportState,
     xor_permutation_gate,
 )
 
@@ -310,3 +311,74 @@ def test_every_kernel_keeps_the_state_real():
     rec = measure(s, (0,))
     for outcome in rec.distribution:
         assert rec.collapse(outcome).amps.dtype == np.float64
+
+
+class TestSupportState:
+    """Each support kernel against the dense kernel on random sparse states,
+    including the cases the circuits never reach: entries that differ outside
+    the Hadamard wires, and rotation partners that are both entries."""
+
+    @staticmethod
+    def sparse_pair(q, rng, entries):
+        index = rng.choice(1 << q, size=entries, replace=False).astype(np.int64)
+        amps = rng.normal(size=entries)
+        amps /= np.linalg.norm(amps)
+        dense = init_zero(q)
+        dense.amps[0] = 0.0
+        dense.amps[index] = amps
+        return SupportState(q, index, amps), dense
+
+    @staticmethod
+    def assert_same(support, dense):
+        assert len(set(support.index.tolist())) == support.index.size
+        full = np.zeros(1 << support.q)
+        full[support.index] = support.amps
+        assert np.allclose(full, dense.amps, rtol=0.0, atol=1e-12)
+
+    def test_kernels_match_the_dense_kernels(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            q = int(rng.integers(3, 8))
+            support, dense = self.sparse_pair(q, rng, int(rng.integers(1, 1 << (q - 1))))
+            wires = tuple(int(w) for w in rng.choice(q, size=int(rng.integers(1, q)), replace=False))
+            self.assert_same(apply_hadamard(support, wires), apply_hadamard(dense, wires))
+            controls, results = wires[: len(wires) // 2], tuple(w for w in range(q) if w not in wires)[:2]
+            if results:
+                values = rng.integers(0, 1 << len(results), size=1 << len(controls))
+                gate = xor_permutation_gate(controls, results, values)
+                self.assert_same(apply_permutation(support, gate), apply_permutation(dense, gate))
+            target = int(rng.integers(0, q))
+            others = [w for w in range(q) if w != target]
+            controls = tuple(int(w) for w in rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False))
+            rot = block_rotation_gate(controls, target, scale_exponent=1)
+            self.assert_same(apply_block_rotation(support, rot), apply_block_rotation(dense, rot))
+            self.assert_same(apply_pauli_z(support, target), apply_pauli_z(dense, target))
+            assert probability_all_zero(support, wires) == pytest.approx(probability_all_zero(dense, wires), abs=1e-12)
+            rec, ref = measure(support, wires), measure(dense, wires)
+            assert rec.distribution.keys() == ref.distribution.keys()
+            for outcome, p in ref.distribution.items():
+                assert rec.distribution[outcome] == pytest.approx(p, abs=1e-12)
+                self.assert_same(rec.collapse(outcome), ref.collapse(outcome))
+
+    def test_rotation_drops_exact_zeros(self):
+        # cos = 0 on control pattern 0: the amplitude moves to the partner and
+        # the exact zero left behind is not kept
+        s = apply_block_rotation(init_zero(3, support=True), block_rotation_gate((0, 1), 2, scale_exponent=0))
+        assert s.index.tolist() == [1] and s.amps.tolist() == [1.0]
+
+    def test_composed_permutation_rejected(self):
+        # Two entries on one qubit: as many as the source array, which indexes
+        # basis states, not entries.
+        s = apply_hadamard(init_zero(1, support=True), (0,))
+        with pytest.raises(TypeError):
+            apply_composed(s, compose_permutation_sources([xor_permutation_gate((), (0,), [1])], 1))
+
+    @pytest.mark.parametrize("q", [0, 63])
+    def test_width_out_of_range(self, q):
+        with pytest.raises(ValueError):
+            init_zero(q, support=True)
+
+    def test_wide_register_holds_only_its_entries(self):
+        s = apply_hadamard(init_zero(62, support=True), (0, 1, 61))
+        assert s.index.size == 8 and s.amps.nbytes == 64
+        assert probability_all_zero(s, (61,)) == pytest.approx(0.5, abs=1e-15)
