@@ -44,7 +44,6 @@ from .sim import (
     _DEST_CACHE_MAX_Q,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
-    State,
     apply_block_rotation,
     apply_composed,
     apply_hadamard,
@@ -124,7 +123,7 @@ class Circuit:
         """
         return bool(self.work)
 
-    @property
+    @cached_property
     def table_bits(self) -> int:
         """log2 of the longest array a support run builds.
 
@@ -381,17 +380,13 @@ def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[float, 
     ``rows`` is the oracle table with one row per control pattern and one
     int64 column per subfunction.  The state is a support state when
     ``c.support`` holds, unless ``dense`` asks for the dense reference, which
-    runs every description.  This is the only caller of the simulator
-    kernels, through this module's names.
+    runs every description.  The readout follows ``Circuit``'s plan.  This is
+    the only caller of the simulator kernels, through this module's names.
     """
     support = c.support and not dense
-    # The first run allocates its state before it composes the fixed runs, so
-    # the composed permutations sit above it on the heap and later runs reuse
-    # the state's freed pages (composing first: 609 against 485 page faults a
-    # run in the dense alg3 sweep over both adder layouts).
-    s = init_zero(c.q, support)
     if c.steps is None:
         c.steps = _compile(c)
+    s = init_zero(c.q, support)
     layers: dict = {}
     for step in c.steps:
         kind = step[0]
@@ -420,16 +415,6 @@ def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[float, 
             apply_block_rotation(s, step[1])
         else:
             apply_pauli_z(s, step[1])
-    return _readout(c, s)
-
-
-def _readout(c: Circuit, s: State) -> tuple[float, list, Optional[float]]:
-    """The readout plan on the final state.
-
-    A function of its own so that the collapsed branch is freed before the
-    state it came from: inlined, the allocator handed alg3 at n=4 fresh pages
-    on every run (579 against 352 page faults a run, 10-20% slower).
-    """
     log: list = []
     anc = None
     if c.work:

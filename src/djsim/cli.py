@@ -155,33 +155,24 @@ def _sample_from_distribution(distribution: dict[str, float], rng: np.random.Gen
 
 
 def _sampled_shot(report: RunReport, seed: int) -> dict:
-    """One simulated shot drawn from the recorded exact branch distributions."""
+    """One simulated shot drawn from the recorded exact branch distributions.
+
+    Each branch-log entry with a distribution is drawn once, in order, and
+    keyed by its node (``node_<w>``) or its stage.  Any 1 makes the verdict
+    balanced; a 1 on the decision qubit ends the shot.
+    """
     rng = np.random.default_rng(seed)
     outcomes: dict[str, str] = {}
-    if report.algorithm == "dj":
-        dist = report.branch_log[0]["distribution"]
-        z = _sample_from_distribution(dist, rng)
-        outcomes["input_register"] = z
-        verdict = "constant" if set(z) == {"0"} else "balanced"
-    elif report.algorithm == "err-multi":
-        verdict = "constant"
-        for entry in report.branch_log:
-            if entry.get("stage") != "node_measurement":
-                continue
-            z = _sample_from_distribution(entry["distribution"], rng)
-            outcomes[f"node_{entry['w']}"] = z
-            if set(z) != {"0"}:
-                verdict = "balanced"
-    else:
-        stages = {e["stage"]: e for e in report.branch_log if "distribution" in e}
-        e_bit = _sample_from_distribution(stages["decision_qubit"]["distribution"], rng)
-        outcomes["decision_qubit"] = e_bit
-        if e_bit == "1":
+    verdict = "constant"
+    for entry in report.branch_log:
+        if "distribution" not in entry:
+            continue
+        z = _sample_from_distribution(entry["distribution"], rng)
+        outcomes[f"node_{entry['w']}" if "w" in entry else entry["stage"]] = z
+        if "1" in z:
             verdict = "balanced"
-        else:
-            z = _sample_from_distribution(stages["input_register"]["distribution"], rng)
-            outcomes["input_register"] = z
-            verdict = "constant" if set(z) == {"0"} else "balanced"
+            if entry["stage"] == "decision_qubit":
+                break
     return {"seed": seed, "outcomes": outcomes, "verdict": verdict}
 
 

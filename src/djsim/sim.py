@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -137,12 +137,11 @@ def encode_signed(value: int, width: int) -> int:
 class StateVector:
     """Real float64 amplitude array over q qubits, unit norm."""
 
-    __slots__ = ("q", "amps", "_scratch")
+    __slots__ = ("q", "amps")
 
     def __init__(self, q: int, amps: np.ndarray):
         self.q = q
         self.amps = amps
-        self._scratch: Optional[np.ndarray] = None
 
     def copy(self) -> "StateVector":
         return StateVector(self.q, self.amps.copy())
@@ -202,14 +201,8 @@ class SupportState:
             rest, group = np.unique(rest, return_inverse=True)
         block = np.zeros((len(rest), 1 << m))
         block[group, _extract(self.index, self.q, qubits)] = self.amps
-        # The Walsh matrix of m wires is the Kronecker product of those of any
-        # split of them: apply it in slices of at most 6 wires, so a matrix
-        # product costs 64 multiply-adds per entry.
-        for low in range(0, m, 6):
-            width = min(6, m - low)
-            block = np.matmul(_walsh(width), block.reshape(-1, 1 << width, 1 << (m - low - width)))
         self.index = (rest[:, None] | cols).ravel()
-        self.amps = block.ravel()
+        self.amps = _walsh_transform(block, m, tuple(range(m)))
         return self
 
     def permute(self, gate: "PermutationGate") -> "SupportState":
@@ -264,18 +257,44 @@ def _check_wires(q: int, wires: Sequence[int]) -> None:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_WALSH_CACHE: dict[int, np.ndarray] = {}
+# Widest Walsh matrix built: 64 x 64, so a slice costs 64 multiply-adds per entry.
+_WALSH_SLICE = 6
 
 
+@lru_cache(maxsize=_WALSH_SLICE)
 def _walsh(m: int) -> np.ndarray:
-    mat = _WALSH_CACHE.get(m)
-    if mat is None:
-        h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
-        mat = np.array([[1.0]])
-        for _ in range(m):
-            mat = np.kron(mat, h1)
-        _WALSH_CACHE[m] = mat
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
+    mat = np.array([[1.0]])
+    for _ in range(m):
+        mat = np.kron(mat, h1)
     return mat
+
+
+@lru_cache(maxsize=1024)
+def _walsh_plan(q: int, wires: tuple[int, ...]) -> tuple[tuple[np.ndarray, tuple[int, int, int]], ...]:
+    """H on the wires of a q-qubit index as matrix products: (Walsh matrix, view shape) each.
+
+    The Walsh matrix of a run of consecutive wires is the Kronecker product of
+    those of any split of the run, so each run is applied in slices of at most
+    _WALSH_SLICE wires, the amplitudes viewed as (-1, 2^slice, 2^later wires).
+    """
+    plan = []
+    for shift, mask, _ in _fields(q, tuple(sorted(wires))):
+        m = mask.bit_length()
+        for low in range(0, m, _WALSH_SLICE):
+            width = min(_WALSH_SLICE, m - low)
+            plan.append((_walsh(width), (-1, 1 << width, 1 << (m - low - width + shift))))
+    return tuple(plan)
+
+
+def _walsh_transform(amps: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
+    """H on the wires of a q-qubit index that runs along the last axis of ``amps``, flattened.
+
+    Any leading axis passes through: the support state's groups of entries.
+    """
+    for mat, shape in _walsh_plan(q, wires):
+        amps = np.matmul(mat, amps.reshape(shape))
+    return amps.reshape(-1)
 
 
 def apply_hadamard(state: State, qubits: Sequence[int]) -> State:
@@ -284,24 +303,7 @@ def apply_hadamard(state: State, qubits: Sequence[int]) -> State:
     qubits = tuple(qubits)
     if isinstance(state, SupportState):
         return state.hadamard(qubits)
-    m = len(qubits)
-    if m > 0 and qubits == tuple(range(m)) and m <= 12:
-        # Leading contiguous block: one matrix product over the whole layer.
-        scratch = state._scratch
-        if scratch is None:
-            scratch = np.empty_like(state.amps)
-        np.matmul(_walsh(m), state.amps.reshape(1 << m, -1), out=scratch.reshape(1 << m, -1))
-        state._scratch = state.amps
-        state.amps = scratch
-        return state
-    for w in qubits:
-        pre = 1 << w
-        post = 1 << (state.q - w - 1)
-        view = state.amps.reshape(pre, 2, post)
-        x0 = view[:, 0, :].copy()
-        x1 = view[:, 1, :]
-        view[:, 0, :] = (x0 + x1) * _INV_SQRT2
-        view[:, 1, :] = (x0 - x1) * _INV_SQRT2
+    state.amps = _walsh_transform(state.amps, state.q, qubits)
     return state
 
 
@@ -400,12 +402,7 @@ def apply_permutation(state: State, gate: PermutationGate) -> State:
 
 
 def _apply_source(state: StateVector, src: np.ndarray) -> StateVector:
-    scratch = state._scratch
-    if scratch is None:
-        scratch = np.empty_like(state.amps)
-    np.take(state.amps, src, out=scratch)
-    state._scratch = state.amps  # recycle the old buffer
-    state.amps = scratch
+    state.amps = state.amps[src]
     return state
 
 
@@ -513,14 +510,7 @@ def apply_block_rotation(state: State, gate: RotationGate) -> State:
         return state.rotate(gate)  # its plan checks the wires once per register size
     _check_wires(state.q, gate.control_qubits + (gate.target_qubit,))
     cos, signed_sin, partner = gate._plan(state.q)
-    scratch = state._scratch
-    if scratch is None:
-        scratch = np.empty_like(state.amps)
-    np.take(state.amps, partner, out=scratch)
-    scratch *= signed_sin
-    scratch += cos * state.amps
-    state._scratch = state.amps
-    state.amps = scratch
+    state.amps = cos * state.amps + signed_sin * state.amps[partner]
     return state
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,14 +72,72 @@ class TestHadamard:
         s = apply_hadamard(init_zero(2), (0, 1))
         assert np.allclose(s.amps, [0.5] * 4)
 
+    @staticmethod
+    def both_forms(amps):
+        """A dense state and a support state holding the same amplitudes."""
+        q = int(amps.size).bit_length() - 1
+        dense = init_zero(q)
+        dense.amps = amps.copy()
+        index = np.flatnonzero(amps)
+        return dense, SupportState(q, index, amps[index])
+
+    @staticmethod
+    def dense_amps(s):
+        if isinstance(s, SupportState):
+            full = np.zeros(1 << s.q)
+            full[s.index] = s.amps
+            return full
+        return s.amps
+
+    @pytest.mark.parametrize(
+        "q, wires",
+        [
+            (6, (0, 1, 2)),  # leading
+            (6, (2, 3, 4)),  # interior
+            (6, (0, 2, 5)),  # scattered
+            (6, (4, 1, 2, 0)),  # unsorted
+            (6, tuple(range(6))),  # all wires
+            (3, (2,)),  # last wire alone
+        ],
+    )
+    def test_matches_kronecker_operator(self, q, wires):
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        op = np.array([[1.0]])
+        for w in range(q):
+            op = np.kron(op, h if w in wires else np.eye(2))
+        rng = np.random.default_rng(q + len(wires))
+        amps = rng.normal(size=1 << q) * (rng.random(1 << q) < 0.5)
+        for s in self.both_forms(amps):
+            assert np.allclose(self.dense_amps(apply_hadamard(s, wires)), op @ amps, rtol=0.0, atol=1e-12)
+
     def test_block_path_matches_per_qubit_path(self):
+        # Runs of 7 and 13 wires take two and three slices of the Walsh matrix;
+        # the reference is the per-wire butterfly.
         rng = np.random.default_rng(1)
-        s1 = random_state(4, rng)
-        s2 = s1.copy()
-        apply_hadamard(s1, (0, 1, 2))  # leading-block fast path
-        for w in (2, 0, 1):  # scattered order forces the butterfly path
-            apply_hadamard(s2, (w,))
-        assert np.allclose(s1.amps, s2.amps, atol=1e-12)
+        for q, wires in ((9, tuple(range(1, 8))), (14, tuple(range(13))), (10, (9, 5, 1, 2, 3, 4, 6, 7, 0))):
+            amps = rng.normal(size=1 << q) * (rng.random(1 << q) < 0.1)
+            ref = amps.copy()
+            for w in wires:
+                view = ref.reshape(1 << w, 2, -1)
+                x0, x1 = view[:, 0, :].copy(), view[:, 1, :].copy()
+                view[:, 0, :] = (x0 + x1) / np.sqrt(2.0)
+                view[:, 1, :] = (x0 - x1) / np.sqrt(2.0)
+            for s in self.both_forms(amps):
+                assert np.allclose(self.dense_amps(apply_hadamard(s, wires)), ref, rtol=0.0, atol=1e-12)
+
+    def test_dense_layer_builds_no_state_sized_matrix(self):
+        # The transform works in slices of at most 64 x 64, so one Hadamard on
+        # all 12 wires stays far below the 128 MiB of a 2^12 x 2^12 Walsh
+        # matrix.  A fresh process, so that no matrix an earlier test cached
+        # hides the build.
+        code = (
+            "import tracemalloc; from djsim.sim import apply_hadamard, init_zero; "
+            "s = init_zero(12); tracemalloc.start(); apply_hadamard(s, range(12)); "
+            "print(tracemalloc.get_traced_memory()[1])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+        assert int(out.stdout) < 1 << 20
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
