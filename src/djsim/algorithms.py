@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Decomposition, compute_stats, make_function
-# build_oracle is unused here; it stays importable from this module because
-# perfbench/tracer.py wraps every gate builder on this module by name.
+# compute_stats and build_oracle are unused here; they stay importable from
+# this module because perfbench/tracer.py wraps them on this module by name.
+from .boolfn import BooleanFunction, compute_stats, make_function  # noqa: F401
 from .gates import (  # noqa: F401
     build_A,
     build_Aprime,
@@ -52,6 +52,7 @@ from .sim import (
     compose_permutation_sources,
     init_zero,
     measure,
+    outcome_distribution,
     probability_all_zero,
     xor_permutation_gate,
 )
@@ -132,7 +133,11 @@ class Circuit:
         least as long as the table of any gate the layer builds.
         """
         controls = [sum(map(len, op.wires[:-1])) for op in self.ops if op.kind in ("fixed", "rotation")]
-        return max(len(self.inputs) + 1, *controls)
+        return max([len(self.inputs) + 1, *controls])
+
+    @cached_property
+    def work_wires(self) -> tuple[int, ...]:
+        return tuple(w for reg in self.work for w in reg)
 
     @cached_property
     def gate_breakdown(self) -> dict[str, int]:
@@ -363,8 +368,8 @@ def _compile(c: Circuit) -> list:
         elif op.kind == "oracle":
             targets = [op.target(w) for w in op.ws]
             results = tuple(dict.fromkeys(targets))
-            shifts = [(w, len(results) - 1 - results.index(wire)) for w, wire in zip(op.ws, targets)]
-            steps.append(("oracle", id(op), tuple(op.wires[0]), results, shifts))
+            shifts = np.array([len(results) - 1 - results.index(wire) for wire in targets])
+            steps.append(("oracle", id(op), tuple(op.wires[0]), results, np.array(op.ws), shifts))
         elif op.kind == "rotation":
             steps.append(("rotation", op.build()[0]))
         elif op.kind == "hadamard":
@@ -374,31 +379,33 @@ def _compile(c: Circuit) -> list:
     return steps
 
 
-def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[float, list, Optional[float]]:
-    """Run the circuit once: (constant-label probability, branch log, work-register p_all_zero).
+def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
+    """Run the circuit once on a batch: (constant-label probabilities, branch log of row 0, work-register p_all_zero).
 
-    ``rows`` is the oracle table with one row per control pattern and one
-    int64 column per subfunction.  The state is a support state when
-    ``c.support`` holds, unless ``dense`` asks for the dense reference, which
-    runs every description.  The readout follows ``Circuit``'s plan.  This is
-    the only caller of the simulator kernels, through this module's names.
+    ``rows`` holds one oracle table per function, shape (functions, control
+    patterns, subfunctions), int64; the state has one row per function, and
+    only the oracle layers differ between rows.  The state is a support state
+    when ``c.support`` holds, unless ``dense`` asks for the dense reference,
+    which runs every description.  The readout follows ``Circuit``'s plan in
+    every row; a row whose work registers are not clean still gets its exact
+    probabilities.  This is the only caller of the simulator kernels, through
+    this module's names.
     """
     support = c.support and not dense
     if c.steps is None:
         c.steps = _compile(c)
-    s = init_zero(c.q, support)
+    count = len(rows)
+    s = init_zero(c.q, support, batch=count)
     layers: dict = {}
     for step in c.steps:
         kind = step[0]
         if kind == "hadamard":
             apply_hadamard(s, step[1])
         elif kind == "oracle":
-            _, key, controls, results, shifts = step
+            _, key, controls, results, ws, shifts = step
             gate = layers.get(key)
             if gate is None:
-                values = np.zeros(rows.shape[0], dtype=np.int64)
-                for w, shift in shifts:
-                    values ^= rows[:, w] << shift
+                values = np.bitwise_xor.reduce(rows[:, :, ws] << shifts, axis=-1)
                 gate = layers[key] = xor_permutation_gate(controls, results, values, name="oracle-layer")
             apply_permutation(s, gate)
         elif kind == "fixed" and support:
@@ -418,24 +425,48 @@ def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[float, 
     log: list = []
     anc = None
     if c.work:
-        work = tuple(w for reg in c.work for w in reg)
-        anc = probability_all_zero(s, work)
-        log.append({"stage": "work_registers_after_uncompute", "qubits": list(work), "p_all_zero": anc})
+        anc = probability_all_zero(s, c.work_wires)
+        log.append({"stage": "work_registers_after_uncompute", "qubits": list(c.work_wires), "p_all_zero": float(anc[0])})
     inputs = tuple(c.inputs)
-    p_zero = 1.0
-    if c.decision is not None:
-        rec = measure(s, (c.decision,))
-        log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": rec.distribution})
-        p_zero = rec.probability(0)
-        if p_zero <= _PROB_FLOOR:
-            return 0.0, log, anc
-        s = rec.collapse(0)
-        apply_hadamard(s, inputs)
+
+    def input_register(rec) -> dict:
+        return {"stage": "input_register", "qubits": list(inputs), "distribution": outcome_distribution(rec.probs[0])}
+
+    if c.decision is None:
+        rec = measure(s, inputs)
+        log.append(input_register(rec))
+        return rec.probability(0), log, anc
+    rec = measure(s, (c.decision,))
+    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": outcome_distribution(rec.probs[0])})
+    p_zero = rec.probability(0)
+    live = p_zero > _PROB_FLOOR
+    if not live.any():
+        return np.zeros(count), log, anc
+    # A row where outcome 0 is negligible collapses to zeros, so its product is 0.
+    s = rec.collapse(0)
+    apply_hadamard(s, inputs)
     rec = measure(s, inputs)
-    log.append({"stage": "input_register", "qubits": list(inputs), "distribution": rec.distribution})
-    if c.decision is not None:
-        log[-1]["conditioned_on"] = {"decision_qubit": 0}
+    if live[0]:
+        log.append({**input_register(rec), "conditioned_on": {"decision_qubit": 0}})
     return p_zero * rec.probability(0), log, anc
+
+
+def _run(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
+    """Every run of the circuit on a batch of oracle tables, as ``_execute`` reports one run.
+
+    With ``c.runs`` > 1, independent nodes share no quantum state: the label
+    is "constant" only if every node measures all zeros, and the log holds
+    one entry per node.
+    """
+    if c.runs == 1:
+        return _execute(c, rows)
+    p_constant, log = np.ones(len(rows)), []
+    for w in range(c.runs):
+        p_w, node_log, _ = _execute(c, rows[:, :, w : w + 1])
+        dist = node_log[-1]["distribution"]
+        log.append({"stage": "node_measurement", "w": format(w, f"0{c.t}b"), "p_all_zero": float(p_w[0]), "distribution": dist})
+        p_constant *= p_w
+    return p_constant, log, None
 
 
 @dataclass
@@ -460,18 +491,10 @@ class RunReport:
 def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder_layout: str = "interleaved") -> RunReport:
     """Run the algorithm named by the CLI selector on f."""
     c = validate_run_config(algorithm, f.n, t, adder_layout)
-    rows = f.as_array().reshape(-1, 1 << (c.t or 0)).astype(np.int64)
-    if c.runs == 1:
-        p_constant, log, anc = _execute(c, rows)
-    else:
-        # Independent nodes share no quantum state: the label is "constant"
-        # only if every node measures all zeros.
-        p_constant, log, anc = 1.0, [], None
-        for w in range(c.runs):
-            p_w, node_log, _ = _execute(c, rows[:, w : w + 1])
-            dist = node_log[-1]["distribution"]
-            log.append({"stage": "node_measurement", "w": format(w, f"0{c.t}b"), "p_all_zero": p_w, "distribution": dist})
-            p_constant *= p_w
+    rows = f.as_array().reshape(1, -1, 1 << (c.t or 0)).astype(np.int64)
+    p_rows, log, anc_rows = _run(c, rows)
+    p_constant = float(p_rows[0])
+    anc = None if anc_rows is None else float(anc_rows[0])
     if c.node_entry is not None:
         log.insert(0, {"stage": "node_assignment", **c.node_entry()})
     p_balanced = 1.0 - p_constant
@@ -546,30 +569,27 @@ def probability_oracle(report: RunReport, f: BooleanFunction, t: Optional[int] =
     n = f.n
     size = 1 << n
     alg = report.algorithm
+    # One row per control pattern u, one column per subfunction w.
+    rows = f.as_array().reshape(-1, 1 << (t or 0))
+    even, odd = rows[:, 0::2], rows[:, 1::2]
     if alg == "dj":
         closed = (size - 2 * f.popcount) ** 2 / size**2
-    elif alg == "alg1":
-        stats = compute_stats(Decomposition(f, 1))
-        closed = (stats.b00 - stats.b11) ** 2 / (1 << (2 * (n - 1)))
+    elif alg in ("alg1", "alg3"):
+        # The sum of Delta = E00 - E11: even/odd subfunction pairs that both
+        # read 0, minus pairs that both read 1.  At t = 1 (alg1) it is B00 - B11.
+        big_delta_sum = int(np.count_nonzero((even | odd) == 0)) - int(np.count_nonzero(even & odd))
+        closed = big_delta_sum**2 / (1 << (2 * (n - t) + 2 * (t - 1)))
     elif alg == "alg2":
-        stats = compute_stats(Decomposition(f, t))
-        closed = stats.delta_sum**2 / (1 << (2 * (n - t) + 2 * t))
-    elif alg == "alg3":
-        stats = compute_stats(Decomposition(f, t))
-        closed = stats.big_delta_sum**2 / (1 << (2 * (n - t) + 2 * (t - 1)))
+        delta_sum = size - 2 * int(np.count_nonzero(rows))
+        closed = delta_sum**2 / (1 << (2 * (n - t) + 2 * t))
     elif alg == "err-multi":
-        d = Decomposition(f, t)
         closed = 1.0
-        for w in range(1 << t):
-            k_w = sum(d.sub_table(w))
-            closed *= ((1 << (t + 1)) * k_w / size - 1.0) ** 2
+        for k_w in np.count_nonzero(rows, axis=0):
+            closed *= ((1 << (t + 1)) * int(k_w) / size - 1.0) ** 2
     elif alg == "err-4node":
-        d = Decomposition(f, 2)
-        total = 0
-        for u in range(1 << (n - 2)):
-            vals = [d.value(w, u) for w in range(4)]
-            if vals[0] ^ vals[1] ^ vals[2] ^ vals[3] == 0:
-                total += -1 if vals[0] ^ vals[1] else 1
+        # Patterns where the four values XOR to 0 count +1, or -1 when f_0 != f_1.
+        kept = (rows[:, 0] ^ rows[:, 1] ^ rows[:, 2] ^ rows[:, 3]) == 0
+        total = int(np.count_nonzero(kept)) - 2 * int(np.count_nonzero(kept & (rows[:, 0] != rows[:, 1])))
         closed = total**2 / (1 << (2 * (n - 2)))
     else:
         raise ValueError(f"no closed form registered for algorithm {alg!r}")

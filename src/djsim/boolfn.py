@@ -287,17 +287,21 @@ def _bits_from_int(value: int, length: int) -> bytes:
     return bytes((value >> (length - 1 - i)) & 1 for i in range(length))
 
 
+def _check_enumerable(n: int) -> None:
+    if n > MAX_ENUMERATION_ARITY:
+        raise ValueError(
+            f"full enumeration is limited to n <= {MAX_ENUMERATION_ARITY} "
+            f"(C(2^{n}, 2^{n - 1}) balanced functions); sample with random_balanced_table instead"
+        )
+
+
 def enumerate_promise_functions(n: int) -> Iterator[BooleanFunction]:
     """Yield every promise function of arity n exactly once.
 
     Order: the two constants (all-zero then all-one), then balanced tables in
     ascending order of the table read as a big-endian integer.
     """
-    if n > MAX_ENUMERATION_ARITY:
-        raise ValueError(
-            f"full enumeration is limited to n <= {MAX_ENUMERATION_ARITY} "
-            f"(C(2^{n}, 2^{n - 1}) balanced functions); sample with random_balanced_table instead"
-        )
+    _check_enumerable(n)
     size = 1 << n
     yield make_function(n, bytes(size))
     yield make_function(n, bytes([1]) * size)
@@ -311,6 +315,37 @@ def enumerate_promise_functions(n: int) -> Iterator[BooleanFunction]:
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
+
+
+def packed_promise_tables(n: int) -> Iterator[np.ndarray]:
+    """The promise family of arity n as packed int64 tables, in ``enumerate_promise_functions`` order.
+
+    A packed table is the truth table read as a big-endian integer (bit
+    2^n - 1 - x is f(x)).  Blocks come out in ascending order: the two
+    constants, then for each value of the high half of the table, in
+    ascending order, the low halves that balance it.  The low halves are
+    sorted once per popcount, so neither the family nor the range 2^(2^n) is
+    ever held in memory.
+    """
+    _check_enumerable(n)
+    size = 1 << n
+    low_bits = size // 2
+    yield np.array([0, (1 << size) - 1], dtype=np.int64)
+    lows = np.arange(1 << low_bits, dtype=np.int64)
+    weights = np.zeros_like(lows)
+    for bit in range(low_bits):
+        weights += (lows >> bit) & 1
+    by_weight = [lows[weights == k] for k in range(low_bits + 1)]
+    for high in range(1 << (size - low_bits)):
+        need = size // 2 - high.bit_count()
+        if 0 <= need <= low_bits:
+            yield (high << low_bits) | by_weight[need]
+
+
+def unpack_tables(packed: np.ndarray, n: int) -> np.ndarray:
+    """Packed tables as rows of 0/1 uint8 truth tables, shape (tables, 2^n)."""
+    shifts = np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
+    return ((packed[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def count_promise_functions(n: int) -> int:

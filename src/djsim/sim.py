@@ -20,6 +20,11 @@ Conventions:
   (``SupportState``: the basis indices and amplitudes of its nonzero
   entries).  Every kernel takes either, except that a support state takes
   its XOR gates one by one, never a composed permutation.
+* A state may be a batch: a leading axis of rows, each row one independent
+  state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
+  every row; an XOR gate may carry one value table per row.  Sums over a
+  row's entries run in entry order, so a row's probabilities are bit-identical
+  whatever other rows share its batch.
 
 Apply functions mutate the passed state in place and return it.
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -124,6 +129,41 @@ def _spread(values: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _lookup(table: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """``table[..., key]``, row by row when both carry a batch axis (one table per row)."""
+    if table.ndim == 1:
+        return table[key]
+    if key.ndim == 1:
+        return table.take(key, axis=-1)
+    if len(table) == 1:
+        return table[0][key]
+    return table.ravel()[key + np.arange(0, table.size, table.shape[1])[:, None]]
+
+
+def _outcome_totals(pat: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the weights summed by k-bit pattern in entry order: shape (..., 2^k)."""
+    if weights.ndim == 1:
+        return np.bincount(pat, weights=weights, minlength=1 << k)
+    count = len(weights)
+    if count == 1:
+        return np.bincount(pat.reshape(-1), weights=weights.reshape(-1), minlength=1 << k)[None]
+    cells = pat + (np.arange(count)[:, None] << k)
+    return np.bincount(cells.ravel(), weights=weights.ravel(), minlength=count << k).reshape(count, 1 << k)
+
+
+def _in_any_row(mask: np.ndarray) -> np.ndarray:
+    """The entries where ``mask`` holds in at least one row."""
+    if mask.ndim == 1:
+        return mask
+    return mask[0] if len(mask) == 1 else mask.any(axis=0)
+
+
+def _drop_zero_columns(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the entries whose amplitude is exactly zero in every row."""
+    keep = _in_any_row(amps != 0.0)
+    return index.compress(keep, axis=-1), amps.compress(keep, axis=-1)
+
+
 def decode_signed(pattern: int, width: int) -> int:
     """Two's complement decode of a register bit pattern."""
     return pattern - (1 << width) if pattern >= 1 << (width - 1) else pattern
@@ -135,7 +175,7 @@ def encode_signed(value: int, width: int) -> int:
 
 
 class StateVector:
-    """Real float64 amplitude array over q qubits, unit norm."""
+    """Real float64 amplitude array over q qubits, unit norm; shape (2^q,) or (rows, 2^q)."""
 
     __slots__ = ("q", "amps")
 
@@ -156,8 +196,8 @@ class StateVector:
         """Bit pattern of the wires at every amplitude (read-only)."""
         return _patterns(self.q, wires)
 
-    def select(self, keep: np.ndarray, norm: float) -> "StateVector":
-        """The amplitudes where ``keep`` holds, divided by ``norm``; zero elsewhere."""
+    def select(self, keep: np.ndarray, norm: np.ndarray) -> "StateVector":
+        """The amplitudes where ``keep`` holds, divided by ``norm`` (one per row); zero elsewhere."""
         return StateVector(self.q, np.where(keep, self.amps, 0.0) / norm)
 
 
@@ -168,7 +208,12 @@ class SupportState:
     keeps at most twice the entries that Hadamard made, whatever its width: a
     permutation rewrites only the indices and the rotation at most doubles
     the entries.  Memory therefore scales with the entries, not with 2^q.
-    Indices are distinct; exact zeros left by the rotation are dropped.
+
+    ``index`` and ``amps`` have shape (entries,) or (rows, entries): a batch
+    stays rectangular.  An exact zero is dropped only where it is zero in
+    every row, so a row may hold zero entries; an index repeats within a row
+    only on such zeros.  Every kernel treats entries additively, so zeros
+    change no value.
     """
 
     __slots__ = ("q", "index", "amps")
@@ -187,27 +232,52 @@ class SupportState:
     def patterns(self, wires: tuple[int, ...]) -> np.ndarray:
         return _extract(self.index, self.q, wires)
 
-    def select(self, keep: np.ndarray, norm: float) -> "SupportState":
-        return SupportState(self.q, self.index[keep], self.amps[keep] / norm)
+    def select(self, keep: np.ndarray, norm: np.ndarray) -> "SupportState":
+        """Entries kept in no row are dropped; the others are zeroed in the rows that do not keep them."""
+        entries = _in_any_row(keep)
+        amps = self.amps.compress(entries, axis=-1)
+        if keep.ndim > 1 and len(keep) > 1:
+            amps = np.where(keep.compress(entries, axis=-1), amps, 0.0)
+        return SupportState(self.q, self.index.compress(entries, axis=-1), amps / norm)
 
     def hadamard(self, qubits: tuple[int, ...]) -> "SupportState":
-        """Walsh transform of the listed wires within each group of entries equal on the other wires."""
+        """Walsh transform of the listed wires within each group of entries equal on the other wires.
+
+        Groups are ascending by the other wires' bits within each row; a row
+        with fewer groups than the widest row is padded with all-zero groups.
+        """
         m = len(qubits)
         cols = _columns(self.q, qubits)
-        rest = self.index & ~int(cols[-1])
-        if not np.count_nonzero(rest != rest[0]):
-            rest, group = rest[:1], 0
+        index, amps = self.index.reshape(-1, self.index.shape[-1]), self.amps.reshape(-1, self.amps.shape[-1])
+        count = len(index)
+        rest = index & ~int(cols[-1])
+        cells = _extract(index, self.q, qubits)
+        if not np.count_nonzero(rest != rest[:, :1]):
+            keys, width = rest[:, :1], 1
+            if count > 1:
+                cells = cells + (np.arange(count)[:, None] << m)
         else:
-            rest, group = np.unique(rest, return_inverse=True)
-        block = np.zeros((len(rest), 1 << m))
-        block[group, _extract(self.index, self.q, qubits)] = self.amps
-        self.index = (rest[:, None] | cols).ravel()
-        self.amps = _walsh_transform(block, m, tuple(range(m)))
+            order = np.argsort(rest, axis=1, kind="stable")
+            ranked = np.take_along_axis(rest, order, axis=1)
+            first = np.ones(ranked.shape, dtype=bool)
+            first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+            rank = np.cumsum(first, axis=1) - 1
+            width = int(rank[:, -1].max()) + 1
+            keys = np.zeros((count, width), dtype=np.int64)
+            np.put_along_axis(keys, rank, ranked, axis=1)
+            group = np.empty_like(rank)
+            np.put_along_axis(group, order, rank, axis=1)
+            cells = cells + ((np.arange(count)[:, None] * width + group) << m)
+        block = np.bincount(cells.ravel(), weights=amps.ravel(), minlength=(count * width) << m)
+        shape = self.index.shape[:-1] + (-1,)
+        self.index = (keys[:, :, None] | cols).reshape(shape)
+        self.amps = _walsh_transform(block, m, tuple(range(m))).reshape(shape)
         return self
 
     def permute(self, gate: "PermutationGate") -> "SupportState":
         fields, flip = gate.xor_plan(self.q)
-        self.index ^= flip[_gather(self.index, fields)]
+        pat = _gather(self.index, fields)
+        self.index ^= flip[pat] if flip.ndim == 1 else _lookup(flip, pat)
         return self
 
     def rotate(self, gate: "RotationGate") -> "SupportState":
@@ -215,36 +285,54 @@ class SupportState:
         fields, tmask, cos, signed_sin = gate.support_plan(self.q)
         idx, amps = self.index, self.amps
         pat = _gather(idx, fields)
-        index = np.concatenate((idx, idx ^ tmask))
-        amps = np.concatenate((cos[pat] * amps, signed_sin[pat] * amps))
+        index = np.concatenate((idx, idx ^ tmask), axis=-1)
+        amps = np.concatenate((cos[pat] * amps, signed_sin[pat] * amps), axis=-1)
         if np.count_nonzero(idx & tmask):
-            # An entry's partner may be an entry too: add coinciding indices.
-            index, where = np.unique(index, return_inverse=True)
-            amps = np.bincount(where, weights=amps)
-        keep = amps != 0.0
-        self.index, self.amps = index[keep], amps[keep]
+            index, amps = _merge_coinciding(index, amps)
+        self.index, self.amps = _drop_zero_columns(index, amps)
         return self
 
-    def probability_all_zero(self, qubits: tuple[int, ...]) -> float:
+    def probability_all_zero(self, qubits: tuple[int, ...]) -> Union[float, np.ndarray]:
         mask = 0
         for w in qubits:
             mask |= 1 << (self.q - 1 - w)
-        a = self.amps[(self.index & mask) == 0]
-        return float(a @ a)
+        a = np.where(self.index & mask, 0.0, self.amps)
+        # Summed in entry order: zero entries anywhere leave a row's sum bit-identical.
+        p = np.add.accumulate(a * a, axis=-1)[..., -1]
+        return float(p) if p.ndim == 0 else p
+
+
+def _merge_coinciding(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add the amplitudes of equal indices within each row; rows are padded with zeros to the widest."""
+    if index.ndim == 1:
+        index, where = np.unique(index, return_inverse=True)
+        return index, np.bincount(where, weights=amps)
+    merged = [_merge_coinciding(i, a) for i, a in zip(index, amps)]
+    width = max(len(i) for i, _ in merged)
+    out_index = np.zeros((len(merged), width), dtype=np.int64)
+    out_amps = np.zeros((len(merged), width))
+    for r, (i, a) in enumerate(merged):
+        out_index[r, : len(i)] = i
+        out_amps[r, : len(a)] = a
+    return out_index, out_amps
 
 
 State = Union[StateVector, SupportState]
 
 
-def init_zero(q: int, support: bool = False) -> State:
-    """All-zeros computational basis state |0...0>, dense or as a support state."""
+def init_zero(q: int, support: bool = False, batch: Optional[int] = None) -> State:
+    """All-zeros computational basis state |0...0>, dense or as a support state.
+
+    With ``batch`` the state has that many rows, each |0...0>.
+    """
     top = MAX_SUPPORT_QUBITS if support else MAX_QUBITS
     if not 1 <= q <= top:
         raise ValueError(f"qubit count must be in [1, {top}], got {q}")
+    lead = () if batch is None else (batch,)
     if support:
-        return SupportState(q, np.zeros(1, dtype=np.int64), np.ones(1))
-    amps = np.zeros(1 << q, dtype=np.float64)
-    amps[0] = 1.0
+        return SupportState(q, np.zeros(lead + (1,), dtype=np.int64), np.ones(lead + (1,)))
+    amps = np.zeros(lead + (1 << q,), dtype=np.float64)
+    amps[..., 0] = 1.0
     return StateVector(q, amps)
 
 
@@ -303,7 +391,7 @@ def apply_hadamard(state: State, qubits: Sequence[int]) -> State:
     qubits = tuple(qubits)
     if isinstance(state, SupportState):
         return state.hadamard(qubits)
-    state.amps = _walsh_transform(state.amps, state.q, qubits)
+    state.amps = _walsh_transform(state.amps, state.q, qubits).reshape(state.amps.shape)
     return state
 
 
@@ -313,9 +401,10 @@ def apply_pauli_z(state: State, qubit: int) -> State:
     if isinstance(state, SupportState):
         state.amps[(state.index >> (state.q - 1 - qubit)) & 1 == 1] *= -1.0
         return state
-    pre = 1 << qubit
     post = 1 << (state.q - qubit - 1)
-    state.amps.reshape(pre, 2, post)[:, 1, :] *= -1.0
+    amps = state.amps.reshape(-1, 2, post)  # a copy when the amplitudes are not C-ordered
+    amps[:, 1, :] *= -1.0
+    state.amps = amps.reshape(state.amps.shape)
     return state
 
 
@@ -325,12 +414,13 @@ class PermutationGate:
 
     A value looked up from the control pattern is XORed into the disjoint
     result register, which is always a self-inverse bijection.  Every oracle
-    and arithmetic operator of the circuits has this form.
+    and arithmetic operator of the circuits has this form.  A value table of
+    shape (rows, 2^controls) is one gate per row of a batched state.
     """
 
     control_qubits: tuple[int, ...]
     result_qubits: tuple[int, ...]
-    value_table: np.ndarray  # control pattern -> XOR value
+    value_table: np.ndarray  # control pattern -> XOR value, per row in a batch
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -366,7 +456,7 @@ class PermutationGate:
         # control-selected constant is an involution, so the gather source
         # equals the scatter destination.
         flip_table = _spread(self.value_table, q, self.result_qubits)
-        src = _indices(q) ^ flip_table[_patterns(q, self.control_qubits)]
+        src = _indices(q) ^ flip_table[..., _patterns(q, self.control_qubits)]
         if q <= _DEST_CACHE_MAX_Q:
             self._cache[q] = src
         return src
@@ -385,8 +475,8 @@ def xor_permutation_gate(
     if len(set(targets)) != len(targets):
         raise ValueError(f"control and result registers must not overlap: {controls} vs {results}")
     table = np.asarray(values, dtype=np.int64)
-    if table.shape != (1 << len(controls),):
-        raise ValueError(f"value table must have one entry per control pattern (2^{len(controls)})")
+    if table.ndim not in (1, 2) or table.shape[-1] != 1 << len(controls):
+        raise ValueError(f"value table must have one entry per control pattern (2^{len(controls)}): one table, or one per row")
     width = len(results)
     if table.min() < 0 or table.max() >= 1 << width:
         raise ValueError(f"XOR values must fit the {width}-bit result register")
@@ -402,7 +492,7 @@ def apply_permutation(state: State, gate: PermutationGate) -> State:
 
 
 def _apply_source(state: StateVector, src: np.ndarray) -> StateVector:
-    state.amps = state.amps[src]
+    state.amps = _lookup(state.amps, src)
     return state
 
 
@@ -426,7 +516,7 @@ def apply_composed(state: StateVector, src: np.ndarray) -> StateVector:
     """Apply a composed permutation produced by compose_permutation_sources (dense states only)."""
     if isinstance(state, SupportState):
         raise TypeError("a support state takes its XOR gates one by one, not composed")
-    if src.shape != state.amps.shape:
+    if src.shape != state.amps.shape[-1:]:
         raise ValueError("composed permutation was built for a different register size")
     return _apply_source(state, src)
 
@@ -510,36 +600,55 @@ def apply_block_rotation(state: State, gate: RotationGate) -> State:
         return state.rotate(gate)  # its plan checks the wires once per register size
     _check_wires(state.q, gate.control_qubits + (gate.target_qubit,))
     cos, signed_sin, partner = gate._plan(state.q)
-    state.amps = cos * state.amps + signed_sin * state.amps[partner]
+    state.amps = cos * state.amps + signed_sin * _lookup(state.amps, partner)
     return state
 
 
+def outcome_distribution(probs: np.ndarray) -> dict[str, float]:
+    """One state's outcome probabilities above the floor, keyed by the outcome's bit string."""
+    k = len(probs).bit_length() - 1
+    return {format(int(o), f"0{k}b"): float(probs[o]) for o in np.flatnonzero(probs > _PROB_FLOOR)}
+
+
 class MeasurementRecord:
-    """Exact outcome distribution of a partial measurement, with branch access."""
+    """Exact outcome distribution of a partial measurement, with branch access.
+
+    ``probs`` holds the outcome probabilities, shape (2^k,) or, for a batch,
+    (rows, 2^k); ``probability`` returns a float or one value per row.
+    """
 
     def __init__(self, state: State, qubits: Sequence[int]):
         _check_wires(state.q, qubits)
         self.measured_qubits = tuple(qubits)
         self._state = state
-        k = len(self.measured_qubits)
         pat = state.patterns(self.measured_qubits)
-        self._probs = np.bincount(pat, weights=state.probabilities(), minlength=1 << k)
-        listed = np.flatnonzero(self._probs > _PROB_FLOOR)
-        self.distribution = {format(int(o), f"0{k}b"): float(self._probs[o]) for o in listed}
+        self.probs = _outcome_totals(pat, state.probabilities(), len(self.measured_qubits))
 
-    def probability(self, outcome: Union[int, str]) -> float:
+    @property
+    def distribution(self) -> dict[str, float]:
+        """The outcome distribution of an unbatched state."""
+        return outcome_distribution(self.probs)
+
+    def probability(self, outcome: Union[int, str]) -> Union[float, np.ndarray]:
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
-        return float(self._probs[outcome])
+        p = self.probs[..., outcome]
+        return float(p) if p.ndim == 0 else p
 
     def collapse(self, outcome: Union[int, str]) -> State:
-        """Renormalized post-measurement state for the given outcome."""
+        """Renormalized post-measurement state for the given outcome.
+
+        In a batch, a row where the outcome is negligible collapses to zero
+        amplitudes; a ValueError is raised when it is negligible in every row.
+        """
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
-        p = float(self._probs[outcome])
-        if p <= _PROB_FLOOR:
+        p = self.probs[..., outcome]
+        live = p > _PROB_FLOOR
+        if not live.any():
             raise ValueError(f"cannot collapse onto outcome {outcome}: probability {p} is negligible")
-        return self._state.select(self._state.patterns(self.measured_qubits) == outcome, math.sqrt(p))
+        norm = np.sqrt(p, out=np.full_like(p, np.inf), where=live)[..., None]
+        return self._state.select(self._state.patterns(self.measured_qubits) == outcome, norm)
 
 
 def measure(state: State, qubits: Sequence[int]) -> MeasurementRecord:
@@ -547,19 +656,20 @@ def measure(state: State, qubits: Sequence[int]) -> MeasurementRecord:
     return MeasurementRecord(state, qubits)
 
 
-def probability_all_zero(state: State, qubits: Sequence[int]) -> float:
-    """Marginal probability that every listed qubit reads 0."""
+def probability_all_zero(state: State, qubits: Sequence[int]) -> Union[float, np.ndarray]:
+    """Marginal probability that every listed qubit reads 0; one value per row of a batch."""
     _check_wires(state.q, qubits)
     qubits = tuple(qubits)
-    if not qubits:
-        return 1.0
     if isinstance(state, SupportState):
-        return state.probability_all_zero(qubits)
-    if _is_contiguous(qubits):
+        p = state.probability_all_zero(qubits) if qubits else np.ones(state.amps.shape[:-1])
+    elif not qubits:
+        p = np.ones(state.amps.shape[:-1])
+    elif _is_contiguous(qubits):
         pre = 1 << qubits[0]
         mid = 1 << len(qubits)
-        view = state.amps.reshape(pre, mid, -1)[:, 0, :]
-        return float(np.sum(view * view))
-    pat = _patterns(state.q, qubits)
-    return float(np.sum(state.probabilities()[pat == 0]))
-
+        view = state.amps.reshape(state.amps.shape[:-1] + (pre, mid, -1))[..., 0, :]
+        p = np.sum(view * view, axis=(-2, -1))
+    else:
+        pat = _patterns(state.q, qubits)
+        p = np.sum(state.probabilities()[..., pat == 0], axis=-1)
+    return float(p) if np.ndim(p) == 0 else p

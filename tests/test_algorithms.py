@@ -200,12 +200,12 @@ def test_index_caches_stay_within_the_cache_width():
     # permutations may keep a 2^21-entry array once the run is over.
     wide = circuit("alg3", 9, 2)
     assert wide.q == 21
-    _execute(wide, np.zeros((128, 4), dtype=np.int64), dense=True)
+    _execute(wide, np.zeros((1, 128, 4), dtype=np.int64), dense=True)
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
     assert wide.sources == {}
     # Below the width the composed permutations are kept.
     small = circuit("alg3", 4, 2)
-    _execute(small, np.zeros((4, 4), dtype=np.int64), dense=True)
+    _execute(small, np.zeros((1, 4, 4), dtype=np.int64), dense=True)
     assert small.sources
 
 

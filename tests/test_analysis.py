@@ -195,8 +195,15 @@ def test_per_function_run_errors_become_findings(monkeypatch):
             raise RuntimeError("synthetic per-function failure")
         return real(algorithm, f, t, **kwargs)
 
+    def broken_batch(*args):
+        raise RuntimeError("synthetic batch failure")
+
+    # A chunk whose batched run raises is checked again one function at a
+    # time, so the error lands on the one function that raises it.
+    monkeypatch.setattr(mod, "_chunk_failures", broken_batch)
     monkeypatch.setattr(mod, "run_named", flaky)
-    summary = mod.verify_sweep(2, 1, "alg2")
+    with pytest.warns(RuntimeWarning, match="synthetic batch failure"):
+        summary = mod.verify_sweep(2, 1, "alg2")
     errors = [entry for entry in summary.failures if "error" in entry]
     assert len(errors) == 1
     assert "synthetic" in errors[0]["error"]

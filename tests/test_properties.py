@@ -45,8 +45,8 @@ def test_exact_algorithms_give_the_promise_verdict(f):
 def test_support_state_matches_the_dense_reference(f):
     for algorithm, t in RUNS[2:]:
         c = circuit(algorithm, f.n, t)
-        rows = f.as_array().reshape(-1, 1 << t).astype(np.int64)
+        rows = f.as_array().reshape(1, -1, 1 << t).astype(np.int64)
         p, log, anc = _execute(c, rows)
         p_ref, log_ref, anc_ref = _execute(c, rows, dense=True)
-        assert abs(p - p_ref) <= TOL_EXACT and abs(anc - anc_ref) <= TOL_EXACT, (algorithm, t)
+        assert abs(p[0] - p_ref[0]) <= TOL_EXACT and abs(anc[0] - anc_ref[0]) <= TOL_EXACT, (algorithm, t)
         assert cli._clean(log) == cli._clean(log_ref), (algorithm, t)

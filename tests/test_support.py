@@ -15,8 +15,14 @@ from djsim.algorithms import _execute, circuit
 TOL = 1e-12
 
 
+def one_run(c, f, dense=False):
+    """``_execute`` on a batch of one: (p_constant, branch log, work-register p_all_zero)."""
+    p, log, anc = _execute(c, f.as_array().reshape(1, -1, 1 << c.t).astype(np.int64), dense=dense)
+    return p[0], log, anc[0]
+
+
 def dense_reference(c, f):
-    return _execute(c, f.as_array().reshape(-1, 1 << c.t).astype(np.int64), dense=True)
+    return one_run(c, f, dense=True)
 
 
 def assert_agree(p_constant, p_balanced, anc, log, reference):
@@ -28,7 +34,7 @@ def assert_agree(p_constant, p_balanced, anc, log, reference):
 
 
 def assert_run_agrees(c, f, reference):
-    p, log, anc = _execute(c, f.as_array().reshape(-1, 1 << c.t).astype(np.int64))
+    p, log, anc = one_run(c, f)
     assert_agree(p, 1.0 - p, anc, log, reference)
 
 
@@ -37,7 +43,7 @@ def one_dense_run_serves_both_layouts(n, t):
     fixed blocks equal the interleaved ones, so one dense run is the
     reference of both layouts."""
     interleaved, compact = circuit("alg3", n, t, "interleaved"), circuit("alg3", n, t, "compact")
-    zeros = np.zeros((1 << (n - t), 1 << t), dtype=np.int64)
+    zeros = np.zeros((1, 1 << (n - t), 1 << t), dtype=np.int64)
     _execute(interleaved, zeros, dense=True)
     _execute(compact, zeros, dense=True)
     assert interleaved.sources.keys() == compact.sources.keys()
