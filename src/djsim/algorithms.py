@@ -42,6 +42,7 @@ from .gates import (  # noqa: F401
 )
 from .sim import (
     _DEST_CACHE_MAX_Q,
+    _XOR_RUN_WIRES,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
     apply_block_rotation,
@@ -55,6 +56,7 @@ from .sim import (
     outcome_distribution,
     probability_all_zero,
     xor_permutation_gate,
+    xor_runs,
 )
 
 EXACTNESS_TOL = 1e-12
@@ -109,8 +111,9 @@ class Circuit:
     work: tuple[range, ...] = ()
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
-    # Executor state: compiled steps, and the composed permutations of their
-    # fixed runs on the dense engine (kept only for q <= _DEST_CACHE_MAX_Q).
+    # Executor state: compiled steps (a fixed step carries its support-state
+    # XOR runs), and the dense engine's composed source array of each fixed
+    # step (kept only for q <= _DEST_CACHE_MAX_Q).
     steps: Optional[list] = field(default=None, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
 
@@ -128,12 +131,26 @@ class Circuit:
     def table_bits(self) -> int:
         """log2 of the longest array a support run builds.
 
-        That is its 2^(n-t+1) entries, or a lookup table over the control
+        That is its 2^(n-t+1) entries; a lookup table over the control
         registers of one layer (all of its registers but the last), which is at
-        least as long as the table of any gate the layer builds.
+        least as long as the table of any gate the layer builds; or the table
+        of a composed XOR run, which covers at most _XOR_RUN_WIRES wires of the
+        span of a maximal run of fixed layers with two or more gates.
         """
-        controls = [sum(map(len, op.wires[:-1])) for op in self.ops if op.kind in ("fixed", "rotation")]
-        return max([len(self.inputs) + 1, *controls])
+        bits = [len(self.inputs) + 1]
+        gates = low = high = 0
+        for op in self.ops:
+            if op.kind in ("fixed", "rotation"):
+                bits.append(sum(map(len, op.wires[:-1])))
+            if op.kind != "fixed":
+                gates = 0
+                continue
+            first, last = min(r[0] for r in op.wires), max(r[-1] for r in op.wires)
+            low, high = (first, last) if not gates else (min(low, first), max(high, last))
+            gates += op.count
+            if gates > 1:
+                bits.append(min(_XOR_RUN_WIRES, high - low + 1))
+        return max(bits)
 
     @cached_property
     def work_wires(self) -> tuple[int, ...]:
@@ -351,12 +368,13 @@ def validate_run_config(algorithm: str, n: int, t: Optional[int], adder_layout: 
 def _compile(c: Circuit) -> list:
     """The ops as executor steps, built once per circuit.
 
-    A maximal run of fixed layers is one step.  The dense engine composes it
-    into one source array (exact index arithmetic, so the state matches
-    gate-by-gate application bit for bit); a support state applies its gates
-    one by one, each rewriting only the indices.  An oracle round is one XOR
-    gate per run, carrying each queried subfunction's bit at its target's
-    position, XORed where targets repeat.
+    A maximal run of fixed layers is one step: (kind, key, its gates, their
+    ``xor_runs``).  The dense engine composes the gates into one source array;
+    a support state applies the runs, each one table over at most
+    _XOR_RUN_WIRES wires that rewrites only the indices.  Both are exact
+    index arithmetic, so the state matches gate-by-gate application bit for
+    bit.  An oracle round is one XOR gate per run, carrying each queried
+    subfunction's bit at its target's position, XORed where targets repeat.
     """
     steps: list = []
     for op in c.ops:
@@ -376,7 +394,7 @@ def _compile(c: Circuit) -> list:
             steps.append(("hadamard", tuple(op.wires[0])))
         else:
             steps.append(("z", op.wires[0][0]))
-    return steps
+    return [(*step, xor_runs(step[2])) if step[0] == "fixed" else step for step in steps]
 
 
 def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
@@ -409,8 +427,8 @@ def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[np.ndar
                 gate = layers[key] = xor_permutation_gate(controls, results, values, name="oracle-layer")
             apply_permutation(s, gate)
         elif kind == "fixed" and support:
-            for gate in step[2]:
-                apply_permutation(s, gate)
+            for run in step[3]:
+                apply_permutation(s, run)
         elif kind == "fixed":
             src = c.sources.get(step[1])
             if src is None:

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
@@ -322,7 +323,9 @@ def render(payload: dict, fmt: str, deterministic: bool) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The djsim argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="djsim", description="Distributed Deutsch-Jozsa simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,8 +18,9 @@ Conventions:
   rotation gates decode them accordingly.
 * A state is dense (``StateVector``: all 2^q amplitudes) or a support state
   (``SupportState``: the basis indices and amplitudes of its nonzero
-  entries).  Every kernel takes either, except that a support state takes
-  its XOR gates one by one, never a composed permutation.
+  entries).  Every kernel takes either, except that a composed permutation
+  is dense only: a support state takes consecutive fixed XOR gates as an
+  ``XorRun``, one table over the union of their wires.
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
   every row; an XOR gate may carry one value table per row.  Sums over a
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -347,6 +348,8 @@ def _check_wires(q: int, wires: Sequence[int]) -> None:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Widest Walsh matrix built: 64 x 64, so a slice costs 64 multiply-adds per entry.
 _WALSH_SLICE = 6
+# Widest union of wires one composed XOR run covers: a 2^16-entry int64 table (512 KiB).
+_XOR_RUN_WIRES = 16
 
 
 @lru_cache(maxsize=_WALSH_SLICE)
@@ -515,10 +518,59 @@ def compose_permutation_sources(gates: Sequence[PermutationGate], q: int) -> np.
 def apply_composed(state: StateVector, src: np.ndarray) -> StateVector:
     """Apply a composed permutation produced by compose_permutation_sources (dense states only)."""
     if isinstance(state, SupportState):
-        raise TypeError("a support state takes its XOR gates one by one, not composed")
+        raise TypeError("a support state takes a composed run as an XorRun, not as a source array")
     if src.shape != state.amps.shape[-1:]:
         raise ValueError("composed permutation was built for a different register size")
     return _apply_source(state, src)
+
+
+@dataclass(eq=False)
+class XorRun:
+    """Consecutive 1-D XOR gates applied as one, on support states.
+
+    Their composition acts only on the union of their wires, as a function of
+    those wires' bits, so it is again XOR-form: one flip table over the 2^k
+    patterns of the k wires.  The table is built by applying each gate's own
+    ``xor_plan`` to the patterns spread onto index bits, pure integer
+    arithmetic, so the indices it gives are exactly those of gate-by-gate
+    application.
+    """
+
+    gates: tuple[PermutationGate, ...]
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        return tuple(sorted({w for gate in self.gates for w in gate.targets}))
+
+    def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+        """(bit fields of the run's wires, composed flip of each of their patterns) on q qubits."""
+        plan = self._cache.get(q)
+        if plan is None:
+            before = _columns(q, self.targets)
+            after = before.copy()
+            for gate in self.gates:
+                fields, flip = gate.xor_plan(q)
+                after ^= flip[_gather(after, fields)]
+            plan = self._cache[q] = (_fields(q, self.targets), after ^ before)
+        return plan
+
+
+def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, XorRun]]:
+    """The gates cut greedily into maximal runs whose union of wires is at most _XOR_RUN_WIRES.
+
+    A run of one gate is that gate.
+    """
+    runs: list[list[PermutationGate]] = []
+    wires: set[int] = set()
+    for gate in gates:
+        if runs and len(wires.union(gate.targets)) <= _XOR_RUN_WIRES:
+            runs[-1].append(gate)
+            wires.update(gate.targets)
+        else:
+            runs.append([gate])
+            wires = set(gate.targets)
+    return [run[0] if len(run) == 1 else XorRun(tuple(run)) for run in runs]
 
 
 @dataclass(eq=False)

@@ -222,9 +222,10 @@ def test_sweep_chunks_cut_the_stream_evenly(monkeypatch):
 
 @pytest.mark.parametrize(
     "alg,t,bits",
-    [("dj", None, 5), ("alg1", None, 4), ("alg2", 2, 4), ("alg3", 2, 4), ("err-multi", 2, 3), ("err-4node", None, 3)],
+    [("dj", None, 5), ("alg1", None, 4), ("alg2", 2, 4), ("alg3", 2, 13), ("err-multi", 2, 3), ("err-4node", None, 3)],
 )
 def test_table_bits_of_every_algorithm(alg, t, bits):
     # alg1, err-4node, dj and err-multi have no fixed or rotation layer with
     # controls: their longest array is the input register's 2^(n-t+1) entries.
+    # alg3's seven fixed gates span 13 wires: one composed XOR run over them.
     assert circuit(alg, 4, t).table_bits == bits

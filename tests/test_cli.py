@@ -263,3 +263,27 @@ class TestGenerators:
     def test_ones_generator(self, capsys):
         _, payload = run_json(capsys, "classify", "--gen", "ones", "--n", "2")
         assert payload["promise"] == "constant"
+
+
+def test_main_calls_in_one_process_match_separate_processes(capsys):
+    # main() reuses one parser per process: a call after a usage error must
+    # print the bytes, and return the code, of a fresh process.
+    calls = [
+        ["run", "--gen", "random", "--n", "4", "--t", "2", "--alg", "alg3", "--seed", "5", "--deterministic"],
+        ["run", "--gen", "zeros", "--n", "4", "--alg", "nosuch"],
+        ["verify", "--n", "3", "--t", "1", "--alg", "alg2", "--deterministic"],
+    ]
+    in_process = []
+    for argv in calls:
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        in_process.append((status, captured.out, captured.err))
+    assert cli.build_parser() is cli.build_parser()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "djsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [status for status, _, _ in in_process] == [0, 1, 0]
+    assert "invalid choice: 'nosuch'" in in_process[1][2]

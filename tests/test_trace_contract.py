@@ -35,3 +35,26 @@ def test_tracer_records_the_kernels_of_every_algorithm(monkeypatch):
     assert calls["sim.init"] == 9
     assert calls["sim.hadamard"] > 0
     assert calls["sim.measure"] > 0
+
+
+def test_tracer_records_the_support_runs_as_permutations(monkeypatch):
+    # The support engine applies each oracle round and each composed run of
+    # fixed gates through apply_permutation, the name the tracer wraps.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer
+
+    f = make_function(4, [0, 1] * 8)
+    for name in ("alg2", "alg3"):
+        c = algorithms.circuit(name, 4, 2)
+        algorithms.run_named(name, f, 2)
+        expected = sum(len(step[3]) if step[0] == "fixed" else 1 for step in c.steps if step[0] in ("fixed", "oracle"))
+        trace = tracer.Tracer()
+        trace.install()
+        try:
+            algorithms.run_named(name, f, 2)
+        finally:
+            trace.restore()
+        nid, _, _ = trace.self_times()
+        calls = Counter(trace.names[i] for i in nid)
+        assert calls["sim.permutation"] == expected == 4
