@@ -25,8 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# compute_stats and build_oracle are unused here; they stay importable from
-# this module because perfbench/tracer.py wraps them on this module by name.
+# compute_stats, build_oracle and apply_composed are unused here; they stay
+# importable from this module because perfbench/tracer.py wraps them on this
+# module by name.
 from .boolfn import BooleanFunction, compute_stats, make_function  # noqa: F401
 from .gates import (  # noqa: F401
     build_A,
@@ -41,16 +42,13 @@ from .gates import (  # noqa: F401
     build_x,
 )
 from .sim import (
-    _DEST_CACHE_MAX_Q,
     _XOR_RUN_WIRES,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
     apply_block_rotation,
-    apply_composed,
     apply_hadamard,
     apply_pauli_z,
     apply_permutation,
-    compose_permutation_sources,
     init_zero,
     measure,
     outcome_distribution,
@@ -58,6 +56,7 @@ from .sim import (
     xor_permutation_gate,
     xor_runs,
 )
+apply_composed = apply_permutation  # nothing calls it: see the comment above
 
 EXACTNESS_TOL = 1e-12
 _PROB_FLOOR = 1e-15
@@ -111,11 +110,8 @@ class Circuit:
     work: tuple[range, ...] = ()
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
-    # Executor state: compiled steps (a fixed step carries its support-state
-    # XOR runs), and the dense engine's composed source array of each fixed
-    # step (kept only for q <= _DEST_CACHE_MAX_Q).
+    # Executor state: the compiled steps (a fixed step carries its XOR runs).
     steps: Optional[list] = field(default=None, repr=False)
-    sources: dict = field(default_factory=dict, repr=False)
 
     @property
     def support(self) -> bool:
@@ -123,7 +119,11 @@ class Circuit:
 
         After the input Hadamard their gates are XOR permutations and one
         rotation, so at most 2^(n-t+1) of the 2^q amplitudes are nonzero.  The
-        other circuits' dense state is at most twice their support.
+        other circuits (dj, alg1, err-multi, err-4node) fill their register:
+        their dense state is at most twice their support, and on it their
+        batched sweeps run faster.  Run on support states, the n=4 verify
+        sweeps of dj and alg1 cost 2.4-2.6 us a function instead of 0.8-1.5,
+        and the benchmark's verify-n4 throughput fell by 26%.
         """
         return bool(self.work)
 
@@ -369,12 +369,12 @@ def _compile(c: Circuit) -> list:
     """The ops as executor steps, built once per circuit.
 
     A maximal run of fixed layers is one step: (kind, key, its gates, their
-    ``xor_runs``).  The dense engine composes the gates into one source array;
-    a support state applies the runs, each one table over at most
-    _XOR_RUN_WIRES wires that rewrites only the indices.  Both are exact
-    index arithmetic, so the state matches gate-by-gate application bit for
-    bit.  An oracle round is one XOR gate per run, carrying each queried
-    subfunction's bit at its target's position, XORed where targets repeat.
+    ``xor_runs``).  Each run is one table over at most _XOR_RUN_WIRES wires
+    that rewrites only the indices, exact index arithmetic, so the state
+    matches gate-by-gate application bit for bit.  A run of one gate is that
+    gate, the only kind of run a dense circuit has.  An oracle round is one
+    XOR gate per run, carrying each queried subfunction's bit at its target's
+    position, XORed where targets repeat.
     """
     steps: list = []
     for op in c.ops:
@@ -397,23 +397,21 @@ def _compile(c: Circuit) -> list:
     return [(*step, xor_runs(step[2])) if step[0] == "fixed" else step for step in steps]
 
 
-def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
+def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
     """Run the circuit once on a batch: (constant-label probabilities, branch log of row 0, work-register p_all_zero).
 
     ``rows`` holds one oracle table per function, shape (functions, control
     patterns, subfunctions), int64; the state has one row per function, and
     only the oracle layers differ between rows.  The state is a support state
-    when ``c.support`` holds, unless ``dense`` asks for the dense reference,
-    which runs every description.  The readout follows ``Circuit``'s plan in
-    every row; a row whose work registers are not clean still gets its exact
-    probabilities.  This is the only caller of the simulator kernels, through
-    this module's names.
+    when ``c.support`` holds, else dense.  The readout follows ``Circuit``'s
+    plan in every row; a row whose work registers are not clean still gets
+    its exact probabilities.  This is the only caller of the simulator
+    kernels, through this module's names.
     """
-    support = c.support and not dense
     if c.steps is None:
         c.steps = _compile(c)
     count = len(rows)
-    s = init_zero(c.q, support, batch=count)
+    s = init_zero(c.q, c.support, batch=count)
     layers: dict = {}
     for step in c.steps:
         kind = step[0]
@@ -426,16 +424,9 @@ def _execute(c: Circuit, rows: np.ndarray, dense: bool = False) -> tuple[np.ndar
                 values = np.bitwise_xor.reduce(rows[:, :, ws] << shifts, axis=-1)
                 gate = layers[key] = xor_permutation_gate(controls, results, values, name="oracle-layer")
             apply_permutation(s, gate)
-        elif kind == "fixed" and support:
+        elif kind == "fixed":
             for run in step[3]:
                 apply_permutation(s, run)
-        elif kind == "fixed":
-            src = c.sources.get(step[1])
-            if src is None:
-                src = compose_permutation_sources(step[2], c.q)
-                if c.q <= _DEST_CACHE_MAX_Q:
-                    c.sources[step[1]] = src
-            apply_composed(s, src)
         elif kind == "rotation":
             apply_block_rotation(s, step[1])
         else:

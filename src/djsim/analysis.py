@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -212,16 +211,6 @@ class VerificationSummary:
         return record
 
 
-def default_jobs() -> int:
-    env = os.environ.get("DJSIM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _check_one(algorithm: str, f: BooleanFunction, t: Optional[int]) -> Optional[dict]:
     try:
         report = run_named(algorithm, f, t)
@@ -307,7 +296,7 @@ def _sweep_results(chunks: Iterator[tuple], jobs: int) -> Iterator[tuple[int, li
         yield from pool.imap(_sweep_chunk, chunks, chunksize=_CHUNKS_PER_TASK)
 
 
-def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: Optional[int] = None) -> VerificationSummary:
+def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> VerificationSummary:
     """Run the algorithm on every promise function of arity n and record mismatches.
 
     A failure is any function whose verdict differs from its promise label or
@@ -315,8 +304,6 @@ def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: Optional[int] =
     stateless, so the family can be partitioned across processes; serial and
     parallel sweeps check the same chunks.
     """
-    if jobs is None:
-        jobs = default_jobs()
     validate_run_config(algorithm, n, t)
     start = time.perf_counter()
     summary = VerificationSummary(n=n, t=t, algorithm=algorithm, functions_checked=0)

@@ -115,6 +115,8 @@ def _resolve_function(args) -> BooleanFunction:
         if args.n is None:
             raise UsageError("--gen requires --n")
         n = args.n
+        if not 1 <= n <= boolfn.MAX_ARITY:
+            raise UsageError(f"'n' must be an integer in [1, {boolfn.MAX_ARITY}]")
         if args.gen == "zeros":
             return make_function(n, bytes(1 << n))
         if args.gen == "ones":
@@ -243,7 +245,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise UsageError("--alg is required for verify")
     if args.n is None:
         raise UsageError("--n is required for verify")
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         summary = analysis.verify_sweep(args.n, args.t, args.alg, jobs=args.jobs)
@@ -334,7 +336,7 @@ def build_parser() -> _Parser:
         p.add_argument("--t", type=int, default=None, help="split size (subfunction suffix bits)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--seed", type=int, default=None, help="seed for sampled outputs / generators")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default: DJSIM_JOBS or 1)")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for verify (default: 1)")
         p.add_argument("--deterministic", action="store_true", help="suppress timestamp/wall-time fields")
         if with_input:
             p.add_argument("--input", type=str, default=None, help="truth-table JSON file")

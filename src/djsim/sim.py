@@ -18,9 +18,11 @@ Conventions:
   rotation gates decode them accordingly.
 * A state is dense (``StateVector``: all 2^q amplitudes) or a support state
   (``SupportState``: the basis indices and amplitudes of its nonzero
-  entries).  Every kernel takes either, except that a composed permutation
-  is dense only: a support state takes consecutive fixed XOR gates as an
-  ``XorRun``, one table over the union of their wires.
+  entries).  The dense form serves the circuits without work registers:
+  Hadamard layers, XOR gates one at a time, Pauli-Z and measurement.  The
+  rotation, ``probability_all_zero`` and ``XorRun`` (consecutive fixed XOR
+  gates as one table over the union of their wires) take support states
+  only.
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
   every row; an XOR gate may carry one value table per row.  Sums over a
@@ -42,9 +44,9 @@ import numpy as np
 MAX_QUBITS = 26
 # A support state's basis indices are int64.
 MAX_SUPPORT_QUBITS = 62
-# Full-index tables (the basis indices, bit patterns, per-gate permutation and
-# rotation plans) are cached up to this register size; beyond it they are
-# rebuilt per use to bound memory.
+# Full-index tables (the basis indices, bit patterns and per-gate source
+# indices of the dense form) are cached up to this register size; beyond it
+# they are rebuilt per use to bound memory.
 _DEST_CACHE_MAX_Q = 20
 _PROB_FLOOR = 1e-15
 
@@ -82,10 +84,6 @@ def _columns(q: int, wires: tuple[int, ...]) -> np.ndarray:
         if len(wires) <= _DEST_CACHE_MAX_Q and len(_COLUMN_CACHE) < 512:
             _COLUMN_CACHE[key] = cols
     return cols
-
-
-def _is_contiguous(wires: Sequence[int]) -> bool:
-    return all(wires[j] == wires[0] + j for j in range(len(wires)))
 
 
 @lru_cache(maxsize=1024)
@@ -486,42 +484,22 @@ def xor_permutation_gate(
     return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table, name=name)
 
 
-def apply_permutation(state: State, gate: PermutationGate) -> State:
-    """Rearrange amplitudes by the gate's bijection on the target bit pattern."""
+def apply_permutation(state: State, gate: Union[PermutationGate, "XorRun"]) -> State:
+    """Rearrange amplitudes by the gate's bijection on the target bit pattern.
+
+    A dense state takes a ``PermutationGate``; a support state either form.
+    """
     if isinstance(state, SupportState):
         return state.permute(gate)  # its plan checks the wires once per register size
     _check_wires(state.q, gate.targets)
-    return _apply_source(state, gate._source_indices(state.q))
-
-
-def _apply_source(state: StateVector, src: np.ndarray) -> StateVector:
-    state.amps = _lookup(state.amps, src)
+    state.amps = _lookup(state.amps, gate._source_indices(state.q))
     return state
 
 
-def compose_permutation_sources(gates: Sequence[PermutationGate], q: int) -> np.ndarray:
-    """Source-index array of a gate sequence applied left to right.
-
-    Permutations compose by pure integer index arithmetic, so applying the
-    composite moves amplitudes bit-identically to applying the gates one by
-    one; no floating-point operation is involved.
-    """
-    if not gates:
-        return _indices(q)
-    src = gates[0]._source_indices(q)
-    for gate in gates[1:]:
-        _check_wires(q, gate.targets)
-        src = np.take(src, gate._source_indices(q))
-    return src
-
-
-def apply_composed(state: StateVector, src: np.ndarray) -> StateVector:
-    """Apply a composed permutation produced by compose_permutation_sources (dense states only)."""
-    if isinstance(state, SupportState):
-        raise TypeError("a support state takes a composed run as an XorRun, not as a source array")
-    if src.shape != state.amps.shape[-1:]:
-        raise ValueError("composed permutation was built for a different register size")
-    return _apply_source(state, src)
+def _support_only(state: State, kernel: str) -> SupportState:
+    if not isinstance(state, SupportState):
+        raise TypeError(f"{kernel} takes a support state (SupportState), not a {type(state).__name__}")
+    return state
 
 
 @dataclass(eq=False)
@@ -547,6 +525,7 @@ class XorRun:
         """(bit fields of the run's wires, composed flip of each of their patterns) on q qubits."""
         plan = self._cache.get(q)
         if plan is None:
+            _check_wires(q, self.targets)
             before = _columns(q, self.targets)
             after = before.copy()
             for gate in self.gates:
@@ -620,21 +599,6 @@ class RotationGate:
             self._cache[key] = plan
         return plan
 
-    def _plan(self, q: int):
-        plan = self._cache.get(q)
-        if plan is None:
-            idx = _indices(q)
-            pat = _patterns(q, self.control_qubits)
-            tmask = 1 << (q - 1 - self.target_qubit)
-            partner = idx ^ tmask
-            sign = np.where((idx & tmask) == 0, -1.0, 1.0)
-            cos = self.cos_table[pat]
-            signed_sin = sign * self.sin_table[pat]
-            plan = (cos, signed_sin, partner)
-            if q <= _DEST_CACHE_MAX_Q:
-                self._cache[q] = plan
-        return plan
-
 
 def block_rotation_gate(
     control_qubits: Sequence[int], target_qubit: int, scale_exponent: int, name: str = ""
@@ -647,13 +611,9 @@ def block_rotation_gate(
     return RotationGate(control_qubits=controls, target_qubit=target_qubit, scale_exponent=scale_exponent, name=name)
 
 
-def apply_block_rotation(state: State, gate: RotationGate) -> State:
-    if isinstance(state, SupportState):
-        return state.rotate(gate)  # its plan checks the wires once per register size
-    _check_wires(state.q, gate.control_qubits + (gate.target_qubit,))
-    cos, signed_sin, partner = gate._plan(state.q)
-    state.amps = cos * state.amps + signed_sin * _lookup(state.amps, partner)
-    return state
+def apply_block_rotation(state: SupportState, gate: RotationGate) -> SupportState:
+    """The rotation on a support state; its plan checks the wires once per register size."""
+    return _support_only(state, "apply_block_rotation").rotate(gate)
 
 
 def outcome_distribution(probs: np.ndarray) -> dict[str, float]:
@@ -708,20 +668,10 @@ def measure(state: State, qubits: Sequence[int]) -> MeasurementRecord:
     return MeasurementRecord(state, qubits)
 
 
-def probability_all_zero(state: State, qubits: Sequence[int]) -> Union[float, np.ndarray]:
-    """Marginal probability that every listed qubit reads 0; one value per row of a batch."""
+def probability_all_zero(state: SupportState, qubits: Sequence[int]) -> Union[float, np.ndarray]:
+    """Marginal probability that every listed qubit reads 0 in a support state; one value per row of a batch."""
+    _support_only(state, "probability_all_zero")
     _check_wires(state.q, qubits)
     qubits = tuple(qubits)
-    if isinstance(state, SupportState):
-        p = state.probability_all_zero(qubits) if qubits else np.ones(state.amps.shape[:-1])
-    elif not qubits:
-        p = np.ones(state.amps.shape[:-1])
-    elif _is_contiguous(qubits):
-        pre = 1 << qubits[0]
-        mid = 1 << len(qubits)
-        view = state.amps.reshape(state.amps.shape[:-1] + (pre, mid, -1))[..., 0, :]
-        p = np.sum(view * view, axis=(-2, -1))
-    else:
-        pat = _patterns(state.q, qubits)
-        p = np.sum(state.probabilities()[..., pat == 0], axis=-1)
+    p = state.probability_all_zero(qubits) if qubits else np.ones(state.amps.shape[:-1])
     return float(p) if np.ndim(p) == 0 else p

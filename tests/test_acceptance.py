@@ -34,7 +34,7 @@ from djsim.analysis import (
     verify_sweep,
 )
 from djsim.gates import build_A, build_Aprime, build_R, build_Rprime, build_U, build_V
-from djsim.sim import apply_block_rotation, apply_permutation, init_zero
+from djsim.sim import SupportState, apply_block_rotation, apply_permutation, init_zero
 from tests.conftest import PAIR_TABLE, XOR_KERNEL_TABLE
 
 TOL_EXACT = 1e-12
@@ -218,7 +218,8 @@ class TestCriterion7OperatorUnitarity:
                 s = init_zero(q)
                 s.amps = row.copy()
                 if gate.kind == "rotation":
-                    apply_block_rotation(s, gate)
+                    # The rotation takes a support state: here one holding all 2^q amplitudes.
+                    s = apply_block_rotation(SupportState(q, np.arange(dim, dtype=np.int64), row.copy()), gate)
                 else:
                     apply_permutation(s, gate)
                 worst = max(worst, abs(s.norm() - 1.0))

@@ -19,7 +19,7 @@ from djsim.algorithms import (
     run_named,
 )
 from djsim.gates import build_A, build_Aprime, build_ccnot, build_cnot, build_oracle, build_Rprime, build_V
-from djsim.sim import apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
+from djsim.sim import SupportState, apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
 
 
 class TestDJ:
@@ -177,7 +177,8 @@ def _literal_alg3_p_constant(f, t):
         )
     forward += [build_A(t, tuple(xor_w), k_reg), build_A(t, tuple(and_w), e_reg), build_V(t, k_reg, e_reg, c_reg)]
 
-    s = init_zero(q)
+    # The rotation takes a support state: here one holding all 2^q amplitudes.
+    s = SupportState(q, np.arange(1 << q, dtype=np.int64), init_zero(q).amps)
     apply_hadamard(s, u)
     for gate in forward:
         apply_permutation(s, gate)
@@ -194,19 +195,26 @@ def _literal_alg3_p_constant(f, t):
     return p0 * measure(branch, u).probability(0)
 
 
+def x_gate(c):
+    """dj's one fixed gate, as the executor compiled it."""
+    (gate,) = next(step[2] for step in c.steps if step[0] == "fixed")
+    return gate
+
+
 def test_index_caches_stay_within_the_cache_width():
-    # The dense reference on alg3 at n=9, t=2, 21 qubits, one above the cache
-    # width: neither the basis-index cache nor the circuit's composed
-    # permutations may keep a 2^21-entry array once the run is over.
-    wide = circuit("alg3", 9, 2)
-    assert wide.q == 21
-    _execute(wide, np.zeros((1, 128, 4), dtype=np.int64), dense=True)
+    # dj at n=20 runs dense on 21 qubits, one above the cache width: neither
+    # the basis-index and pattern caches nor its X gate may keep a 2^21-entry
+    # array once the run is over.
+    wide = circuit("dj", 20)
+    assert wide.q == 21 and not wide.support
+    _execute(wide, np.zeros((1, 1 << 20, 1), dtype=np.int64))
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
-    assert wide.sources == {}
-    # Below the width the composed permutations are kept.
-    small = circuit("alg3", 4, 2)
-    _execute(small, np.zeros((1, 4, 4), dtype=np.int64), dense=True)
-    assert small.sources
+    assert max((q for q, _ in sim._PATTERN_CACHE), default=0) <= sim._DEST_CACHE_MAX_Q
+    assert wide.q not in x_gate(wide)._cache
+    # Below the width the gate keeps its source indices.
+    small = circuit("dj", 4)
+    _execute(small, np.zeros((1, 16, 1), dtype=np.int64))
+    assert small.q in x_gate(small)._cache
 
 
 class TestErroneousMultinode:

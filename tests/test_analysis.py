@@ -7,7 +7,6 @@ from djsim import make_function, random_balanced_table
 from djsim.algorithms import run_dj, run_erroneous_multinode, run_named
 from djsim.analysis import (
     ErrorModel,
-    default_jobs,
     mean_simulated_misid,
     multinode_misid_probability,
     per_node_success_prob,
@@ -215,12 +214,3 @@ def test_invalid_config_aborts_before_sweeping():
         verify_sweep(3, 5, "alg2")
     with pytest.raises(ValueError):
         verify_sweep(3, 1, "nosuch")
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("DJSIM_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("DJSIM_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("DJSIM_JOBS", "junk")
-    assert default_jobs() == 1

@@ -18,6 +18,7 @@ from djsim.algorithms import _execute, _run, circuit, run_named
 from djsim.analysis import verify_sweep
 from djsim.boolfn import packed_promise_tables, unpack_tables
 from djsim.sim import SupportState, apply_block_rotation, block_rotation_gate
+from tests import dense_reference
 
 TOL = 1e-12
 CASES = [("dj", None), ("alg1", None), ("err-4node", None)] + [
@@ -145,11 +146,11 @@ def test_rows_with_dirty_work_registers_keep_exact_values():
     input register: the readout Hadamard then sees several groups per row, a
     different number in different rows."""
     full = circuit("alg3", 4, 2)
-    dirty = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1], steps=None, sources={})
+    dirty = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1], steps=None)
     tables = mixed_tables(4, 10, seed=5)
     rows = batch_rows(dirty, tables)
     p, _, anc = _execute(dirty, rows)
-    p_dense, _, anc_dense = _execute(dirty, rows, dense=True)
+    p_dense, anc_dense, _ = dense_reference.run(dirty, rows)
     assert np.all(anc < 1.0 - 1e-3)
     assert np.allclose(p, p_dense, rtol=0.0, atol=TOL)
     assert np.allclose(anc, anc_dense, rtol=0.0, atol=TOL)

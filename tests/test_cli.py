@@ -139,6 +139,17 @@ class TestRun:
         assert proc.stdout == ""
         assert proc.stderr == "error: alg3 at n=12, t=6 needs 122 qubits; the simulator holds at most 62\n"
 
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize("gen", ["zeros", "ones", "random"])
+    @pytest.mark.parametrize("n", ["0", "40"])
+    def test_generated_arity_out_of_range_fails_fast(self, command, gen, n):
+        # n=40 would ask for a 2^40-entry table; the range check comes first.
+        extra = ["--alg", "dj"] if command == "run" else ["--t", "1"]
+        proc = self.run_capped(command, "--gen", gen, "--n", n, *extra)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 'n' must be an integer in [1, 24]\n"
+
     def test_wide_support_circuit_runs(self):
         # alg3 at n=10, t=3 needs 30 qubits, past the dense engine, but keeps
         # at most 2^8 nonzero amplitudes.

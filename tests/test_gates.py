@@ -15,6 +15,7 @@ from djsim.gates import (
     build_x,
 )
 from djsim.sim import (
+    SupportState,
     apply_block_rotation,
     apply_permutation,
     init_zero,
@@ -35,6 +36,17 @@ def basis_state(q, index):
     s.amps[0] = 0.0
     s.amps[index] = 1.0
     return s
+
+
+def full_support(s):
+    """The dense state as a support state holding every one of its 2^q amplitudes: the form a rotation takes."""
+    return SupportState(s.q, np.arange(1 << s.q, dtype=np.int64), s.amps.copy())
+
+
+def full_amps(s):
+    out = np.zeros(1 << s.q)
+    np.add.at(out, s.index, s.amps)
+    return out
 
 
 class TestOracle:
@@ -157,17 +169,17 @@ class TestV:
 class TestRotations:
     def test_full_scale_pattern_fixes_target(self):
         gate = build_R(1, (0, 1, 2), 3)
-        s = basis_state(4, 0b0100)  # register holds +2 = 2^t
+        s = full_support(basis_state(4, 0b0100))  # register holds +2 = 2^t
         apply_block_rotation(s, gate)
-        assert abs(s.amps[0b0100] - 1.0) < 1e-15
+        assert abs(full_amps(s)[0b0100] - 1.0) < 1e-15
 
     def test_rprime_scale(self):
         gate = build_Rprime(2, (0, 1, 2), 3)
         assert gate.scale_exponent == 1
         # pattern 010 = +2 = 2^{t-1}: cos=1
-        s = basis_state(4, 0b0100)
+        s = full_support(basis_state(4, 0b0100))
         apply_block_rotation(s, gate)
-        assert abs(s.amps[0b0100] - 1.0) < 1e-15
+        assert abs(full_amps(s)[0b0100] - 1.0) < 1e-15
 
     def test_width_enforced(self):
         with pytest.raises(ValueError):
@@ -199,15 +211,16 @@ class TestUncomputeIdentity:
         op_r = build_R(t, reg, target)
         for a_pattern in range(nodes):
             for e in (0, 1):
-                s = basis_state(q, (a_pattern << (t + 3)) | e)
+                s = full_support(basis_state(q, (a_pattern << (t + 3)) | e))
                 apply_permutation(s, op_u)
                 apply_block_rotation(s, op_r)
                 apply_permutation(s, op_u)
                 assert probability_all_zero(s, reg) == pytest.approx(1.0, abs=1e-12)
                 delta = nodes - 2 * bin(a_pattern).count("1")
                 expected = op_r.block_matrix((delta) & ((1 << (t + 2)) - 1))[:, e]
-                amp0 = s.amps[(a_pattern << (t + 3)) | 0]
-                amp1 = s.amps[(a_pattern << (t + 3)) | 1]
+                amps = full_amps(s)
+                amp0 = amps[(a_pattern << (t + 3)) | 0]
+                amp1 = amps[(a_pattern << (t + 3)) | 1]
                 assert np.allclose([amp0, amp1], expected, atol=1e-14)
 
 
@@ -242,7 +255,7 @@ def test_all_gates_preserve_norm_on_random_states(t):
         for _ in range(30):
             s = random_state(q, rng)
             if gate.kind == "rotation":
-                apply_block_rotation(s, gate)
+                s = apply_block_rotation(full_support(s), gate)
             else:
                 apply_permutation(s, gate)
             assert abs(s.norm() - 1.0) < 1e-12

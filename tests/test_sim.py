@@ -9,18 +9,18 @@ import pytest
 from djsim import sim
 from djsim.sim import (
     apply_block_rotation,
-    apply_composed,
     apply_hadamard,
     apply_pauli_z,
     apply_permutation,
     block_rotation_gate,
-    compose_permutation_sources,
     decode_signed,
     encode_signed,
     init_zero,
     measure,
     probability_all_zero,
+    StateVector,
     SupportState,
+    XorRun,
     xor_permutation_gate,
 )
 
@@ -37,6 +37,32 @@ def basis_state(q, index):
     s.amps[0] = 0.0
     s.amps[index] = 1.0
     return s
+
+
+def full_support(amps):
+    """A support state holding every one of the 2^q amplitudes, zeros included."""
+    q = int(len(amps)).bit_length() - 1
+    return SupportState(q, np.arange(len(amps), dtype=np.int64), np.array(amps, dtype=np.float64))
+
+
+def full_amps(s):
+    """All 2^q amplitudes of a support state."""
+    out = np.zeros(1 << s.q)
+    np.add.at(out, s.index, s.amps)
+    return out
+
+
+def rotated(amps, gate):
+    """The rotation on a full amplitude vector, block by block from ``block_matrix``."""
+    q = int(len(amps)).bit_length() - 1
+    out = amps.copy()
+    tbit = 1 << (q - 1 - gate.target_qubit)
+    for index in range(len(amps)):
+        if index & tbit:
+            continue
+        pattern = int("".join(str((index >> (q - 1 - w)) & 1) for w in gate.control_qubits), 2)
+        out[index], out[index | tbit] = gate.block_matrix(pattern) @ amps[[index, index | tbit]]
+    return out
 
 
 class TestInitZero:
@@ -196,22 +222,19 @@ class TestBlockRotation:
     def test_cos_one_leaves_target(self):
         # width-3 control register, scale 2^1: pattern 010 decodes to +2
         gate = block_rotation_gate((0, 1, 2), 3, scale_exponent=1)
-        s = basis_state(4, 0b0100)
-        apply_block_rotation(s, gate)
-        assert abs(s.amps[0b0100] - 1.0) < 1e-15
+        s = apply_block_rotation(full_support(basis_state(4, 0b0100).amps), gate)
+        assert abs(full_amps(s)[0b0100] - 1.0) < 1e-15
 
     def test_zero_pattern_flips_target(self):
         gate = block_rotation_gate((0, 1, 2), 3, scale_exponent=1)
-        s = basis_state(4, 0b0000)
-        apply_block_rotation(s, gate)
-        assert abs(s.amps[0b0001] - 1.0) < 1e-15
+        s = apply_block_rotation(full_support(basis_state(4, 0b0000).amps), gate)
+        assert abs(full_amps(s)[0b0001] - 1.0) < 1e-15
 
     def test_minus_full_scale_gives_negative_amplitude(self):
         # pattern 110 decodes to -2: cos = -1, amplitude -1 on unflipped target
         gate = block_rotation_gate((0, 1, 2), 3, scale_exponent=1)
-        s = basis_state(4, 0b1100)
-        apply_block_rotation(s, gate)
-        assert abs(s.amps[0b1100] - (-1.0)) < 1e-15
+        s = apply_block_rotation(full_support(basis_state(4, 0b1100).amps), gate)
+        assert abs(full_amps(s)[0b1100] - (-1.0)) < 1e-15
 
     def test_block_matrices_orthogonal(self):
         gate = block_rotation_gate((0, 1, 2, 3), 4, scale_exponent=2)
@@ -223,8 +246,7 @@ class TestBlockRotation:
         gate = block_rotation_gate((1, 3), 0, scale_exponent=1)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            s = random_state(4, rng)
-            apply_block_rotation(s, gate)
+            s = apply_block_rotation(full_support(random_state(4, rng).amps), gate)
             assert abs(s.norm() - 1.0) < 1e-12
 
     def test_target_inside_controls_rejected(self):
@@ -265,7 +287,7 @@ class TestMeasurement:
 
     def test_probability_all_zero_matches_measure(self):
         rng = np.random.default_rng(9)
-        s = random_state(5, rng)
+        s = full_support(random_state(5, rng).amps)
         for wires in [(0, 1, 2), (1, 3), (4,), (0, 2, 4)]:
             assert probability_all_zero(s, wires) == pytest.approx(measure(s, wires).probability(0), abs=1e-13)
 
@@ -286,6 +308,8 @@ class TestPauliZ:
 
 
 class TestComposition:
+    """Consecutive XOR gates composed into one ``XorRun``, a table over the union of their wires."""
+
     def test_composed_matches_sequential(self):
         rng = np.random.default_rng(11)
         gates = [
@@ -293,25 +317,22 @@ class TestComposition:
             xor_permutation_gate((1, 2), (3,), [0, 0, 0, 1]),
             xor_permutation_gate((0, 1), (2, 3), [0, 1, 2, 3]),
         ]
-        src = compose_permutation_sources(gates, 4)
-        s1 = random_state(4, rng)
-        s2 = s1.copy()
-        apply_composed(s1, src)
+        s1 = full_support(random_state(4, rng).amps)
+        s2 = full_support(s1.amps)
+        apply_permutation(s1, XorRun(tuple(gates)))
         for g in gates:
             apply_permutation(s2, g)
-        assert np.array_equal(s1.amps, s2.amps)
+        assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, s2.amps)
 
     def test_empty_composition_is_identity(self):
-        src = compose_permutation_sources([], 3)
-        s = random_state(3, np.random.default_rng(12))
-        before = s.amps.copy()
-        apply_composed(s, src)
-        assert np.array_equal(s.amps, before)
+        s = full_support(random_state(3, np.random.default_rng(12)).amps)
+        apply_permutation(s, XorRun(()))
+        assert np.array_equal(s.index, np.arange(8))
 
     def test_wrong_register_size_rejected(self):
-        src = compose_permutation_sources([xor_permutation_gate((), (0,), [1])], 2)
-        with pytest.raises(ValueError):
-            apply_composed(init_zero(3), src)
+        run = XorRun((xor_permutation_gate((), (0,), [1]), xor_permutation_gate((0,), (2,), [0, 1])))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_permutation(init_zero(2, support=True), run)
 
 
 def test_large_register_skips_source_caching():
@@ -329,7 +350,7 @@ def test_norm_preserved_by_random_gate_sequences():
     rng = np.random.default_rng(13)
     for _ in range(10):
         q = int(rng.integers(2, 6))
-        s = random_state(q, rng)
+        s = full_support(random_state(q, rng).amps)
         for _ in range(8):
             kind = rng.integers(0, 3)
             if kind == 0:
@@ -359,27 +380,35 @@ def test_measurement_record_floor_filters_dust():
 
 def test_every_kernel_keeps_the_state_real():
     # A silent promotion to complex would double the memory of every state.
-    s = init_zero(4)
-    assert s.amps.dtype == np.float64
-    steps = [
-        lambda: apply_hadamard(s, (0, 1, 2)),  # leading-block matmul path
-        lambda: apply_hadamard(s, (3, 1)),  # per-qubit butterfly path
-        lambda: apply_permutation(s, xor_permutation_gate((0,), (2,), [0, 1])),
-        lambda: apply_composed(s, compose_permutation_sources([xor_permutation_gate((1, 2), (3,), [0, 1, 1, 0])], 4)),
-        lambda: apply_block_rotation(s, block_rotation_gate((0, 1), 3, scale_exponent=1)),
-        lambda: apply_pauli_z(s, 2),
-    ]
-    for step in steps:
-        assert step().amps.dtype == np.float64
-    rec = measure(s, (0,))
-    for outcome in rec.distribution:
-        assert rec.collapse(outcome).amps.dtype == np.float64
+    # The support state holds all 16 entries; only it takes the rotation and
+    # a composed XOR run.
+    run = XorRun((xor_permutation_gate((1, 2), (3,), [0, 1, 1, 0]), xor_permutation_gate((3,), (0,), [0, 1])))
+    for s in (init_zero(4), full_support(init_zero(4).amps)):
+        assert s.amps.dtype == np.float64
+        steps = [
+            lambda: apply_hadamard(s, (0, 1, 2)),  # a run of three wires
+            lambda: apply_hadamard(s, (3, 1)),  # two runs of one wire
+            lambda: apply_permutation(s, xor_permutation_gate((0,), (2,), [0, 1])),
+            lambda: apply_pauli_z(s, 2),
+        ]
+        if isinstance(s, SupportState):
+            steps += [
+                lambda: apply_permutation(s, run),
+                lambda: apply_block_rotation(s, block_rotation_gate((0, 1), 3, scale_exponent=1)),
+            ]
+        for step in steps:
+            assert step().amps.dtype == np.float64
+        rec = measure(s, (0,))
+        for outcome in rec.distribution:
+            assert rec.collapse(outcome).amps.dtype == np.float64
 
 
 class TestSupportState:
     """Each support kernel against the dense kernel on random sparse states,
     including the cases the circuits never reach: entries that differ outside
-    the Hadamard wires, and rotation partners that are both entries."""
+    the Hadamard wires, and rotation partners that are both entries.  The
+    rotation and ``probability_all_zero`` have no dense kernel: they are
+    checked against ``block_matrix`` and a sum over the full vector."""
 
     @staticmethod
     def sparse_pair(q, rng, entries):
@@ -414,9 +443,11 @@ class TestSupportState:
             others = [w for w in range(q) if w != target]
             controls = tuple(int(w) for w in rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False))
             rot = block_rotation_gate(controls, target, scale_exponent=1)
-            self.assert_same(apply_block_rotation(support, rot), apply_block_rotation(dense, rot))
+            dense.amps = rotated(dense.amps, rot)
+            self.assert_same(apply_block_rotation(support, rot), dense)
             self.assert_same(apply_pauli_z(support, target), apply_pauli_z(dense, target))
-            assert probability_all_zero(support, wires) == pytest.approx(probability_all_zero(dense, wires), abs=1e-12)
+            zero = np.all([(np.arange(1 << q) >> (q - 1 - w)) & 1 == 0 for w in wires], axis=0)
+            assert probability_all_zero(support, wires) == pytest.approx(np.sum(dense.amps[zero] ** 2), abs=1e-12)
             rec, ref = measure(support, wires), measure(dense, wires)
             assert rec.distribution.keys() == ref.distribution.keys()
             for outcome, p in ref.distribution.items():
@@ -429,12 +460,13 @@ class TestSupportState:
         s = apply_block_rotation(init_zero(3, support=True), block_rotation_gate((0, 1), 2, scale_exponent=0))
         assert s.index.tolist() == [1] and s.amps.tolist() == [1.0]
 
-    def test_composed_permutation_rejected(self):
-        # Two entries on one qubit: as many as the source array, which indexes
-        # basis states, not entries.
-        s = apply_hadamard(init_zero(1, support=True), (0,))
-        with pytest.raises(TypeError):
-            apply_composed(s, compose_permutation_sources([xor_permutation_gate((), (0,), [1])], 1))
+    def test_dense_state_rejected_by_the_support_only_kernels(self):
+        s = init_zero(3)
+        assert isinstance(s, StateVector)
+        with pytest.raises(TypeError, match="apply_block_rotation takes a support state"):
+            apply_block_rotation(s, block_rotation_gate((0, 1), 2, scale_exponent=1))
+        with pytest.raises(TypeError, match="probability_all_zero takes a support state"):
+            probability_all_zero(s, (0,))
 
     @pytest.mark.parametrize("q", [0, 63])
     def test_width_out_of_range(self, q):

@@ -92,7 +92,7 @@ def test_each_run_table_equals_its_gates_one_by_one(alg, t, layout):
 def gate_by_gate(c):
     """The circuit with each fixed step applied as its ``op.build()`` gates, one apply_permutation each."""
     steps = [(*step[:3], list(step[2])) if step[0] == "fixed" else step for step in _compile(c)]
-    return dataclasses.replace(c, steps=steps, sources={})
+    return dataclasses.replace(c, steps=steps)
 
 
 def family_rows(n, t):
