@@ -42,6 +42,7 @@ from .gates import (  # noqa: F401
     build_x,
 )
 from .sim import (
+    _PROB_FLOOR,
     _XOR_RUN_WIRES,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
@@ -59,7 +60,6 @@ from .sim import (
 apply_composed = apply_permutation  # nothing calls it: see the comment above
 
 EXACTNESS_TOL = 1e-12
-_PROB_FLOOR = 1e-15
 
 ALGORITHM_NAMES = ("dj", "alg1", "alg2", "alg3", "err-multi", "err-4node")
 

@@ -359,30 +359,56 @@ def _walsh(m: int) -> np.ndarray:
     return mat
 
 
+# One per (width, later) with width + later <= _WALSH_SLICE: 21 matrices of at most 32 KiB.
+@lru_cache(maxsize=_WALSH_SLICE * (_WALSH_SLICE + 1) // 2)
+def _folded_walsh(width: int, later: int) -> np.ndarray:
+    """kron(Walsh(width), I_{2^later}): H on the top ``width`` of ``width + later`` index bits (symmetric)."""
+    return np.kron(_walsh(width), np.eye(1 << later))
+
+
 @lru_cache(maxsize=1024)
-def _walsh_plan(q: int, wires: tuple[int, ...]) -> tuple[tuple[np.ndarray, tuple[int, int, int]], ...]:
-    """H on the wires of a q-qubit index as matrix products: (Walsh matrix, view shape) each.
+def _walsh_plan(q: int, wires: tuple[int, ...]) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    """H on the wires of a q-qubit index as matrix products: (matrix, view shape) each.
 
     The Walsh matrix of a run of consecutive wires is the Kronecker product of
     those of any split of the run, so each run is applied in slices of at most
-    _WALSH_SLICE wires, the amplitudes viewed as (-1, 2^slice, 2^later wires).
+    _WALSH_SLICE wires.  A slice that spans at most _WALSH_SLICE index bits
+    together with every wire after it is folded: the amplitudes are viewed as
+    (-1, 2^(slice + later wires)) rows, all multiplied by one
+    ``_folded_walsh`` matrix in a single product.  A wider slice views them as
+    (-1, 2^slice, 2^later wires) and takes its Walsh matrix on the left of
+    each block.
     """
     plan = []
     for shift, mask, _ in _fields(q, tuple(sorted(wires))):
         m = mask.bit_length()
         for low in range(0, m, _WALSH_SLICE):
             width = min(_WALSH_SLICE, m - low)
-            plan.append((_walsh(width), (-1, 1 << width, 1 << (m - low - width + shift))))
+            later = m - low - width + shift
+            if width + later <= _WALSH_SLICE:
+                plan.append((_folded_walsh(width, later), (-1, 1 << (width + later))))
+            else:
+                plan.append((_walsh(width), (-1, 1 << width, 1 << later)))
     return tuple(plan)
 
 
 def _walsh_transform(amps: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
     """H on the wires of a q-qubit index that runs along the last axis of ``amps``, flattened.
 
-    Any leading axis passes through: the support state's groups of entries.
+    Any leading axis passes through: the rows of a batch, the support state's
+    groups of entries.  A folded slice is one product over all of them, and a
+    row's values do not depend on how many rows share it: numpy hands a
+    one-row product to gemv, which rounds differently from gemm, so one row is
+    multiplied as the first of two.
     """
     for mat, shape in _walsh_plan(q, wires):
-        amps = np.matmul(mat, amps.reshape(shape))
+        view = amps.reshape(shape)
+        if len(shape) == 3:
+            amps = np.matmul(mat, view)
+        elif len(view) > 1:
+            amps = view @ mat
+        else:
+            amps = (np.concatenate((view, view)) @ mat)[:1]
     return amps.reshape(-1)
 
 
@@ -616,10 +642,23 @@ def apply_block_rotation(state: SupportState, gate: RotationGate) -> SupportStat
     return _support_only(state, "apply_block_rotation").rotate(gate)
 
 
+# Outcome key strings are cached for registers of up to this many measured wires (256 keys).
+_KEYED_OUTCOME_BITS = 8
+
+
+@lru_cache(maxsize=_KEYED_OUTCOME_BITS + 1)
+def _outcome_keys(k: int) -> tuple[str, ...]:
+    return tuple(format(o, f"0{k}b") for o in range(1 << k))
+
+
 def outcome_distribution(probs: np.ndarray) -> dict[str, float]:
     """One state's outcome probabilities above the floor, keyed by the outcome's bit string."""
     k = len(probs).bit_length() - 1
-    return {format(int(o), f"0{k}b"): float(probs[o]) for o in np.flatnonzero(probs > _PROB_FLOOR)}
+    hits = np.flatnonzero(probs > _PROB_FLOOR)
+    if k > _KEYED_OUTCOME_BITS:
+        return {format(int(o), f"0{k}b"): float(probs[o]) for o in hits}
+    keys, values = _outcome_keys(k), probs.tolist()
+    return {keys[o]: values[o] for o in hits.tolist()}
 
 
 class MeasurementRecord:

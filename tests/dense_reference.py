@@ -16,6 +16,7 @@ an oracle round is one permutation per function.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,8 @@ def destination(gates, q: int) -> np.ndarray:
     """Where each basis state goes under the permutation gates applied in order, read from their action tables.
 
     The gates are composed on the patterns of the wires they touch, then
-    lifted onto the 2^q basis states.
+    lifted onto the 2^q basis states: the basis state with pattern p on those
+    wires and r on the others goes to the one with pats[p] and r.
     """
     wires = sorted({w for gate in gates for w in gate.targets})
     k = len(wires)
@@ -55,9 +57,10 @@ def destination(gates, q: int) -> np.ndarray:
         local = [wires.index(w) for w in gate.targets]
         others = pats & ~int(placed(np.array([-1]), local, k)[0])
         pats = others | placed(gate.action_table()[pattern_of(pats, local, k)], local, k)
-    index = np.arange(1 << q, dtype=np.int64)
-    others = index & ~int(placed(np.array([-1]), wires, q)[0])
-    return others | placed(pats[pattern_of(index, wires, q)], wires, q)
+    rest = placed(np.arange(1 << (q - k), dtype=np.int64), [w for w in range(q) if w not in wires], q)[:, None]
+    dest = np.empty(1 << q, dtype=np.int64)
+    dest[(rest | placed(np.arange(1 << k, dtype=np.int64), wires, q)).ravel()] = (rest | placed(pats, wires, q)).ravel()
+    return dest
 
 
 def distribution(probs: np.ndarray) -> dict[str, float]:
@@ -177,6 +180,12 @@ class Reference:
         return p_zero * read_inputs(amps, live, {"conditioned_on": {"decision_qubit": 0}}), anc, logs
 
 
+@lru_cache(maxsize=5)
+def reference(c) -> Reference:
+    """The circuit's Reference, kept for the five most recent circuits (at most about 75 MiB at q <= 20)."""
+    return Reference(c)
+
+
 def run(c, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """(constant-label probability, work-register p_all_zero, branch log) of every row, read out as ``_execute`` does.
 
@@ -185,9 +194,9 @@ def run(c, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     without work registers.  The functions run in chunks of at most 2^16
     amplitudes, or one function at a time.
     """
-    reference = Reference(c)
+    ref = reference(c)
     chunk = max(1, _CHUNK_AMPS >> c.q)
-    parts = [reference.run(rows[i : i + chunk]) for i in range(0, len(rows), chunk)]
+    parts = [ref.run(rows[i : i + chunk]) for i in range(0, len(rows), chunk)]
     return (
         np.concatenate([p for p, _, _ in parts]),
         np.concatenate([a for _, a, _ in parts]),

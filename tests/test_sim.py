@@ -52,6 +52,17 @@ def full_amps(s):
     return out
 
 
+def per_wire_hadamard(amps, q, wires):
+    """The 2x2 Hadamard butterfly of each wire in turn, on every row of ``amps`` (2^q amplitudes a row)."""
+    out = amps.copy()
+    for w in wires:
+        view = out.reshape(-1, 2, 1 << (q - 1 - w))
+        x0, x1 = view[:, 0].copy(), view[:, 1].copy()
+        view[:, 0] = (x0 + x1) / np.sqrt(2.0)
+        view[:, 1] = (x0 - x1) / np.sqrt(2.0)
+    return out
+
+
 def rotated(amps, gate):
     """The rotation on a full amplitude vector, block by block from ``block_matrix``."""
     q = int(len(amps)).bit_length() - 1
@@ -142,14 +153,49 @@ class TestHadamard:
         rng = np.random.default_rng(1)
         for q, wires in ((9, tuple(range(1, 8))), (14, tuple(range(13))), (10, (9, 5, 1, 2, 3, 4, 6, 7, 0))):
             amps = rng.normal(size=1 << q) * (rng.random(1 << q) < 0.1)
-            ref = amps.copy()
-            for w in wires:
-                view = ref.reshape(1 << w, 2, -1)
-                x0, x1 = view[:, 0, :].copy(), view[:, 1, :].copy()
-                view[:, 0, :] = (x0 + x1) / np.sqrt(2.0)
-                view[:, 1, :] = (x0 - x1) / np.sqrt(2.0)
+            ref = per_wire_hadamard(amps, q, wires)
             for s in self.both_forms(amps):
                 assert np.allclose(self.dense_amps(apply_hadamard(s, wires)), ref, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def hadamard_rows(rows, q, wires, form):
+        """H on the wires of each row, as a dense batch or as a support batch holding every entry."""
+        if form == "dense":
+            s = init_zero(q, batch=len(rows))
+            s.amps = rows.copy()
+            return apply_hadamard(s, wires).amps
+        index = np.broadcast_to(np.arange(1 << q), rows.shape).copy()
+        s = apply_hadamard(SupportState(q, index, rows.copy()), wires)
+        out = np.zeros_like(rows)
+        np.put_along_axis(out, s.index, s.amps, axis=1)
+        return out
+
+    @pytest.mark.parametrize("form", ["dense", "support"])
+    @pytest.mark.parametrize(
+        "q, wires, counts",
+        [
+            (4, (0, 1, 2), (1, 2, 3, 511, 4096)),  # alg1's inputs: folded with the wire after them
+            (5, (0, 1, 2, 3), (1, 2, 3, 511, 4096)),  # dj at n=4
+            (6, tuple(range(6)), (1, 2, 3, 511, 4096)),  # one 64 x 64 matrix
+            (2, (0, 1), (1, 2, 3, 511, 4096)),  # a support group of two wires
+            (12, tuple(range(6)), (1, 2, 3, 511)),  # top wires: one Walsh matrix per block of a row
+            (12, tuple(range(12)), (1, 2, 3, 511)),  # an unfolded slice, then a folded one
+        ],
+        ids=["alg1-q4", "dj-q5", "all-q6", "pair-q2", "top-q12", "all-q12"],
+    )
+    def test_rows_do_not_depend_on_their_batch(self, q, wires, counts, form):
+        # A row's bits are the same whether it is alone, one of a few, or one
+        # of thousands, wherever it starts in the batch; the values agree with
+        # one 2x2 Hadamard per wire.
+        rng = np.random.default_rng(q + len(wires))
+        starts = (0, 3)
+        rows = rng.normal(size=(max(counts) + max(starts), 1 << q))
+        whole = self.hadamard_rows(rows, q, wires, form)
+        assert np.allclose(whole, per_wire_hadamard(rows, q, wires), rtol=0.0, atol=1e-12)
+        for count in counts:
+            for start in starts:
+                got = self.hadamard_rows(rows[start : start + count], q, wires, form)
+                assert np.array_equal(got, whole[start : start + count]), (count, start)
 
     def test_dense_layer_builds_no_state_sized_matrix(self):
         # The transform works in slices of at most 64 x 64, so one Hadamard on
