@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# compute_stats, build_oracle and apply_composed are unused here; they stay
-# importable from this module because perfbench/tracer.py wraps them on this
-# module by name.
+# compute_stats, build_oracle, xor_permutation_gate and apply_composed are
+# unused here; they stay importable from this module because
+# perfbench/tracer.py wraps them on this module by name.
 from .boolfn import BooleanFunction, compute_stats, make_function  # noqa: F401
 from .gates import (  # noqa: F401
     build_A,
@@ -41,15 +41,19 @@ from .gates import (  # noqa: F401
     build_V,
     build_x,
 )
-from .sim import (
+from . import sim
+from .sim import (  # noqa: F401
+    _DEST_CACHE_MAX_Q,
     _PROB_FLOOR,
     _XOR_RUN_WIRES,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
+    State,
     apply_block_rotation,
     apply_hadamard,
     apply_pauli_z,
     apply_permutation,
+    flip_layer,
     init_zero,
     measure,
     outcome_distribution,
@@ -110,8 +114,11 @@ class Circuit:
     work: tuple[range, ...] = ()
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
-    # Executor state: the compiled steps (a fixed step carries its XOR runs).
+    # Executor state: the compiled steps (a fixed step carries its XOR runs),
+    # and, made with them, the start row from ``_start``, or None when none
+    # is kept.
     steps: Optional[list] = field(default=None, repr=False)
+    start: Optional[tuple[int, State]] = field(default=None, init=False, repr=False)
 
     @property
     def support(self) -> bool:
@@ -122,10 +129,16 @@ class Circuit:
         other circuits (dj, alg1, err-multi, err-4node) fill their register:
         their dense state is at most twice their support, and on it their
         batched sweeps run faster.  Run on support states, the n=4 verify
-        sweeps of dj and alg1 cost 2.4-2.6 us a function instead of 0.8-1.5,
-        and the benchmark's verify-n4 throughput fell by 26%.
+        sweeps of dj and alg1 cost 0.70-0.74 and 0.98-1.04 us a function
+        instead of 0.42-0.54 and 0.45-0.73 (2-vCPU host, three alternating
+        processes).
         """
         return bool(self.work)
+
+    @property
+    def row_bits(self) -> int:
+        """log2 of the most entries one state row holds: 2^q dense, 2^(n-t+1) on a support state."""
+        return len(self.inputs) + 1 if self.support else self.q
 
     @cached_property
     def table_bits(self) -> int:
@@ -372,9 +385,9 @@ def _compile(c: Circuit) -> list:
     ``xor_runs``).  Each run is one table over at most _XOR_RUN_WIRES wires
     that rewrites only the indices, exact index arithmetic, so the state
     matches gate-by-gate application bit for bit.  A run of one gate is that
-    gate, the only kind of run a dense circuit has.  An oracle round is one
-    XOR gate per run, carrying each queried subfunction's bit at its target's
-    position, XORed where targets repeat.
+    gate, the only kind of run a dense circuit has.  An oracle round carries
+    the index bit of each queried subfunction's target, so a function's bits
+    shifted there and XORed together are the round's flip table.
     """
     steps: list = []
     for op in c.ops:
@@ -385,9 +398,8 @@ def _compile(c: Circuit) -> list:
                 steps.append(("fixed", len(steps), op.build()))
         elif op.kind == "oracle":
             targets = [op.target(w) for w in op.ws]
-            results = tuple(dict.fromkeys(targets))
-            shifts = np.array([len(results) - 1 - results.index(wire) for wire in targets])
-            steps.append(("oracle", id(op), tuple(op.wires[0]), results, np.array(op.ws), shifts))
+            shifts = np.array([c.q - 1 - wire for wire in targets])
+            steps.append(("oracle", id(op), tuple(op.wires[0]), tuple(dict.fromkeys(targets)), np.array(op.ws), shifts))
         elif op.kind == "rotation":
             steps.append(("rotation", op.build()[0]))
         elif op.kind == "hadamard":
@@ -397,40 +409,73 @@ def _compile(c: Circuit) -> list:
     return [(*step, xor_runs(step[2])) if step[0] == "fixed" else step for step in steps]
 
 
+def _apply(s: State, step: tuple, rows: Optional[np.ndarray], layers: dict) -> None:
+    """One step on every row of ``s``; an oracle round reads each row's function from ``rows``.
+
+    ``layers`` keeps each round's flip table for the run, so the uncompute
+    reuses the compute's.
+    """
+    kind = step[0]
+    if kind == "hadamard":
+        apply_hadamard(s, step[1])
+    elif kind == "oracle":
+        _, key, controls, results, ws, shifts = step
+        layer = layers.get(key)
+        if layer is None:
+            bits = rows[:, :, ws]
+            if bits.min() < 0 or bits.max() > 1:
+                raise ValueError("oracle tables must hold 0/1 values")
+            flip = np.bitwise_xor.reduce(bits << shifts, axis=-1)
+            layer = layers[key] = flip_layer(s.q, controls, results, flip)
+        apply_permutation(s, layer)
+    elif kind == "fixed":
+        for run in step[3]:
+            apply_permutation(s, run)
+    elif kind == "rotation":
+        apply_block_rotation(s, step[1])
+    else:
+        apply_pauli_z(s, step[1])
+
+
+def _start(c: Circuit, support: bool) -> tuple[int, State]:
+    """(the number of steps before the first oracle round, the one-row state they leave on the given form).
+
+    Those steps do not depend on the function, so each batch starts from
+    this row instead of running them.  Its arrays are read-only.  Its state
+    comes from ``sim.init_zero``, not this module's name: making it is
+    set-up of the circuit, not one of its runs.
+    """
+    skip = next(i for i, step in enumerate(c.steps) if step[0] == "oracle")
+    s = sim.init_zero(c.q, support, batch=1)
+    for step in c.steps[:skip]:
+        _apply(s, step, None, {})
+    for array in (s.amps, s.index) if support else (s.amps,):
+        array.flags.writeable = False
+    return skip, s
+
+
 def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
     """Run the circuit once on a batch: (constant-label probabilities, branch log of row 0, work-register p_all_zero).
 
     ``rows`` holds one oracle table per function, shape (functions, control
-    patterns, subfunctions), int64; the state has one row per function, and
-    only the oracle layers differ between rows.  The state is a support state
-    when ``c.support`` holds, else dense.  The readout follows ``Circuit``'s
-    plan in every row; a row whose work registers are not clean still gets
-    its exact probabilities.  This is the only caller of the simulator
-    kernels, through this module's names.
+    patterns, subfunctions), int64 of 0/1; the state has one row per
+    function, and only the oracle layers differ between rows.  Every row
+    starts from the circuit's start row, kept when a row holds at most
+    2^_DEST_CACHE_MAX_Q entries; the first oracle round gathers from it.  The
+    state is a support state when ``c.support`` holds, else dense.  The
+    readout follows ``Circuit``'s plan in every row; a row whose work
+    registers are not clean still gets its exact probabilities.  A run
+    reaches the simulator kernels only through this module's names.
     """
     if c.steps is None:
         c.steps = _compile(c)
+        c.start = _start(c, c.support) if c.row_bits <= _DEST_CACHE_MAX_Q else None
     count = len(rows)
-    s = init_zero(c.q, c.support, batch=count)
+    skip, start = c.start or (0, None)
+    s = init_zero(c.q, c.support, batch=count, start=start)
     layers: dict = {}
-    for step in c.steps:
-        kind = step[0]
-        if kind == "hadamard":
-            apply_hadamard(s, step[1])
-        elif kind == "oracle":
-            _, key, controls, results, ws, shifts = step
-            gate = layers.get(key)
-            if gate is None:
-                values = np.bitwise_xor.reduce(rows[:, :, ws] << shifts, axis=-1)
-                gate = layers[key] = xor_permutation_gate(controls, results, values, name="oracle-layer")
-            apply_permutation(s, gate)
-        elif kind == "fixed":
-            for run in step[3]:
-                apply_permutation(s, run)
-        elif kind == "rotation":
-            apply_block_rotation(s, step[1])
-        else:
-            apply_pauli_z(s, step[1])
+    for step in c.steps[skip:]:
+        _apply(s, step, rows, layers)
     log: list = []
     anc = None
     if c.work:
@@ -439,25 +484,30 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     inputs = tuple(c.inputs)
 
     def input_register(rec) -> dict:
-        return {"stage": "input_register", "qubits": list(inputs), "distribution": outcome_distribution(rec.probs[0])}
+        return {"stage": "input_register", "qubits": list(inputs), "distribution": outcome_distribution(rec.row_probs(0))}
 
+    # Each record reads outcome 0 of every row first: a dense one then builds
+    # only row 0's distribution, for the log.
     if c.decision is None:
         rec = measure(s, inputs)
+        p = rec.probability(0)
         log.append(input_register(rec))
-        return rec.probability(0), log, anc
+        return p, log, anc
     rec = measure(s, (c.decision,))
-    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": outcome_distribution(rec.probs[0])})
     p_zero = rec.probability(0)
+    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": outcome_distribution(rec.row_probs(0))})
     live = p_zero > _PROB_FLOOR
     if not live.any():
         return np.zeros(count), log, anc
-    # A row where outcome 0 is negligible collapses to zeros, so its product is 0.
-    s = rec.collapse(0)
+    # A row where outcome 0 is negligible collapses to zeros, so its product
+    # is 0.  The record goes first, and with it the state before the collapse.
+    s, rec = rec.collapse(0), None
     apply_hadamard(s, inputs)
     rec = measure(s, inputs)
+    p = rec.probability(0)
     if live[0]:
         log.append({**input_register(rec), "conditioned_on": {"decision_qubit": 0}})
-    return p_zero * rec.probability(0), log, anc
+    return p_zero * p, log, anc
 
 
 def _run(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.ndarray]]:

@@ -10,7 +10,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algorithms import EXACTNESS_TOL, _run, circuit, dj_zero_probability, run_named, validate_run_config
+from .algorithms import EXACTNESS_TOL, Circuit, _run, circuit, dj_zero_probability, run_named, validate_run_config
 from .boolfn import (
     BooleanFunction,
     Decomposition,
@@ -20,14 +20,14 @@ from .boolfn import (
     unpack_tables,
 )
 
-# Promise functions per batched circuit run.  At n = 4 and 5, 512 runs as
-# fast per function as 1,024 and keeps the chunk's arrays small: a verify
-# process peaks about 0.1 MiB above a one-function-at-a-time sweep, where
-# 1,024 adds 1 MiB.
-_SWEEP_CHUNK = 512
+# State entries per batched circuit run: a chunk holds as many promise
+# functions as rows of this many entries fit.  At n = 4 that is 512
+# functions for dj (2^5 entries a row), 1,024 for alg1 and 2,048 for alg2
+# and alg3 (support rows of 2^(n-t+1) entries).
+_SWEEP_ENTRIES = 1 << 14
 # Chunks per message to a sweep worker.  A message costs about 1.5 ms on a
-# 2-vCPU host, as much as a 1,024-function chunk's run, so one chunk per
-# message leaves the workers waiting on the parent process.
+# 2-vCPU host, about as much as one chunk's run, so one chunk per message
+# leaves the workers waiting on the parent process.
 _CHUNKS_PER_TASK = 16
 
 
@@ -227,10 +227,15 @@ def _check_one(algorithm: str, f: BooleanFunction, t: Optional[int]) -> Optional
     }
 
 
-def _sweep_chunks(n: int) -> Iterator[np.ndarray]:
-    """The promise family of arity n, packed, in enumeration order, cut into work units of _SWEEP_CHUNK."""
+def _chunk_rows(c: Circuit) -> int:
+    """Promise functions per batched run of c: rows of 2^c.row_bits entries filling _SWEEP_ENTRIES."""
+    return max(1, _SWEEP_ENTRIES >> c.row_bits)
+
+
+def _sweep_chunks(n: int, size: int) -> Iterator[np.ndarray]:
+    """The promise family of arity n, packed, in enumeration order, cut into work units of ``size``."""
     held: list[np.ndarray] = []
-    room = _SWEEP_CHUNK
+    room = size
     for block in packed_promise_tables(n):
         while len(block):
             held.append(block[:room])
@@ -238,7 +243,7 @@ def _sweep_chunks(n: int) -> Iterator[np.ndarray]:
             block = block[len(held[-1]) :]
             if not room:
                 yield np.concatenate(held)
-                held, room = [], _SWEEP_CHUNK
+                held, room = [], size
     if held:
         yield np.concatenate(held)
 
@@ -250,14 +255,14 @@ def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray
     """
     c = circuit(algorithm, n, t)
     bits = unpack_tables(packed, n)
-    p_constant, _, _ = _run(c, bits.reshape(len(bits), -1, 1 << (c.t or 0)).astype(np.int64))
+    p_constant, _, _ = _run(c, bits.reshape(len(bits), -1, 1 << (c.t or 0)))
     p_balanced = 1.0 - p_constant
     says_constant = p_constant >= p_balanced
     exact = np.maximum(p_constant, p_balanced) >= 1.0 - EXACTNESS_TOL
     is_constant = (packed == 0) | (packed == (1 << (1 << n)) - 1)
     failures = []
     for r in np.flatnonzero((says_constant != is_constant) | ~exact):
-        f = make_function(n, bits[r].tobytes())
+        f = make_function(n, bits[r].astype(np.uint8).tobytes())
         failures.append(
             {
                 "function": f.digest(),
@@ -277,7 +282,7 @@ def _sweep_chunk(args: tuple[str, int, Optional[int], np.ndarray]) -> tuple[int,
     except Exception as exc:  # the sweep goes on: the chunk is checked as run_named checks it
         warnings.warn(f"batched check of a chunk failed ({exc!r}); checking it one function at a time", RuntimeWarning)
         # An error then becomes a finding on the function that raises it.
-        functions = (make_function(n, row.tobytes()) for row in unpack_tables(packed, n))
+        functions = (make_function(n, row.astype(np.uint8).tobytes()) for row in unpack_tables(packed, n))
         return len(packed), [failure for f in functions if (failure := _check_one(algorithm, f, t)) is not None]
 
 
@@ -304,10 +309,10 @@ def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> Ver
     stateless, so the family can be partitioned across processes; serial and
     parallel sweeps check the same chunks.
     """
-    validate_run_config(algorithm, n, t)
+    c = validate_run_config(algorithm, n, t)
     start = time.perf_counter()
     summary = VerificationSummary(n=n, t=t, algorithm=algorithm, functions_checked=0)
-    chunks = ((algorithm, n, t, packed) for packed in _sweep_chunks(n))
+    chunks = ((algorithm, n, t, packed) for packed in _sweep_chunks(n, _chunk_rows(c)))
     for count, failures in _sweep_results(chunks, jobs):
         summary.functions_checked += count
         summary.failures.extend(failures)

@@ -31,6 +31,10 @@ MAX_ENUMERATION_ARITY = 5
 MAX_ARITY = 24
 
 
+# Table byte -> ASCII digit of the packed table: "0" for 0, "1" for anything else.
+_BIT_CHARS = b"0" + b"1" * 255
+
+
 class Promise(enum.Enum):
     """Label attached to a truth table: the promise class it belongs to."""
 
@@ -68,7 +72,7 @@ class BooleanFunction:
 
     @property
     def popcount(self) -> int:
-        return sum(self.table)
+        return self.table.count(1)
 
     def value(self, x: int) -> int:
         return self.table[x]
@@ -76,7 +80,7 @@ class BooleanFunction:
     def digest(self) -> str:
         """Compact identifier: arity plus the table packed as hex."""
         width = (self.size + 3) // 4
-        packed = int("".join("1" if b else "0" for b in self.table), 2)
+        packed = int(self.table.translate(_BIT_CHARS), 2)
         return f"{self.n}:{packed:0{width}x}"
 
     def as_array(self) -> np.ndarray:
@@ -97,9 +101,9 @@ def make_function(n: int, table: Union[Sequence[int], str, bytes]) -> BooleanFun
         bits = bytes(table)
     if len(bits) != 1 << n:
         raise ValueError(f"truth table must have length 2^{n} = {1 << n}, got {len(bits)}")
-    if any(b > 1 for b in bits):
+    ones = bits.count(1)
+    if ones + bits.count(0) != len(bits):
         raise ValueError("truth table entries must be 0 or 1")
-    ones = sum(bits)
     if ones == 0 or ones == len(bits):
         promise = Promise.CONSTANT
     elif ones == len(bits) // 2:
@@ -343,9 +347,9 @@ def packed_promise_tables(n: int) -> Iterator[np.ndarray]:
 
 
 def unpack_tables(packed: np.ndarray, n: int) -> np.ndarray:
-    """Packed tables as rows of 0/1 uint8 truth tables, shape (tables, 2^n)."""
+    """Packed tables as rows of 0/1 int64 truth tables, shape (tables, 2^n)."""
     shifts = np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
-    return ((packed[:, None] >> shifts) & 1).astype(np.uint8)
+    return (packed[:, None] >> shifts) & 1
 
 
 def count_promise_functions(n: int) -> int:
@@ -355,8 +359,6 @@ def count_promise_functions(n: int) -> int:
 def random_balanced_table(n: int, rng: np.random.Generator) -> BooleanFunction:
     """Uniformly random balanced function of arity n."""
     size = 1 << n
-    ones = rng.choice(size, size=size // 2, replace=False)
-    bits = bytearray(size)
-    for i in ones:
-        bits[i] = 1
-    return make_function(n, bytes(bits))
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[rng.choice(size, size=size // 2, replace=False)] = 1
+    return make_function(n, bits.tobytes())

@@ -25,9 +25,11 @@ Conventions:
   only.
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
-  every row; an XOR gate may carry one value table per row.  Sums over a
-  row's entries run in entry order, so a row's probabilities are bit-identical
-  whatever other rows share its batch.
+  every row; an XOR gate may carry one value table per row.  The rows may
+  start as read-only views of one start row (``init_zero(..., start=)``);
+  the first kernel to change them gives them arrays of their own.  Sums over
+  a row's entries run in entry order, so a row's probabilities are
+  bit-identical whatever other rows share its batch.
 
 Apply functions mutate the passed state in place and return it.
 """
@@ -128,13 +130,18 @@ def _spread(values: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _shared_rows(a: np.ndarray) -> bool:
+    """Whether the rows of a batch are views of one row, as ``init_zero(..., start=)`` makes them."""
+    return a.ndim > 1 and a.strides[0] == 0
+
+
 def _lookup(table: np.ndarray, key: np.ndarray) -> np.ndarray:
     """``table[..., key]``, row by row when both carry a batch axis (one table per row)."""
     if table.ndim == 1:
         return table[key]
     if key.ndim == 1:
         return table.take(key, axis=-1)
-    if len(table) == 1:
+    if len(table) == 1 or _shared_rows(table):
         return table[0][key]
     return table.ravel()[key + np.arange(0, table.size, table.shape[1])[:, None]]
 
@@ -273,10 +280,15 @@ class SupportState:
         self.amps = _walsh_transform(block, m, tuple(range(m))).reshape(shape)
         return self
 
-    def permute(self, gate: "PermutationGate") -> "SupportState":
+    def permute(self, gate: Union["PermutationGate", "XorRun", "FlipLayer"]) -> "SupportState":
         fields, flip = gate.xor_plan(self.q)
-        pat = _gather(self.index, fields)
-        self.index ^= flip[pat] if flip.ndim == 1 else _lookup(flip, pat)
+        index = self.index
+        pat = _gather(index[:1] if _shared_rows(index) else index, fields)
+        flips = flip[pat] if flip.ndim == 1 else _lookup(flip, pat)
+        if index.flags.writeable:
+            index ^= flips
+        else:  # the rows of a start state: the result is new rows
+            self.index = index ^ flips
         return self
 
     def rotate(self, gate: "RotationGate") -> "SupportState":
@@ -319,14 +331,31 @@ def _merge_coinciding(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, 
 State = Union[StateVector, SupportState]
 
 
-def init_zero(q: int, support: bool = False, batch: Optional[int] = None) -> State:
+def _views_of(row: np.ndarray, batch: int) -> np.ndarray:
+    """``batch`` read-only rows, each a view of the one row of ``row`` (shape (1, entries))."""
+    rows = np.ndarray((batch, row.shape[-1]), row.dtype, np.ascontiguousarray(row), strides=(0, row.itemsize))
+    rows.flags.writeable = False
+    return rows
+
+
+def init_zero(q: int, support: bool = False, batch: Optional[int] = None, start: Optional[State] = None) -> State:
     """All-zeros computational basis state |0...0>, dense or as a support state.
 
-    With ``batch`` the state has that many rows, each |0...0>.
+    With ``batch`` the state has that many rows, each |0...0>.  With ``start``
+    as well, a one-row state of the same width and form, each row is that
+    row instead: read-only views of it, which the first kernel to change
+    them replaces with rows of their own.  So a prefix of gates shared by
+    every row runs once, and a gather from it fills the whole batch.
     """
     top = MAX_SUPPORT_QUBITS if support else MAX_QUBITS
     if not 1 <= q <= top:
         raise ValueError(f"qubit count must be in [1, {top}], got {q}")
+    if start is not None:
+        if batch is None or start.q != q or isinstance(start, SupportState) != support or start.amps.shape[:-1] != (1,):
+            raise ValueError("a start state is one row of a batch of the same width and form")
+        if support:
+            return SupportState(q, _views_of(start.index, batch), _views_of(start.amps, batch))
+        return StateVector(q, _views_of(start.amps, batch))
     lead = () if batch is None else (batch,)
     if support:
         return SupportState(q, np.zeros(lead + (1,), dtype=np.int64), np.ones(lead + (1,)))
@@ -426,13 +455,20 @@ def apply_pauli_z(state: State, qubit: int) -> State:
     """Phase flip of the |1> component of one qubit."""
     _check_wires(state.q, (qubit,))
     if isinstance(state, SupportState):
-        state.amps[(state.index >> (state.q - 1 - qubit)) & 1 == 1] *= -1.0
+        state.amps = np.where((state.index >> (state.q - 1 - qubit)) & 1 == 1, -state.amps, state.amps)
         return state
     post = 1 << (state.q - qubit - 1)
     amps = state.amps.reshape(-1, 2, post)  # a copy when the amplitudes are not C-ordered
+    if not amps.flags.writeable:  # the rows of a start state
+        amps = amps.copy()
     amps[:, 1, :] *= -1.0
     state.amps = amps.reshape(state.amps.shape)
     return state
+
+
+def _flipped_indices(q: int, control_qubits: tuple[int, ...], flip: np.ndarray) -> np.ndarray:
+    """Every basis index XORed with ``flip`` at its control pattern; one row per table of a batch."""
+    return _indices(q) ^ _lookup(flip, _patterns(q, control_qubits))
 
 
 @dataclass(eq=False)
@@ -482,8 +518,7 @@ class PermutationGate:
         # Spread the small value table once, then gather per index.  XOR by a
         # control-selected constant is an involution, so the gather source
         # equals the scatter destination.
-        flip_table = _spread(self.value_table, q, self.result_qubits)
-        src = _indices(q) ^ flip_table[..., _patterns(q, self.control_qubits)]
+        src = _flipped_indices(q, self.control_qubits, _spread(self.value_table, q, self.result_qubits))
         if q <= _DEST_CACHE_MAX_Q:
             self._cache[q] = src
         return src
@@ -510,10 +545,11 @@ def xor_permutation_gate(
     return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table, name=name)
 
 
-def apply_permutation(state: State, gate: Union[PermutationGate, "XorRun"]) -> State:
+def apply_permutation(state: State, gate: Union[PermutationGate, "XorRun", "FlipLayer"]) -> State:
     """Rearrange amplitudes by the gate's bijection on the target bit pattern.
 
-    A dense state takes a ``PermutationGate``; a support state either form.
+    A dense state takes a ``PermutationGate`` or a ``FlipLayer``; a support
+    state any of the three.
     """
     if isinstance(state, SupportState):
         return state.permute(gate)  # its plan checks the wires once per register size
@@ -576,6 +612,35 @@ def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, Xo
             runs.append([gate])
             wires = set(gate.targets)
     return [run[0] if len(run) == 1 else XorRun(tuple(run)) for run in runs]
+
+
+@dataclass(eq=False)
+class FlipLayer:
+    """An XOR layer given by its flip table: each basis index is XORed with ``flip`` at its control pattern.
+
+    The flip table is a ``PermutationGate`` value table already spread onto
+    the result wires' index bits, one table per row in a batch.  A layer
+    that differs in every batch (an oracle round) is built this way, with its
+    wires checked once by ``flip_layer``, instead of as a gate whose values
+    are validated and spread again.
+    """
+
+    control_qubits: tuple[int, ...]
+    targets: tuple[int, ...]
+    flip: np.ndarray
+
+    def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+        return _fields(q, self.control_qubits), self.flip
+
+    def _source_indices(self, q: int) -> np.ndarray:
+        return _flipped_indices(q, self.control_qubits, self.flip)
+
+
+def flip_layer(q: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...], flip: np.ndarray) -> FlipLayer:
+    """The layer index ^= flip[control pattern] on q qubits; ``flip`` may set only the result wires' bits."""
+    targets = control_qubits + result_qubits
+    _check_wires(q, targets)
+    return FlipLayer(control_qubits, targets, flip)
 
 
 @dataclass(eq=False)
@@ -661,19 +726,52 @@ def outcome_distribution(probs: np.ndarray) -> dict[str, float]:
     return {keys[o]: values[o] for o in hits.tolist()}
 
 
+@lru_cache(maxsize=1024)
+def _complement(q: int, wires: tuple[int, ...]) -> tuple[int, ...]:
+    """The wires of a q-qubit register not listed, ascending."""
+    return tuple(w for w in range(q) if w not in wires)
+
+
 class MeasurementRecord:
     """Exact outcome distribution of a partial measurement, with branch access.
 
     ``probs`` holds the outcome probabilities, shape (2^k,) or, for a batch,
-    (rows, 2^k); ``probability`` returns a float or one value per row.
+    (rows, 2^k), built on first use; ``probability`` returns a float or one
+    value per row.  On a dense state outcome 0 is read without ``probs``:
+    per row, the squares at the columns whose measured bits are 0, summed in
+    column order, which is bit-identical to ``probs``' bin 0.
     """
 
     def __init__(self, state: State, qubits: Sequence[int]):
         _check_wires(state.q, qubits)
         self.measured_qubits = tuple(qubits)
         self._state = state
-        pat = state.patterns(self.measured_qubits)
-        self.probs = _outcome_totals(pat, state.probabilities(), len(self.measured_qubits))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        state = self._state
+        return _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
+
+    @cached_property
+    def _zero(self) -> np.ndarray:
+        state = self._state
+        if isinstance(state, SupportState):
+            return self.probs[..., 0]
+        a = state.amps[..., _columns(state.q, _complement(state.q, self.measured_qubits))]
+        return np.add.accumulate(a * a, axis=-1)[..., -1]
+
+    def _outcome(self, outcome: Union[int, str]) -> np.ndarray:
+        if isinstance(outcome, str):
+            outcome = int(outcome, 2)
+        return self._zero if outcome == 0 else self.probs[..., outcome]
+
+    def row_probs(self, row: int) -> np.ndarray:
+        """One row's outcome probabilities, bit-identical to ``probs[row]``, without the other rows' when not built."""
+        if "probs" in self.__dict__:
+            return self.probs[row]
+        pat = self._state.patterns(self.measured_qubits)
+        amps = self._state.amps[row]
+        return _outcome_totals(pat[row] if pat.ndim > 1 else pat, amps * amps, len(self.measured_qubits))
 
     @property
     def distribution(self) -> dict[str, float]:
@@ -681,9 +779,7 @@ class MeasurementRecord:
         return outcome_distribution(self.probs)
 
     def probability(self, outcome: Union[int, str]) -> Union[float, np.ndarray]:
-        if isinstance(outcome, str):
-            outcome = int(outcome, 2)
-        p = self.probs[..., outcome]
+        p = self._outcome(outcome)
         return float(p) if p.ndim == 0 else p
 
     def collapse(self, outcome: Union[int, str]) -> State:
@@ -694,7 +790,7 @@ class MeasurementRecord:
         """
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
-        p = self.probs[..., outcome]
+        p = self._outcome(outcome)
         live = p > _PROB_FLOOR
         if not live.any():
             raise ValueError(f"cannot collapse onto outcome {outcome}: probability {p} is negligible")

@@ -169,7 +169,7 @@ class TestVerifySweep:
         # the same failures in the same order.
         from djsim import analysis
 
-        monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 8)
+        monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 8)
         serial = verify_sweep(3, 1, "err-multi", jobs=1)
         parallel = verify_sweep(3, 1, "err-multi", jobs=2)
         assert serial.functions_checked == parallel.functions_checked == 72

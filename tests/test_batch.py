@@ -13,11 +13,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from djsim import analysis, cli, count_promise_functions, enumerate_promise_functions, make_function
-from djsim.algorithms import _execute, _run, circuit, run_named
+from djsim import algorithms, analysis, cli, count_promise_functions, enumerate_promise_functions, make_function
+from djsim.algorithms import _apply, _execute, _run, _start, circuit, run_named
 from djsim.analysis import verify_sweep
 from djsim.boolfn import packed_promise_tables, unpack_tables
-from djsim.sim import SupportState, apply_block_rotation, block_rotation_gate
+from djsim.sim import MeasurementRecord, StateVector, SupportState, apply_block_rotation, block_rotation_gate, init_zero
 from tests import dense_reference
 
 TOL = 1e-12
@@ -84,12 +84,82 @@ def test_batched_alg3_t2_sweep_matches_the_fixture_reports(alg3_t2_sweep):
     assert anc.tolist() == [a.ancilla_zero_prob for _, a, _ in alg3_t2_sweep]
 
 
+@pytest.mark.parametrize("alg,t,rows", [("dj", None, 512), ("alg1", None, 1024), ("alg2", 2, 2048), ("alg3", 2, 2048)])
+def test_chunks_hold_about_the_same_number_of_state_entries(alg, t, rows):
+    # dj's dense rows hold 2^5 entries, alg1's 2^4; the support rows of alg2
+    # and alg3 at most 2^(n-t+1) = 8.
+    assert analysis._chunk_rows(circuit(alg, 4, t)) == rows
+
+
 def test_chunk_boundaries_do_not_change_the_failures(monkeypatch):
     whole = verify_sweep(4, 2, "err-multi", jobs=1)
-    monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 37)
+    monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 37)
     cut = verify_sweep(4, 2, "err-multi", jobs=1)
     assert cut.functions_checked == whole.functions_checked
     assert cut.failures == whole.failures
+
+
+@pytest.mark.parametrize("support", [False, True], ids=["dense", "support"])
+@pytest.mark.parametrize("alg,t", [("dj", None), ("alg1", None), ("err-4node", None), ("alg2", 2), ("alg3", 2), ("err-multi", 2)])
+def test_start_row_is_the_prefix_run_on_the_batch(alg, t, support):
+    c = circuit(alg, 4, t)
+    _execute(c, np.zeros((1, 1 << (4 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64))
+    skip, start = _start(c, support)
+    assert skip > 0 and c.steps[skip][0] == "oracle"
+    assert all(step[0] != "oracle" for step in c.steps[:skip])
+    batch = init_zero(c.q, support, batch=5)
+    for step in c.steps[:skip]:
+        _apply(batch, step, None, {})
+    rows = init_zero(c.q, support, batch=5, start=start)
+    names = ("index", "amps") if support else ("amps",)
+    for name in names:
+        assert np.array_equal(getattr(rows, name), getattr(batch, name))
+    if support == c.support:  # the row the circuit keeps is this one
+        kept_skip, kept = c.start
+        assert kept_skip == skip
+        assert all(np.array_equal(getattr(kept, name), getattr(start, name)) for name in names)
+
+
+@pytest.mark.parametrize("alg,t", [("dj", None), ("alg1", None), ("err-multi", 2), ("err-4node", None)])
+def test_dense_readout_of_outcome_zero_is_bin_zero_of_the_distribution(alg, t, monkeypatch):
+    # Every dense measurement of a run over the n=4 family, and over tables
+    # off the promise at n=4 and 7 (up to 64 columns a sum), in a batch and
+    # alone, reads outcome 0 from the columns whose measured bits are 0; it
+    # must equal the bincount distribution's outcome 0 bit for bit, and row
+    # 0's distribution its row 0.
+    real, rows_checked = algorithms.measure, []
+
+    def measure(s, qubits):
+        rec = real(s, qubits)
+        assert isinstance(s, StateVector)
+        full = MeasurementRecord(s, qubits).probs
+        assert np.array_equal(rec.probability(0), full[:, 0])
+        assert np.array_equal(rec.row_probs(0), full[0])
+        rows_checked.append(len(full))
+        return rec
+
+    monkeypatch.setattr(algorithms, "measure", measure)
+    family = np.stack([np.frombuffer(f.table, dtype=np.uint8) for f in enumerate_promise_functions(4)])
+    off = {n: mixed_tables(n, 100, seed=3) for n in (4, 7)}
+    runs = [(4, family)] + [(n, tables) for n in off for tables in (off[n], *off[n][:, None])]
+    for n, tables in runs:
+        c = circuit(alg, n, t)
+        rows_checked.clear()
+        p, _, _ = _run(c, batch_rows(c, tables))
+        assert len(p) == len(tables)
+        assert sum(rows_checked) >= len(tables) * c.runs
+
+
+def test_oracle_tables_must_hold_bits():
+    for alg, t in (("dj", None), ("alg2", 2)):
+        c = circuit(alg, 3, t)
+        rows = np.zeros((2, 1 << (3 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64)
+        rows[1, 1, 0] = 2
+        with pytest.raises(ValueError, match="0/1"):
+            _execute(c, rows)
+        rows[1, 1, 0] = -1
+        with pytest.raises(ValueError, match="0/1"):
+            _execute(c, rows)
 
 
 def mixed_tables(n, count, seed):
@@ -214,9 +284,8 @@ def test_packed_tables_at_n5_without_materialising_the_family():
     assert walk[-1] == ((1 << 16) - 1) << 16
 
 
-def test_sweep_chunks_cut_the_stream_evenly(monkeypatch):
-    monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 1000)
-    chunks = list(analysis._sweep_chunks(4))
+def test_sweep_chunks_cut_the_stream_evenly():
+    chunks = list(analysis._sweep_chunks(4, 1000))
     assert [len(c) for c in chunks] == [1000] * 12 + [872]
     assert np.array_equal(np.concatenate(chunks), np.concatenate(list(packed_promise_tables(4))))
 

@@ -37,6 +37,17 @@ class TestMakeFunction:
     def test_non_bit_entries_rejected(self):
         with pytest.raises(ValueError):
             make_function(1, [0, 2])
+        for table in (bytes([0, 1, 1, 255]), bytes([2, 1, 0, 0]), bytes([1, 1, 1, 3])):
+            with pytest.raises(ValueError, match="0 or 1"):
+                make_function(2, table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12])
+    def test_digest_and_popcount_read_the_table(self, n):
+        rng = np.random.default_rng(n)
+        for table in (bytes(1 << n), bytes([1]) * (1 << n), (rng.random(1 << n) < 0.4).astype(np.uint8).tobytes()):
+            f = make_function(n, table)
+            assert f.digest() == f"{n}:{int(''.join(map(str, table)), 2):0{((1 << n) + 3) // 4}x}"
+            assert f.popcount == sum(table)
 
     def test_string_table_accepted(self):
         f = make_function(2, "0110")
@@ -235,6 +246,18 @@ def test_random_balanced_table_is_balanced():
     for _ in range(20):
         f = random_balanced_table(4, rng)
         assert f.promise is Promise.BALANCED
+
+
+def test_random_balanced_table_sets_the_drawn_positions():
+    # The same draws give the same table: the positions of one choice()
+    # without replacement, pinned at n=6 by the function id.
+    for n, seed in ((6, 7), (10, 7), (13, 2)):
+        ones = np.random.default_rng(seed).choice(1 << n, size=1 << (n - 1), replace=False)
+        want = bytearray(1 << n)
+        for i in ones:
+            want[i] = 1
+        assert random_balanced_table(n, np.random.default_rng(seed)).table == bytes(want)
+    assert random_balanced_table(6, np.random.default_rng(7)).digest() == "6:a24ba5a59b7268ae"
 
 
 def test_enumeration_matches_binomial_for_n1():

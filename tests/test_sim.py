@@ -21,6 +21,7 @@ from djsim.sim import (
     StateVector,
     SupportState,
     XorRun,
+    flip_layer,
     xor_permutation_gate,
 )
 
@@ -264,6 +265,82 @@ class TestPermutation:
         assert s.amps[0b111] == 1.0
 
 
+class TestFlipLayer:
+    """A layer given by its per-row flip table, and rows that start as views of one start row."""
+
+    @staticmethod
+    def forms(rows):
+        """The rows as a dense batch and as a support batch holding every entry."""
+        q = rows.shape[1].bit_length() - 1
+        index = np.broadcast_to(np.arange(1 << q), rows.shape).copy()
+        return StateVector(q, rows.copy()), SupportState(q, index, rows.copy())
+
+    @staticmethod
+    def dense(s):
+        if isinstance(s, StateVector):
+            return s.amps
+        out = np.zeros((len(s.amps), 1 << s.q))
+        np.put_along_axis(out, s.index, s.amps, axis=1)
+        return out
+
+    def test_layer_matches_the_gate_with_the_same_values(self):
+        rng = np.random.default_rng(21)
+        q, controls, results = 6, (4, 0), (5, 2, 1)
+        values = rng.integers(0, 8, size=(7, 4))
+        gate = xor_permutation_gate(controls, results, values)
+        layer = flip_layer(q, controls, results, sim._spread(values, q, results))
+        rows = rng.normal(size=(7, 1 << q))
+        for by_gate, by_layer in zip(self.forms(rows), self.forms(rows)):
+            assert np.array_equal(self.dense(apply_permutation(by_gate, gate)), self.dense(apply_permutation(by_layer, layer)))
+
+    def test_layer_wires_are_checked(self):
+        with pytest.raises(ValueError, match="distinct"):
+            flip_layer(3, (0, 1), (1,), np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            flip_layer(3, (0,), (3,), np.zeros(2, dtype=np.int64))
+
+    @staticmethod
+    def own_rows(start, batch):
+        """The start row repeated, each row an array of its own."""
+        if isinstance(start, SupportState):
+            return SupportState(start.q, np.repeat(start.index, batch, axis=0), np.repeat(start.amps, batch, axis=0))
+        return StateVector(start.q, np.repeat(start.amps, batch, axis=0))
+
+    @pytest.mark.parametrize("support", [False, True], ids=["dense", "support"])
+    def test_rows_of_a_start_state_are_views_that_kernels_replace(self, support):
+        rng = np.random.default_rng(22)
+        start = apply_hadamard(init_zero(4, support, batch=1), (0, 1, 2))
+        arrays = (start.amps, start.index) if support else (start.amps,)
+        for array in arrays:
+            array.flags.writeable = False
+        kept = [array.copy() for array in arrays]
+        s = init_zero(4, support, batch=5, start=start)
+        assert not s.amps.flags.writeable and s.amps.shape[0] == 5
+        own = self.own_rows(start, 5)
+        gate = xor_permutation_gate((0, 1, 2), (3,), rng.integers(0, 2, size=(5, 8)))
+        for state in (s, own):
+            apply_permutation(state, gate)
+            apply_pauli_z(state, 3)
+        assert np.array_equal(self.dense(s), self.dense(own))
+        # Pauli-Z straight on the views: on the top wire a reshape of them stays a view.
+        for batch in (1, 5):
+            for wire in (0, 3):
+                views = apply_pauli_z(init_zero(4, support, batch=batch, start=start), wire)
+                assert np.array_equal(self.dense(views), self.dense(apply_pauli_z(self.own_rows(start, batch), wire)))
+        assert all(np.array_equal(array, copy) for array, copy in zip(arrays, kept))
+
+    def test_start_must_be_one_row_of_the_same_form_and_width(self):
+        start = init_zero(3, batch=1)
+        with pytest.raises(ValueError, match="start"):
+            init_zero(4, batch=2, start=start)
+        with pytest.raises(ValueError, match="start"):
+            init_zero(3, support=True, batch=2, start=start)
+        with pytest.raises(ValueError, match="start"):
+            init_zero(3, batch=2, start=init_zero(3, batch=2))
+        with pytest.raises(ValueError, match="start"):
+            init_zero(3, start=start)
+
+
 class TestBlockRotation:
     def test_cos_one_leaves_target(self):
         # width-3 control register, scale 2^1: pattern 010 decodes to +2
@@ -330,6 +407,21 @@ class TestMeasurement:
         rec = measure(init_zero(2), (0,))
         with pytest.raises(ValueError):
             rec.collapse(1)
+
+    def test_dense_outcome_zero_is_bin_zero_of_the_distribution(self):
+        # Outcome 0 is read from the columns whose measured bits are 0, summed
+        # in order; it must equal the bincount's bin 0 bit for bit, on any
+        # amplitudes and any wire set, with or without a batch axis.
+        rng = np.random.default_rng(23)
+        rows = rng.normal(size=(9, 1 << 7))
+        for wires in [(0,), (6,), (1, 4), (0, 2, 3, 5), tuple(range(7)), (3, 0, 6)]:
+            for s in (StateVector(7, rows), StateVector(7, rows[4])):
+                rec = measure(s, wires)
+                zero = rec.probability(0)
+                assert "probs" not in vars(rec)
+                assert np.array_equal(zero, measure(s, wires).probs[..., 0])
+                if s.amps.ndim > 1:
+                    assert np.array_equal(rec.row_probs(4), measure(s, wires).probs[4])
 
     def test_probability_all_zero_matches_measure(self):
         rng = np.random.default_rng(9)
