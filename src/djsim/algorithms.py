@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# compute_stats, build_oracle, xor_permutation_gate and apply_composed are
-# unused here; they stay importable from this module because
-# perfbench/tracer.py wraps them on this module by name.
+# compute_stats, make_function, build_oracle, xor_permutation_gate and
+# apply_composed are unused here; they stay importable from this module
+# because perfbench/tracer.py wraps them on this module by name.
 from .boolfn import BooleanFunction, compute_stats, make_function  # noqa: F401
 from .gates import (  # noqa: F401
     build_A,
@@ -129,9 +129,9 @@ class Circuit:
         other circuits (dj, alg1, err-multi, err-4node) fill their register:
         their dense state is at most twice their support, and on it their
         batched sweeps run faster.  Run on support states, the n=4 verify
-        sweeps of dj and alg1 cost 0.70-0.74 and 0.98-1.04 us a function
-        instead of 0.42-0.54 and 0.45-0.73 (2-vCPU host, three alternating
-        processes).
+        sweeps of dj and alg1 took 32.1-32.8 and 23.0-23.8 ms instead of
+        9.4-10.4 and 15.5-15.8 ms (medians of 15 sweeps, three alternating
+        rounds in one process, 2-vCPU shared host).
         """
         return bool(self.work)
 
@@ -592,16 +592,6 @@ def run_algorithm2(f: BooleanFunction, t: int) -> RunReport:
 def run_algorithm3(f: BooleanFunction, t: int, adder_layout: str = "interleaved") -> RunReport:
     """Multi-node algorithm pairing subfunctions; ``adder_layout`` "compact" renames the adder A to A'."""
     return run_named("alg3", f, t, adder_layout)
-
-
-@lru_cache(maxsize=65536)
-def dj_zero_probability(n_sub: int, table: bytes) -> float:
-    """Simulated probability that the single-node run measures all zeros.
-
-    Cached by truth table so ensemble sweeps simulate each distinct
-    subfunction once.
-    """
-    return run_dj(make_function(n_sub, table)).p_constant
 
 
 def run_erroneous_multinode(f: BooleanFunction, t: int) -> RunReport:

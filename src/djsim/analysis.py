@@ -10,10 +10,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algorithms import EXACTNESS_TOL, Circuit, _run, circuit, dj_zero_probability, run_named, validate_run_config
-from .boolfn import (
+from .algorithms import EXACTNESS_TOL, Circuit, _run, circuit, run_named, validate_run_config
+# enumerate_promise_functions is unused here; it stays importable from this
+# module because perfbench/tracer.py wraps it on this module by name.
+from .boolfn import (  # noqa: F401
     BooleanFunction,
-    Decomposition,
+    count_promise_functions,
     enumerate_promise_functions,
     make_function,
     packed_promise_tables,
@@ -25,9 +27,9 @@ from .boolfn import (
 # functions for dj (2^5 entries a row), 1,024 for alg1 and 2,048 for alg2
 # and alg3 (support rows of 2^(n-t+1) entries).
 _SWEEP_ENTRIES = 1 << 14
-# Chunks per message to a sweep worker.  A message costs about 1.5 ms on a
-# 2-vCPU host, about as much as one chunk's run, so one chunk per message
-# leaves the workers waiting on the parent process.
+# Most chunks per message to a sweep worker.  A message costs about 1.5 ms
+# on a 2-vCPU host, about as much as one chunk's run, so one chunk per
+# message leaves the workers waiting on the parent process.
 _CHUNKS_PER_TASK = 16
 
 
@@ -128,21 +130,18 @@ def two_node_misid_probability(n: int) -> float:
 def mean_simulated_misid(n: int, t: int) -> float:
     """Mean simulated constant-label probability of the independent-nodes baseline over all balanced functions.
 
-    Each distinct subfunction is simulated once (cached single-node runs) and
-    the exact per-function product is averaged over the whole ensemble.
+    The err-multi circuit runs once per sweep chunk of the promise family,
+    the constants dropped; the per-function products are summed one by one
+    in enumeration order.
     """
+    c = circuit("err-multi", n, t)
     total = 0.0
-    count = 0
-    for f in enumerate_promise_functions(n):
-        if f.promise.value != "balanced":
-            continue
-        d = Decomposition(f, t)
-        product = 1.0
-        for w in range(1 << t):
-            product *= dj_zero_probability(d.u_bits, d.sub_table(w))
-        total += product
-        count += 1
-    return total / count
+    for packed in _sweep_chunks(n, _chunk_rows(c)):
+        bits = unpack_tables(packed[~_is_constant(packed, n)], n)
+        p_constant, _, _ = _run(c, bits.reshape(len(bits), -1, 1 << t))
+        for p in p_constant.tolist():
+            total += p
+    return total / (count_promise_functions(n) - 2)
 
 
 @dataclass(frozen=True)
@@ -248,6 +247,11 @@ def _sweep_chunks(n: int, size: int) -> Iterator[np.ndarray]:
         yield np.concatenate(held)
 
 
+def _is_constant(packed: np.ndarray, n: int) -> np.ndarray:
+    """Which packed tables of arity n are the constants."""
+    return (packed == 0) | (packed == (1 << (1 << n)) - 1)
+
+
 def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray) -> list[dict]:
     """The failure records of one chunk, from one batched run of the circuit over all its tables.
 
@@ -259,7 +263,7 @@ def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray
     p_balanced = 1.0 - p_constant
     says_constant = p_constant >= p_balanced
     exact = np.maximum(p_constant, p_balanced) >= 1.0 - EXACTNESS_TOL
-    is_constant = (packed == 0) | (packed == (1 << (1 << n)) - 1)
+    is_constant = _is_constant(packed, n)
     failures = []
     for r in np.flatnonzero((says_constant != is_constant) | ~exact):
         f = make_function(n, bits[r].astype(np.uint8).tobytes())
@@ -286,8 +290,13 @@ def _sweep_chunk(args: tuple[str, int, Optional[int], np.ndarray]) -> tuple[int,
         return len(packed), [failure for f in functions if (failure := _check_one(algorithm, f, t)) is not None]
 
 
-def _sweep_results(chunks: Iterator[tuple], jobs: int) -> Iterator[tuple[int, list[dict]]]:
-    """Check the chunks in this process, or across ``jobs`` worker processes.
+def _chunks_per_message(chunks: int, jobs: int) -> int:
+    """Chunks per message to a worker: at most _CHUNKS_PER_TASK, and few enough that each of ``jobs`` workers gets one."""
+    return max(1, min(_CHUNKS_PER_TASK, chunks // jobs))
+
+
+def _sweep_results(chunks: Iterator[tuple], jobs: int, count: int) -> Iterator[tuple[int, list[dict]]]:
+    """Check the ``count`` chunks in this process, or across ``jobs`` worker processes.
 
     Results come back in chunk order either way, so the failure list, and
     with it ``--deterministic`` output, does not depend on ``jobs``.
@@ -298,7 +307,7 @@ def _sweep_results(chunks: Iterator[tuple], jobs: int) -> Iterator[tuple[int, li
     import multiprocessing  # deferred: serial sweeps never pay for the import
 
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_sweep_chunk, chunks, chunksize=_CHUNKS_PER_TASK)
+        yield from pool.imap(_sweep_chunk, chunks, chunksize=_chunks_per_message(count, jobs))
 
 
 def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> VerificationSummary:
@@ -312,8 +321,9 @@ def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> Ver
     c = validate_run_config(algorithm, n, t)
     start = time.perf_counter()
     summary = VerificationSummary(n=n, t=t, algorithm=algorithm, functions_checked=0)
-    chunks = ((algorithm, n, t, packed) for packed in _sweep_chunks(n, _chunk_rows(c)))
-    for count, failures in _sweep_results(chunks, jobs):
+    rows = _chunk_rows(c)
+    chunks = ((algorithm, n, t, packed) for packed in _sweep_chunks(n, rows))
+    for count, failures in _sweep_results(chunks, jobs, -(-count_promise_functions(n) // rows)):
         summary.functions_checked += count
         summary.failures.extend(failures)
     summary.wall_time = time.perf_counter() - start

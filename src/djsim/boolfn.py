@@ -33,6 +33,8 @@ MAX_ARITY = 24
 
 # Table byte -> ASCII digit of the packed table: "0" for 0, "1" for anything else.
 _BIT_CHARS = b"0" + b"1" * 255
+# ASCII digit -> table byte: "0" to 0, "1" to 1, any other byte to 2, which the 0/1 check rejects.
+_DIGIT_BITS = bytes({ord("0"): 0, ord("1"): 1}.get(c, 2) for c in range(256))
 
 
 class Promise(enum.Enum):
@@ -96,7 +98,7 @@ def make_function(n: int, table: Union[Sequence[int], str, bytes]) -> BooleanFun
     if not 1 <= n <= MAX_ARITY:
         raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {n}")
     if isinstance(table, str):
-        bits = bytes(int(c) for c in table)
+        bits = table.encode("ascii", "replace").translate(_DIGIT_BITS)
     else:
         bits = bytes(table)
     if len(bits) != 1 << n:
@@ -287,42 +289,28 @@ def corollary_witness(d: Decomposition) -> Optional[int]:
     return None
 
 
-def _bits_from_int(value: int, length: int) -> bytes:
-    return bytes((value >> (length - 1 - i)) & 1 for i in range(length))
-
-
-def _check_enumerable(n: int) -> None:
-    if n > MAX_ENUMERATION_ARITY:
-        raise ValueError(
-            f"full enumeration is limited to n <= {MAX_ENUMERATION_ARITY} "
-            f"(C(2^{n}, 2^{n - 1}) balanced functions); sample with random_balanced_table instead"
-        )
+def _popcounts(values: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(values)
+    v = values.copy()
+    while v.any():
+        out += v & 1
+        v >>= 1
+    return out
 
 
 def enumerate_promise_functions(n: int) -> Iterator[BooleanFunction]:
-    """Yield every promise function of arity n exactly once.
+    """Yield every promise function of arity n exactly once: the tables of ``packed_promise_tables``, unpacked.
 
     Order: the two constants (all-zero then all-one), then balanced tables in
     ascending order of the table read as a big-endian integer.
     """
-    _check_enumerable(n)
-    size = 1 << n
-    yield make_function(n, bytes(size))
-    yield make_function(n, bytes([1]) * size)
-
-    # Same-popcount successor (bit-twiddling): walks the balanced tables in
-    # ascending integer order without materializing the family.
-    v = (1 << (size // 2)) - 1
-    limit = 1 << size
-    while v < limit:
-        yield make_function(n, _bits_from_int(v, size))
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
+    for block in packed_promise_tables(n):
+        for row in unpack_tables(block, n).astype(np.uint8):
+            yield make_function(n, row.tobytes())
 
 
 def packed_promise_tables(n: int) -> Iterator[np.ndarray]:
-    """The promise family of arity n as packed int64 tables, in ``enumerate_promise_functions`` order.
+    """The promise family of arity n as packed int64 tables, in blocks.
 
     A packed table is the truth table read as a big-endian integer (bit
     2^n - 1 - x is f(x)).  Blocks come out in ascending order: the two
@@ -331,14 +319,16 @@ def packed_promise_tables(n: int) -> Iterator[np.ndarray]:
     sorted once per popcount, so neither the family nor the range 2^(2^n) is
     ever held in memory.
     """
-    _check_enumerable(n)
+    if n > MAX_ENUMERATION_ARITY:
+        raise ValueError(
+            f"full enumeration is limited to n <= {MAX_ENUMERATION_ARITY} "
+            f"(C(2^{n}, 2^{n - 1}) balanced functions); sample with random_balanced_table instead"
+        )
     size = 1 << n
     low_bits = size // 2
     yield np.array([0, (1 << size) - 1], dtype=np.int64)
     lows = np.arange(1 << low_bits, dtype=np.int64)
-    weights = np.zeros_like(lows)
-    for bit in range(low_bits):
-        weights += (lows >> bit) & 1
+    weights = _popcounts(lows)
     by_weight = [lows[weights == k] for k in range(low_bits + 1)]
     for high in range(1 << (size - low_bits)):
         need = size // 2 - high.bit_count()

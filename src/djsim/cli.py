@@ -26,6 +26,8 @@ from .boolfn import BooleanFunction, Decomposition, Verdict, compute_stats, coro
 
 EXACT_ALGORITHMS = ("dj", "alg1", "alg2", "alg3")
 PROB_TOL = 1e-12
+# Deletes the characters 0 and 1: what is left of a 'bits' string is not a bit.
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 class UsageError(Exception):
@@ -83,7 +85,7 @@ def load_truth_table(path: str) -> BooleanFunction:
     size = 1 << n
     if has_bits:
         bits = data["bits"]
-        if not isinstance(bits, str) or any(c not in "01" for c in bits):
+        if not isinstance(bits, str) or bits.translate(_DROP_BITS):
             raise UsageError("'bits' must be a string of 0/1 characters")
         if len(bits) != size:
             raise UsageError(f"'bits' must have length 2^{n} = {size}, got {len(bits)}")

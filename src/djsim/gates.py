@@ -20,14 +20,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Decomposition
+from .boolfn import BooleanFunction, Decomposition, _popcounts
 from .sim import PermutationGate, RotationGate, block_rotation_gate, encode_signed, xor_permutation_gate
-
-
-def _check_disjoint(*registers: Sequence[int]) -> None:
-    flat = [w for reg in registers for w in reg]
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"gate registers overlap: {tuple(tuple(r) for r in registers)}")
 
 
 def build_oracle(
@@ -55,7 +49,6 @@ def build_oracle(
         name = f"O_f{w:0{src.t}b}"
     if len(controls) != arity:
         raise ValueError(f"oracle expects {arity} control wires, got {len(controls)}")
-    _check_disjoint(controls, (target,))
     return xor_permutation_gate(controls, (target,), np.frombuffer(table, dtype=np.uint8), name=name)
 
 
@@ -66,7 +59,6 @@ def build_U(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, .
         raise ValueError(f"U expects 2^{t} = {1 << t} control wires, got {len(control_qubits)}")
     if len(result_qubits) != t + 2:
         raise ValueError(f"U expects a {t + 2}-wire result register, got {len(result_qubits)}")
-    _check_disjoint(control_qubits, result_qubits)
     width = t + 2
     pats = np.arange(1 << len(control_qubits))
     sums = _popcounts(pats)
@@ -100,7 +92,6 @@ def _build_adder(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[i
         raise ValueError(f"{name} expects 2^{t - 1} = {1 << (t - 1)} control wires, got {len(control_qubits)}")
     if len(result_qubits) != t:
         raise ValueError(f"{name} expects a {t}-wire result register, got {len(result_qubits)}")
-    _check_disjoint(control_qubits, result_qubits)
     values = _popcounts(np.arange(1 << len(control_qubits)))
     return xor_permutation_gate(control_qubits, result_qubits, values, name=name)
 
@@ -121,7 +112,6 @@ def build_V(
         raise ValueError(f"V expects two {t}-wire operand registers, got {len(a_qubits)} and {len(b_qubits)}")
     if len(result_qubits) != t + 1:
         raise ValueError(f"V expects a {t + 1}-wire result register, got {len(result_qubits)}")
-    _check_disjoint(a_qubits, b_qubits, result_qubits)
     width = t + 1
     mask = (1 << t) - 1
     pats = np.arange(1 << (2 * t))
@@ -161,12 +151,3 @@ def build_cnot(control: int, target: int) -> PermutationGate:
 @lru_cache(maxsize=256)
 def build_ccnot(control_a: int, control_b: int, target: int) -> PermutationGate:
     return xor_permutation_gate((control_a, control_b), (target,), [0, 0, 0, 1], name="CCNOT")
-
-
-def _popcounts(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out

@@ -19,10 +19,10 @@ Conventions:
 * A state is dense (``StateVector``: all 2^q amplitudes) or a support state
   (``SupportState``: the basis indices and amplitudes of its nonzero
   entries).  The dense form serves the circuits without work registers:
-  Hadamard layers, XOR gates one at a time, Pauli-Z and measurement.  The
-  rotation, ``probability_all_zero`` and ``XorRun`` (consecutive fixed XOR
-  gates as one table over the union of their wires) take support states
-  only.
+  Hadamard layers, XOR gates, Pauli-Z and measurement.  The rotation and
+  ``probability_all_zero`` take support states only.  Every XOR layer, on
+  either form, is applied through its ``xor_plan``: the bit fields of its
+  controls and a flip table of index bits.
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
   every row; an XOR gate may carry one value table per row.  The rows may
@@ -46,14 +46,13 @@ import numpy as np
 MAX_QUBITS = 26
 # A support state's basis indices are int64.
 MAX_SUPPORT_QUBITS = 62
-# Full-index tables (the basis indices, bit patterns and per-gate source
-# indices of the dense form) are cached up to this register size; beyond it
-# they are rebuilt per use to bound memory.
+# The dense form's table of basis indices is cached up to this register
+# size; beyond it, it is rebuilt per use to bound memory.  No gate keeps a
+# 2^q-entry array.
 _DEST_CACHE_MAX_Q = 20
 _PROB_FLOOR = 1e-15
 
 _INDEX_CACHE: dict[int, np.ndarray] = {}
-_PATTERN_CACHE: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 _COLUMN_CACHE: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
@@ -66,19 +65,8 @@ def _indices(q: int) -> np.ndarray:
     return idx
 
 
-def _patterns(q: int, wires: tuple[int, ...]) -> np.ndarray:
-    """Cached per-index bit patterns of a wire set (read-only)."""
-    key = (q, wires)
-    pat = _PATTERN_CACHE.get(key)
-    if pat is None:
-        pat = _extract(_indices(q), q, wires)
-        if q <= _DEST_CACHE_MAX_Q and len(_PATTERN_CACHE) < 512:
-            _PATTERN_CACHE[key] = pat
-    return pat
-
-
 def _columns(q: int, wires: tuple[int, ...]) -> np.ndarray:
-    """Cached index bits of every bit pattern of a wire set (read-only); the inverse of _patterns."""
+    """Cached index bits of every bit pattern of a wire set (read-only); the inverse of _extract."""
     key = (q, wires)
     cols = _COLUMN_CACHE.get(key)
     if cols is None:
@@ -199,8 +187,8 @@ class StateVector:
         return self.amps * self.amps
 
     def patterns(self, wires: tuple[int, ...]) -> np.ndarray:
-        """Bit pattern of the wires at every amplitude (read-only)."""
-        return _patterns(self.q, wires)
+        """Bit pattern of the wires at every amplitude."""
+        return _extract(_indices(self.q), self.q, wires)
 
     def select(self, keep: np.ndarray, norm: np.ndarray) -> "StateVector":
         """The amplitudes where ``keep`` holds, divided by ``norm`` (one per row); zero elsewhere."""
@@ -283,8 +271,7 @@ class SupportState:
     def permute(self, gate: Union["PermutationGate", "XorRun", "FlipLayer"]) -> "SupportState":
         fields, flip = gate.xor_plan(self.q)
         index = self.index
-        pat = _gather(index[:1] if _shared_rows(index) else index, fields)
-        flips = flip[pat] if flip.ndim == 1 else _lookup(flip, pat)
+        flips = _lookup(flip, _gather(index[:1] if _shared_rows(index) else index, fields))
         if index.flags.writeable:
             index ^= flips
         else:  # the rows of a start state: the result is new rows
@@ -466,11 +453,6 @@ def apply_pauli_z(state: State, qubit: int) -> State:
     return state
 
 
-def _flipped_indices(q: int, control_qubits: tuple[int, ...], flip: np.ndarray) -> np.ndarray:
-    """Every basis index XORed with ``flip`` at its control pattern; one row per table of a batch."""
-    return _indices(q) ^ _lookup(flip, _patterns(q, control_qubits))
-
-
 @dataclass(eq=False)
 class PermutationGate:
     """XOR-form basis permutation on a control and a result register.
@@ -511,17 +493,8 @@ class PermutationGate:
             plan = self._cache[key] = (_fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits))
         return plan
 
-    def _source_indices(self, q: int) -> np.ndarray:
-        cached = self._cache.get(q)
-        if cached is not None:
-            return cached
-        # Spread the small value table once, then gather per index.  XOR by a
-        # control-selected constant is an involution, so the gather source
-        # equals the scatter destination.
-        src = _flipped_indices(q, self.control_qubits, _spread(self.value_table, q, self.result_qubits))
-        if q <= _DEST_CACHE_MAX_Q:
-            self._cache[q] = src
-        return src
+    # XOR by a control-selected constant is an involution: its own inverse.
+    gather_plan = xor_plan
 
 
 def xor_permutation_gate(
@@ -546,15 +519,16 @@ def xor_permutation_gate(
 
 
 def apply_permutation(state: State, gate: Union[PermutationGate, "XorRun", "FlipLayer"]) -> State:
-    """Rearrange amplitudes by the gate's bijection on the target bit pattern.
+    """Move each basis index to index ^ flip[control pattern], by the gate's ``xor_plan``.
 
-    A dense state takes a ``PermutationGate`` or a ``FlipLayer``; a support
-    state any of the three.
+    A dense state gathers each amplitude from where it comes from, through
+    the ``gather_plan``: the plan of the inverse map.
     """
     if isinstance(state, SupportState):
-        return state.permute(gate)  # its plan checks the wires once per register size
-    _check_wires(state.q, gate.targets)
-    state.amps = _lookup(state.amps, gate._source_indices(state.q))
+        return state.permute(gate)
+    fields, flip = gate.gather_plan(state.q)
+    idx = _indices(state.q)
+    state.amps = _lookup(state.amps, idx ^ _lookup(flip, _gather(idx, fields)))
     return state
 
 
@@ -566,7 +540,7 @@ def _support_only(state: State, kernel: str) -> SupportState:
 
 @dataclass(eq=False)
 class XorRun:
-    """Consecutive 1-D XOR gates applied as one, on support states.
+    """Consecutive 1-D XOR gates applied as one.
 
     Their composition acts only on the union of their wires, as a function of
     those wires' bits, so it is again XOR-form: one flip table over the 2^k
@@ -595,6 +569,14 @@ class XorRun:
                 after ^= flip[_gather(after, fields)]
             plan = self._cache[q] = (_fields(q, self.targets), after ^ before)
         return plan
+
+    def gather_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+        """The plan of the inverse map: the run reversed, each of its gates being its own inverse."""
+        return self._reversed.xor_plan(q)
+
+    @cached_property
+    def _reversed(self) -> "XorRun":
+        return XorRun(self.gates[::-1])
 
 
 def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, XorRun]]:
@@ -626,21 +608,18 @@ class FlipLayer:
     """
 
     control_qubits: tuple[int, ...]
-    targets: tuple[int, ...]
     flip: np.ndarray
 
     def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
         return _fields(q, self.control_qubits), self.flip
 
-    def _source_indices(self, q: int) -> np.ndarray:
-        return _flipped_indices(q, self.control_qubits, self.flip)
+    gather_plan = xor_plan  # an involution, as a PermutationGate
 
 
 def flip_layer(q: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...], flip: np.ndarray) -> FlipLayer:
     """The layer index ^= flip[control pattern] on q qubits; ``flip`` may set only the result wires' bits."""
-    targets = control_qubits + result_qubits
-    _check_wires(q, targets)
-    return FlipLayer(control_qubits, targets, flip)
+    _check_wires(q, control_qubits + result_qubits)
+    return FlipLayer(control_qubits, flip)
 
 
 @dataclass(eq=False)

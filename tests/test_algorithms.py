@@ -203,19 +203,19 @@ def x_gate(c):
 
 def test_index_caches_stay_within_the_cache_width():
     # dj at n=20 runs dense on 21 qubits, one above the cache width: neither
-    # the basis-index and pattern caches nor its X gate nor a start row may
-    # keep a 2^21-entry array once the run is over.
+    # the basis-index cache nor its X gate nor a start row may keep a
+    # 2^21-entry array once the run is over.
     wide = circuit("dj", 20)
     assert wide.q == 21 and not wide.support
     _execute(wide, np.zeros((1, 1 << 20, 1), dtype=np.int64))
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
-    assert max((q for q, _ in sim._PATTERN_CACHE), default=0) <= sim._DEST_CACHE_MAX_Q
-    assert wide.q not in x_gate(wide)._cache
     assert wide.start is None
-    # Below the width the gate keeps its source indices, and the circuit its start row.
+    # At any width the gate keeps only its plan: a one-entry flip table.
     small = circuit("dj", 4)
     _execute(small, np.zeros((1, 16, 1), dtype=np.int64))
-    assert small.q in x_gate(small)._cache
+    for c in (wide, small):
+        assert [flip.size for _, flip in x_gate(c)._cache.values()] == [1]
+    # Below the width the circuit keeps its start row.
     assert small.start is not None and small.start[1].amps.shape == (1, 1 << small.q)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from djsim import make_function, random_balanced_table
+from djsim import analysis, make_function, random_balanced_table
 from djsim.algorithms import run_dj, run_erroneous_multinode, run_named
 from djsim.analysis import (
     ErrorModel,
@@ -72,6 +72,15 @@ class TestMisidProbability:
     @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2)])
     def test_matches_ensemble_mean(self, n, t):
         assert multinode_misid_probability(n, t) == pytest.approx(mean_simulated_misid(n, t), abs=1e-10)
+
+    @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2)])
+    def test_ensemble_mean_is_the_sequential_mean_of_the_driver(self, n, t):
+        total, count = 0.0, 0
+        for f in enumerate_promise_functions(n):
+            if f.promise.value == "balanced":
+                total += run_erroneous_multinode(f, t).p_constant
+                count += 1
+        assert mean_simulated_misid(n, t) == total / count
 
     def test_two_node_specialization_matches_n4_ensemble_mean(self):
         assert multinode_misid_probability(4, 1) == pytest.approx(mean_simulated_misid(4, 1), abs=1e-10)
@@ -175,6 +184,28 @@ class TestVerifySweep:
         assert serial.functions_checked == parallel.functions_checked == 72
         assert serial.failures
         assert serial.failures == parallel.failures
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_every_worker_gets_a_message(self, jobs):
+        for chunks in range(1, 200):
+            size = analysis._chunks_per_message(chunks, jobs)
+            assert 1 <= size <= analysis._CHUNKS_PER_TASK
+            if chunks >= jobs:
+                assert -(-chunks // size) >= jobs
+
+    @pytest.mark.parametrize("alg,t", [("dj", None), ("alg1", None), ("alg2", 2), ("alg3", 2)])
+    def test_messages_are_sized_by_the_real_chunk_count(self, monkeypatch, alg, t):
+        seen = []
+        real = analysis._sweep_results
+
+        def spy(chunks, jobs, count):
+            seen.append(count)
+            return real(chunks, jobs, count)
+
+        monkeypatch.setattr(analysis, "_sweep_results", spy)
+        verify_sweep(4, t, alg)
+        chunks = analysis._sweep_chunks(4, analysis._chunk_rows(analysis.circuit(alg, 4, t)))
+        assert seen == [sum(1 for _ in chunks)]
 
     def test_record_shape(self):
         record = verify_sweep(2, 1, "alg1").to_record()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from djsim import (
     make_function,
     random_balanced_table,
 )
+from djsim.boolfn import packed_promise_tables
 
 
 class TestMakeFunction:
@@ -52,6 +54,13 @@ class TestMakeFunction:
     def test_string_table_accepted(self):
         f = make_function(2, "0110")
         assert f.table == bytes([0, 1, 1, 0])
+        table = (np.random.default_rng(3).random(1 << 10) < 0.5).astype(np.uint8)
+        assert make_function(10, "".join(map(str, table))).table == table.tobytes()
+
+    @pytest.mark.parametrize("char", ["2", "a", " ", "\x00", "\x01", "\u0661", "\u00e9"])
+    def test_non_bit_characters_rejected(self, char):
+        with pytest.raises(ValueError, match="0 or 1"):
+            make_function(2, "01" + char + "0")
 
     def test_digest_roundtrip(self):
         f = make_function(2, [0, 0, 1, 0])
@@ -100,6 +109,17 @@ class TestEnumeration:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="random_balanced_table"):
             next(enumerate_promise_functions(6))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_family_matches_an_itertools_reference(self, n):
+        # The constants, then every choice of 2^(n-1) ones, ascending as big-endian integers.
+        size = 1 << n
+        ones = itertools.combinations(range(size), size // 2)
+        expected = [0, (1 << size) - 1] + sorted(sum(1 << (size - 1 - x) for x in chosen) for chosen in ones)
+        assert np.concatenate(list(packed_promise_tables(n))).tolist() == expected
+        functions = list(enumerate_promise_functions(n))
+        assert [int("".join(map(str, f.table)), 2) for f in functions] == expected
+        assert [f.promise for f in functions] == [Promise.CONSTANT] * 2 + [Promise.BALANCED] * (len(expected) - 2)
 
 
 class TestStats:

@@ -78,6 +78,13 @@ class TestClassify:
         assert cli.main(["classify", "--input", str(path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bits", ["01a0", "0 10", "01\u00e90", "012"])
+    def test_non_bit_characters_rejected(self, tmp_path, bits):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "bits": bits}))
+        with pytest.raises(cli.UsageError, match="'bits' must be a string of 0/1 characters"):
+            cli.load_truth_table(str(path))
+
     def test_both_sources_rejected(self, tmp_path, capsys):
         path = write_table(tmp_path, 2, [0, 1, 1, 0])
         assert cli.main(["classify", "--input", path, "--gen", "zeros", "--n", "2"]) == 1

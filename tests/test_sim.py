@@ -462,6 +462,23 @@ class TestComposition:
             apply_permutation(s2, g)
         assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, s2.amps)
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_composed_run_on_a_dense_state_matches_sequential(self, rows):
+        rng = np.random.default_rng(14)
+        gates = [
+            xor_permutation_gate((0,), (2,), [0, 1]),
+            xor_permutation_gate((1, 3), (0,), [0, 1, 1, 0]),
+            xor_permutation_gate((0, 2), (1, 3), [3, 0, 2, 1]),
+        ]
+        amps = rng.normal(size=(rows or 1, 16))
+        s1, s2 = init_zero(4, batch=rows), init_zero(4, batch=rows)
+        s1.amps, s2.amps = amps.reshape(s1.amps.shape).copy(), amps.reshape(s2.amps.shape).copy()
+        apply_permutation(s1, XorRun(tuple(gates)))
+        for g in gates:
+            apply_permutation(s2, g)
+        assert np.array_equal(s1.amps, s2.amps)
+        assert not np.array_equal(s1.amps, amps.reshape(s1.amps.shape))
+
     def test_empty_composition_is_identity(self):
         s = full_support(random_state(3, np.random.default_rng(12)).amps)
         apply_permutation(s, XorRun(()))
@@ -469,19 +486,28 @@ class TestComposition:
 
     def test_wrong_register_size_rejected(self):
         run = XorRun((xor_permutation_gate((), (0,), [1]), xor_permutation_gate((0,), (2,), [0, 1])))
-        with pytest.raises(ValueError, match="out of range"):
-            apply_permutation(init_zero(2, support=True), run)
+        for support in (False, True):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_permutation(init_zero(2, support=support), run)
 
 
 def test_large_register_skips_source_caching():
-    # beyond the caching bound the source indices are rebuilt per application
-    gate = xor_permutation_gate((0,), (20,), [0, 1])
-    s = basis_state(21, 1 << 20)
+    # Beyond the caching bound no gate or index cache keeps a 2^q-entry
+    # array: a gate keeps only its plan, and the indices are rebuilt per
+    # application.
+    q = sim._DEST_CACHE_MAX_Q + 1
+    gate = xor_permutation_gate((0,), (q - 1,), [0, 1])
+    run = XorRun((gate, xor_permutation_gate((q - 1,), (1,), [0, 1])))
+    s = basis_state(q, 1 << (q - 1))
     apply_permutation(s, gate)
-    assert s.amps[(1 << 20) | 1] == 1.0
-    assert gate._cache == {}
-    apply_permutation(s, gate)
-    assert s.amps[1 << 20] == 1.0
+    assert s.amps[(1 << (q - 1)) | 1] == 1.0
+    # The run's first gate undoes the gate; its second reads wire q - 1 clear.
+    apply_permutation(s, run)
+    assert s.amps[1 << (q - 1)] == 1.0
+    # A dense state gathers a run through its reversal's plan.
+    flips = [flip for g in (gate, run._reversed) for _, flip in g._cache.values()]
+    assert flips and max(flip.size for flip in flips) < 1 << q
+    assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
 
 
 def test_norm_preserved_by_random_gate_sequences():
@@ -518,8 +544,7 @@ def test_measurement_record_floor_filters_dust():
 
 def test_every_kernel_keeps_the_state_real():
     # A silent promotion to complex would double the memory of every state.
-    # The support state holds all 16 entries; only it takes the rotation and
-    # a composed XOR run.
+    # The support state holds all 16 entries; only it takes the rotation.
     run = XorRun((xor_permutation_gate((1, 2), (3,), [0, 1, 1, 0]), xor_permutation_gate((3,), (0,), [0, 1])))
     for s in (init_zero(4), full_support(init_zero(4).amps)):
         assert s.amps.dtype == np.float64
@@ -527,13 +552,11 @@ def test_every_kernel_keeps_the_state_real():
             lambda: apply_hadamard(s, (0, 1, 2)),  # a run of three wires
             lambda: apply_hadamard(s, (3, 1)),  # two runs of one wire
             lambda: apply_permutation(s, xor_permutation_gate((0,), (2,), [0, 1])),
+            lambda: apply_permutation(s, run),
             lambda: apply_pauli_z(s, 2),
         ]
         if isinstance(s, SupportState):
-            steps += [
-                lambda: apply_permutation(s, run),
-                lambda: apply_block_rotation(s, block_rotation_gate((0, 1), 3, scale_exponent=1)),
-            ]
+            steps.append(lambda: apply_block_rotation(s, block_rotation_gate((0, 1), 3, scale_exponent=1)))
         for step in steps:
             assert step().amps.dtype == np.float64
         rec = measure(s, (0,))
