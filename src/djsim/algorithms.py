@@ -463,9 +463,12 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     starts from the circuit's start row, kept when a row holds at most
     2^_DEST_CACHE_MAX_Q entries; the first oracle round gathers from it.  The
     state is a support state when ``c.support`` holds, else dense.  The
-    readout follows ``Circuit``'s plan in every row; a row whose work
-    registers are not clean still gets its exact probabilities.  A run
-    reaches the simulator kernels only through this module's names.
+    readout follows ``Circuit``'s plan in every row.  A support run meets the
+    two preconditions of the support kernels: the decision wire reads 0 in
+    every entry before the rotation, and after the uncompute the entries of
+    a row differ only on the input wires, which the readout Hadamard acts
+    on; a description that breaks either raises a ValueError.  A run reaches
+    the simulator kernels only through this module's names.
     """
     if c.steps is None:
         c.steps = _compile(c)

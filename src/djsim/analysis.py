@@ -296,18 +296,19 @@ def _chunks_per_message(chunks: int, jobs: int) -> int:
 
 
 def _sweep_results(chunks: Iterator[tuple], jobs: int, count: int) -> Iterator[tuple[int, list[dict]]]:
-    """Check the ``count`` chunks in this process, or across ``jobs`` worker processes.
+    """Check the ``count`` chunks in this process, or across at most ``jobs`` worker processes, one per chunk at most.
 
     Results come back in chunk order either way, so the failure list, and
     with it ``--deterministic`` output, does not depend on ``jobs``.
     """
-    if jobs <= 1:
+    workers = min(jobs, count)
+    if workers <= 1:
         yield from map(_sweep_chunk, chunks)
         return
     import multiprocessing  # deferred: serial sweeps never pay for the import
 
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_sweep_chunk, chunks, chunksize=_chunks_per_message(count, jobs))
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap(_sweep_chunk, chunks, chunksize=_chunks_per_message(count, workers))
 
 
 def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> VerificationSummary:

@@ -76,7 +76,7 @@ def load_truth_table(path: str) -> BooleanFunction:
     if not isinstance(data, dict) or "n" not in data:
         raise UsageError(f"truth-table file {path} must be a JSON object with an 'n' field")
     n = data["n"]
-    if not isinstance(n, int) or not 1 <= n <= boolfn.MAX_ARITY:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= boolfn.MAX_ARITY:
         raise UsageError(f"'n' must be an integer in [1, {boolfn.MAX_ARITY}]")
     has_bits = "bits" in data
     has_hex = "hex" in data

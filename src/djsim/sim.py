@@ -23,6 +23,11 @@ Conventions:
   ``probability_all_zero`` take support states only.  Every XOR layer, on
   either form, is applied through its ``xor_plan``: the bit fields of its
   controls and a flip table of index bits.
+* The support kernels serve the states the circuits make: compute into work
+  registers, rotate one decision qubit, uncompute.  So a support Hadamard
+  needs the entries of a row to agree on every wire it does not act on, and
+  the rotation needs its target wire to read 0 in every entry; each raises a
+  ValueError otherwise.  The indices within a row are distinct.
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
   every row; an XOR gate may carry one value table per row.  The rows may
@@ -204,10 +209,9 @@ class SupportState:
     the entries.  Memory therefore scales with the entries, not with 2^q.
 
     ``index`` and ``amps`` have shape (entries,) or (rows, entries): a batch
-    stays rectangular.  An exact zero is dropped only where it is zero in
-    every row, so a row may hold zero entries; an index repeats within a row
-    only on such zeros.  Every kernel treats entries additively, so zeros
-    change no value.
+    stays rectangular.  The indices within a row are distinct.  An exact zero
+    is dropped only where it is zero in every row, so a row may hold zero
+    amplitudes; they change no value.
     """
 
     __slots__ = ("q", "index", "amps")
@@ -235,36 +239,25 @@ class SupportState:
         return SupportState(self.q, self.index.compress(entries, axis=-1), amps / norm)
 
     def hadamard(self, qubits: tuple[int, ...]) -> "SupportState":
-        """Walsh transform of the listed wires within each group of entries equal on the other wires.
+        """Walsh transform of the listed wires over each row's entries.
 
-        Groups are ascending by the other wires' bits within each row; a row
-        with fewer groups than the widest row is padded with all-zero groups.
+        The entries of a row must agree on every other wire, as they do after
+        the start and after the uncompute; the transform then fills all 2^m
+        patterns of the m wires.
         """
         m = len(qubits)
         cols = _columns(self.q, qubits)
         index, amps = self.index.reshape(-1, self.index.shape[-1]), self.amps.reshape(-1, self.amps.shape[-1])
         count = len(index)
         rest = index & ~int(cols[-1])
+        if np.count_nonzero(rest != rest[:, :1]):
+            raise ValueError("a support Hadamard needs the entries of a row to agree on the wires it does not act on")
         cells = _extract(index, self.q, qubits)
-        if not np.count_nonzero(rest != rest[:, :1]):
-            keys, width = rest[:, :1], 1
-            if count > 1:
-                cells = cells + (np.arange(count)[:, None] << m)
-        else:
-            order = np.argsort(rest, axis=1, kind="stable")
-            ranked = np.take_along_axis(rest, order, axis=1)
-            first = np.ones(ranked.shape, dtype=bool)
-            first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-            rank = np.cumsum(first, axis=1) - 1
-            width = int(rank[:, -1].max()) + 1
-            keys = np.zeros((count, width), dtype=np.int64)
-            np.put_along_axis(keys, rank, ranked, axis=1)
-            group = np.empty_like(rank)
-            np.put_along_axis(group, order, rank, axis=1)
-            cells = cells + ((np.arange(count)[:, None] * width + group) << m)
-        block = np.bincount(cells.ravel(), weights=amps.ravel(), minlength=(count * width) << m)
+        if count > 1:
+            cells = cells + (np.arange(count)[:, None] << m)
+        block = np.bincount(cells.ravel(), weights=amps.ravel(), minlength=count << m)
         shape = self.index.shape[:-1] + (-1,)
-        self.index = (keys[:, :, None] | cols).reshape(shape)
+        self.index = (rest[:, :1] | cols).reshape(shape)
         self.amps = _walsh_transform(block, m, tuple(range(m))).reshape(shape)
         return self
 
@@ -279,14 +272,18 @@ class SupportState:
         return self
 
     def rotate(self, gate: "RotationGate") -> "SupportState":
-        """Each entry keeps cos times its amplitude and gives its partner across the target +-sin times it."""
-        fields, tmask, cos, signed_sin = gate.support_plan(self.q)
+        """Each entry keeps cos times its amplitude and gives its partner, with the target set, sin times it.
+
+        The target wire must read 0 in every entry, as the decision wire does
+        before the rotation, so no partner is an entry already.
+        """
+        fields, tmask, cos, sin = gate.support_plan(self.q)
         idx, amps = self.index, self.amps
-        pat = _gather(idx, fields)
-        index = np.concatenate((idx, idx ^ tmask), axis=-1)
-        amps = np.concatenate((cos[pat] * amps, signed_sin[pat] * amps), axis=-1)
         if np.count_nonzero(idx & tmask):
-            index, amps = _merge_coinciding(index, amps)
+            raise ValueError("a support rotation needs its target wire to read 0 in every entry")
+        pat = _gather(idx, fields)
+        index = np.concatenate((idx, idx | tmask), axis=-1)
+        amps = np.concatenate((cos[pat] * amps, sin[pat] * amps), axis=-1)
         self.index, self.amps = _drop_zero_columns(index, amps)
         return self
 
@@ -300,29 +297,7 @@ class SupportState:
         return float(p) if p.ndim == 0 else p
 
 
-def _merge_coinciding(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Add the amplitudes of equal indices within each row; rows are padded with zeros to the widest."""
-    if index.ndim == 1:
-        index, where = np.unique(index, return_inverse=True)
-        return index, np.bincount(where, weights=amps)
-    merged = [_merge_coinciding(i, a) for i, a in zip(index, amps)]
-    width = max(len(i) for i, _ in merged)
-    out_index = np.zeros((len(merged), width), dtype=np.int64)
-    out_amps = np.zeros((len(merged), width))
-    for r, (i, a) in enumerate(merged):
-        out_index[r, : len(i)] = i
-        out_amps[r, : len(a)] = a
-    return out_index, out_amps
-
-
 State = Union[StateVector, SupportState]
-
-
-def _views_of(row: np.ndarray, batch: int) -> np.ndarray:
-    """``batch`` read-only rows, each a view of the one row of ``row`` (shape (1, entries))."""
-    rows = np.ndarray((batch, row.shape[-1]), row.dtype, np.ascontiguousarray(row), strides=(0, row.itemsize))
-    rows.flags.writeable = False
-    return rows
 
 
 def init_zero(q: int, support: bool = False, batch: Optional[int] = None, start: Optional[State] = None) -> State:
@@ -340,9 +315,10 @@ def init_zero(q: int, support: bool = False, batch: Optional[int] = None, start:
     if start is not None:
         if batch is None or start.q != q or isinstance(start, SupportState) != support or start.amps.shape[:-1] != (1,):
             raise ValueError("a start state is one row of a batch of the same width and form")
+        shape = (batch, start.amps.shape[-1])
         if support:
-            return SupportState(q, _views_of(start.index, batch), _views_of(start.amps, batch))
-        return StateVector(q, _views_of(start.amps, batch))
+            return SupportState(q, np.broadcast_to(start.index, shape), np.broadcast_to(start.amps, shape))
+        return StateVector(q, np.broadcast_to(start.amps, shape))
     lead = () if batch is None else (batch,)
     if support:
         return SupportState(q, np.zeros(lead + (1,), dtype=np.int64), np.ones(lead + (1,)))
@@ -411,11 +387,11 @@ def _walsh_plan(q: int, wires: tuple[int, ...]) -> tuple[tuple[np.ndarray, tuple
 def _walsh_transform(amps: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
     """H on the wires of a q-qubit index that runs along the last axis of ``amps``, flattened.
 
-    Any leading axis passes through: the rows of a batch, the support state's
-    groups of entries.  A folded slice is one product over all of them, and a
-    row's values do not depend on how many rows share it: numpy hands a
-    one-row product to gemv, which rounds differently from gemm, so one row is
-    multiplied as the first of two.
+    Any leading axis passes through: the rows of a batch, dense or support.
+    A folded slice is one product over all of them, and a row's values do not
+    depend on how many rows share it: numpy hands a one-row product to gemv,
+    which rounds differently from gemm, so one row is multiplied as the first
+    of two.
     """
     for mat, shape in _walsh_plan(q, wires):
         view = amps.reshape(shape)
@@ -646,27 +622,13 @@ class RotationGate:
         self.cos_table = cos
         self.sin_table = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
 
-    def block_matrix(self, pattern: int) -> np.ndarray:
-        """The 2x2 matrix applied within the given control-pattern block."""
-        c = self.cos_table[pattern]
-        s = self.sin_table[pattern]
-        return np.array([[c, -s], [s, c]])
-
     def support_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], int, np.ndarray, np.ndarray]:
-        """The rotation on q qubits, by (controls, target) pattern: bit fields, target index bit, cos, signed sin.
-
-        The signed sin is what an entry gives its partner across the target:
-        + sin from target 0, - sin from target 1.
-        """
-        key = ("support", q)
-        plan = self._cache.get(key)
+        """The rotation on q qubits, with its wires checked: the controls' bit fields, the target index bit, cos, sin."""
+        plan = self._cache.get(q)
         if plan is None:
-            wires = self.control_qubits + (self.target_qubit,)
-            _check_wires(q, wires)
-            fields = _fields(q, wires)
-            signed_sin = np.stack((self.sin_table, -self.sin_table), axis=1).ravel()
-            plan = (fields, 1 << (q - 1 - self.target_qubit), np.repeat(self.cos_table, 2), signed_sin)
-            self._cache[key] = plan
+            _check_wires(q, self.control_qubits + (self.target_qubit,))
+            plan = (_fields(q, self.control_qubits), 1 << (q - 1 - self.target_qubit), self.cos_table, self.sin_table)
+            self._cache[q] = plan
         return plan
 
 

@@ -4,7 +4,9 @@ It reads only what a description says: ``Circuit.ops`` and each op's
 ``build()``, the gates' ``action_table`` (permutations) and
 ``cos_table``/``sin_table`` (rotations), and the readout plan.  It calls no
 kernel or helper of ``djsim.sim``, so a fault there cannot pass an agreement
-check by being on both sides of it.
+check by being on both sides of it.  Its rotation (``rotated``) also serves
+the gate-level checks: it takes any state of the register, where the support
+kernel takes only the states the circuits make.
 
 A batch of states is one array of shape (functions, 2^q).  Wire 0 is the
 most significant bit of a basis index, as in ``djsim.sim``.  Each Hadamard is
@@ -63,6 +65,29 @@ def destination(gates, q: int) -> np.ndarray:
     return dest
 
 
+def rotation_step(gate, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rotation on 2^q amplitudes, read from its ``cos_table`` and ``sin_table``: (partner, cos, signed sin) per basis state.
+
+    Each basis state keeps cos times its amplitude and takes signed sin times
+    its partner's, across the target: target 0 takes -sin, target 1 +sin.
+    """
+    index = np.arange(1 << q, dtype=np.int64)
+    pat = pattern_of(index, gate.control_qubits, q)
+    sign = np.where(pattern_of(index, (gate.target_qubit,), q) == 1, 1.0, -1.0)
+    return index ^ (1 << (q - 1 - gate.target_qubit)), gate.cos_table[pat], sign * gate.sin_table[pat]
+
+
+def rotate(amps: np.ndarray, step: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """A ``rotation_step`` on amplitudes of shape (..., 2^q)."""
+    partner, cos, sin = step
+    return amps * cos + amps.take(partner, axis=-1) * sin
+
+
+def rotated(gate, amps: np.ndarray) -> np.ndarray:
+    """The rotation gate on amplitudes of shape (..., 2^q), any state of the register."""
+    return rotate(amps, rotation_step(gate, amps.shape[-1].bit_length() - 1))
+
+
 def distribution(probs: np.ndarray) -> dict[str, float]:
     """The outcome probabilities above the floor, keyed by the outcome's bit string."""
     k = len(probs).bit_length() - 1
@@ -94,12 +119,7 @@ class Reference:
                 shifts = np.array([q - 1 - op.target(w) for w in op.ws])
                 self.steps.append(("oracle", np.array(op.ws), shifts))
             elif op.kind == "rotation":
-                gate = op.build()[0]
-                pat = pattern_of(self.index, gate.control_qubits, q)
-                # Target 0 takes -sin times its partner's amplitude, target 1 +sin.
-                sign = np.where(pattern_of(self.index, (gate.target_qubit,), q) == 1, 1.0, -1.0)
-                partner = self.index ^ (1 << (q - 1 - gate.target_qubit))
-                self.steps.append(("rotate", partner, gate.cos_table[pat], sign * gate.sin_table[pat]))
+                self.steps.append(("rotate", rotation_step(op.build()[0], q)))
             else:
                 self.steps.append(("z", op.wires[0][0]))
         if gates:
@@ -142,11 +162,7 @@ class Reference:
                 src += (np.arange(count) << self.q)[:, None, None]
                 amps = amps.take(src).reshape(amps.shape)
             elif kind == "rotate":
-                _, partner, cos, sin = step
-                moved = amps.take(partner, axis=1)
-                moved *= sin
-                amps *= cos
-                amps += moved
+                amps = rotate(amps, step[1])
             else:
                 amps.reshape(count, 1 << step[1], 2, -1)[:, :, 1] *= -1.0
         logs: list = [[] for _ in range(count)]

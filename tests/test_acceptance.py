@@ -34,8 +34,9 @@ from djsim.analysis import (
     verify_sweep,
 )
 from djsim.gates import build_A, build_Aprime, build_R, build_Rprime, build_U, build_V
-from djsim.sim import SupportState, apply_block_rotation, apply_permutation, init_zero
+from djsim.sim import apply_permutation, init_zero
 from tests.conftest import PAIR_TABLE, XOR_KERNEL_TABLE
+from tests.dense_reference import rotated
 
 TOL_EXACT = 1e-12
 TOL_ORACLE = 1e-10
@@ -218,8 +219,8 @@ class TestCriterion7OperatorUnitarity:
                 s = init_zero(q)
                 s.amps = row.copy()
                 if gate.kind == "rotation":
-                    # The rotation takes a support state: here one holding all 2^q amplitudes.
-                    s = apply_block_rotation(SupportState(q, np.arange(dim, dtype=np.int64), row.copy()), gate)
+                    # On any state of the register: the tests' dense rotation, from the gate's tables.
+                    s.amps = rotated(gate, s.amps)
                 else:
                     apply_permutation(s, gate)
                 worst = max(worst, abs(s.norm() - 1.0))
@@ -228,10 +229,10 @@ class TestCriterion7OperatorUnitarity:
                 if not np.array_equal(table[table], np.arange(len(table))):
                     ok = False
             else:
-                for pattern in range(1 << len(gate.control_qubits)):
-                    m = gate.block_matrix(pattern)
-                    if not np.allclose(m.T @ m, np.eye(2), atol=TOL_EXACT):
-                        ok = False
+                # Row i of the rotated identity is the image of basis state i.
+                m = rotated(gate, np.eye(dim))
+                if not np.allclose(m @ m.T, np.eye(dim), rtol=0.0, atol=TOL_EXACT):
+                    ok = False
         ok &= worst < TOL_EXACT
         report(f"7(t={t})", ok, f"1000 random states per operator, worst norm drift {worst:.2e}; involutions and rotation blocks verified")
 

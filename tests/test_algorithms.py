@@ -19,7 +19,7 @@ from djsim.algorithms import (
     run_named,
 )
 from djsim.gates import build_A, build_Aprime, build_ccnot, build_cnot, build_oracle, build_Rprime, build_V
-from djsim.sim import SupportState, apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
+from djsim.sim import apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
 
 
 class TestDJ:
@@ -177,8 +177,7 @@ def _literal_alg3_p_constant(f, t):
         )
     forward += [build_A(t, tuple(xor_w), k_reg), build_A(t, tuple(and_w), e_reg), build_V(t, k_reg, e_reg, c_reg)]
 
-    # The rotation takes a support state: here one holding all 2^q amplitudes.
-    s = SupportState(q, np.arange(1 << q, dtype=np.int64), init_zero(q).amps)
+    s = init_zero(q, support=True)
     apply_hadamard(s, u)
     for gate in forward:
         apply_permutation(s, gate)

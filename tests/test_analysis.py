@@ -185,6 +185,36 @@ class TestVerifySweep:
         assert serial.failures
         assert serial.failures == parallel.failures
 
+    def test_no_more_workers_than_chunks(self, monkeypatch):
+        # The pool records the size asked for and checks the chunks here: no process starts.
+        import multiprocessing
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        one_chunk = verify_sweep(2, None, "dj", jobs=8)
+        assert sizes == [] and one_chunk.functions_checked == 8
+        serial = verify_sweep(3, 1, "err-multi", jobs=1)
+        monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 30)  # 72 functions: three chunks
+        for jobs, workers in ((8, 3), (2, 2)):
+            parallel = verify_sweep(3, 1, "err-multi", jobs=jobs)
+            assert sizes[-1] == workers
+            assert parallel.functions_checked == 72 and parallel.failures == serial.failures
+        assert sizes == [3, 2]
+
     @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
     def test_every_worker_gets_a_message(self, jobs):
         for chunks in range(1, 200):

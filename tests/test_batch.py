@@ -16,18 +16,13 @@ import pytest
 from djsim import algorithms, analysis, cli, count_promise_functions, enumerate_promise_functions, make_function
 from djsim.algorithms import _apply, _execute, _run, _start, circuit, run_named
 from djsim.analysis import verify_sweep
-from djsim.boolfn import packed_promise_tables, unpack_tables
-from djsim.sim import MeasurementRecord, StateVector, SupportState, apply_block_rotation, block_rotation_gate, init_zero
-from tests import dense_reference
+from djsim.boolfn import packed_promise_tables
+from djsim.sim import MeasurementRecord, StateVector, init_zero
 
 TOL = 1e-12
 CASES = [("dj", None), ("alg1", None), ("err-4node", None)] + [
     (alg, t) for alg in ("alg2", "alg3", "err-multi") for t in (1, 2)
 ]
-
-
-def packed(f) -> int:
-    return int("".join(map(str, f.table)), 2)
 
 
 def reference_sweep(alg, n, t):
@@ -211,44 +206,20 @@ def test_rows_are_independent_of_their_batch(alg, t, n):
         assert report.ancilla_zero_prob == (row[1] if c.work else None)
 
 
-def test_rows_with_dirty_work_registers_keep_exact_values():
+def test_alg3_cut_before_its_uncompute_raises_at_its_readout():
     """alg3 without its uncompute leaves the work registers entangled with the
-    input register: the readout Hadamard then sees several groups per row, a
-    different number in different rows."""
+    input register: the entries of a row then differ off the input wires, so
+    the readout Hadamard refuses them, on one row and in a batch."""
     full = circuit("alg3", 4, 2)
-    dirty = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1], steps=None)
+    cut = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1], steps=None)
+    assert cut.ops[-1].kind == "rotation"
     tables = mixed_tables(4, 10, seed=5)
-    rows = batch_rows(dirty, tables)
-    p, _, anc = _execute(dirty, rows)
-    p_dense, anc_dense, _ = dense_reference.run(dirty, rows)
-    assert np.all(anc < 1.0 - 1e-3)
-    assert np.allclose(p, p_dense, rtol=0.0, atol=TOL)
-    assert np.allclose(anc, anc_dense, rtol=0.0, atol=TOL)
-    whole, reverse, chunked, single = by_composition(dirty, tables, run=_execute)
-    assert np.array_equal(whole, np.stack([p, anc], axis=-1))
-    assert np.array_equal(whole, reverse) and np.array_equal(whole, chunked) and np.array_equal(whole, single)
-
-
-def test_batched_rotation_adds_coinciding_entries_row_by_row():
-    # Rows whose entries already set the target bit: each entry's partner may
-    # be an entry too, in a different place in each row.
-    gate = block_rotation_gate((0, 1), 2, scale_exponent=1)
-    index = np.array([[0b000, 0b001, 0b011, 0b110], [0b101, 0b100, 0b010, 0b111], [0b000, 0b010, 0b100, 0b110]])
-    amps = np.array([[0.5, 0.5, -0.5, 0.5], [0.5, -0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]])
-    batch = apply_block_rotation(SupportState(3, index.copy(), amps.copy()), gate)
-    for r in range(len(index)):
-        alone = apply_block_rotation(SupportState(3, index[r].copy(), amps[r].copy()), gate)
-        full = np.zeros(8)
-        np.add.at(full, batch.index[r], batch.amps[r])
-        assert np.array_equal(full[alone.index], alone.amps)
-        assert np.count_nonzero(full) == np.count_nonzero(alone.amps)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_packed_tables_follow_the_enumeration_order(n):
-    stream = np.concatenate(list(packed_promise_tables(n)))
-    assert stream.tolist() == [packed(f) for f in enumerate_promise_functions(n)]
-    assert np.array_equal(unpack_tables(stream, n), np.stack([np.frombuffer(f.table, dtype=np.uint8) for f in enumerate_promise_functions(n)]))
+    rows = batch_rows(cut, tables)
+    _execute(full, rows)
+    assert tables[6].sum() == 8  # a balanced function, whose work values differ between inputs
+    for batch in (rows[6:7], rows):
+        with pytest.raises(ValueError, match="agree on the wires it does not act on"):
+            _execute(cut, batch)
 
 
 def successor(v: int) -> int:

@@ -85,6 +85,15 @@ class TestClassify:
         with pytest.raises(cli.UsageError, match="'bits' must be a string of 0/1 characters"):
             cli.load_truth_table(str(path))
 
+    def test_boolean_arity_rejected(self, tmp_path, capsys):
+        # JSON true loads as Python True, which is an int equal to 1.
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": True, "bits": "01"}))
+        assert cli.main(["run", "--input", str(path), "--alg", "dj"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'n' must be an integer in [1, 24]\n"
+
     def test_both_sources_rejected(self, tmp_path, capsys):
         path = write_table(tmp_path, 2, [0, 1, 1, 0])
         assert cli.main(["classify", "--input", path, "--gen", "zeros", "--n", "2"]) == 1

@@ -14,14 +14,8 @@ from djsim.gates import (
     build_V,
     build_x,
 )
-from djsim.sim import (
-    SupportState,
-    apply_block_rotation,
-    apply_permutation,
-    init_zero,
-    measure,
-    probability_all_zero,
-)
+from djsim.sim import apply_permutation, init_zero
+from tests.dense_reference import destination, pattern_of, rotated
 
 
 def random_state(q, rng):
@@ -38,14 +32,10 @@ def basis_state(q, index):
     return s
 
 
-def full_support(s):
-    """The dense state as a support state holding every one of its 2^q amplitudes: the form a rotation takes."""
-    return SupportState(s.q, np.arange(1 << s.q, dtype=np.int64), s.amps.copy())
-
-
-def full_amps(s):
-    out = np.zeros(1 << s.q)
-    np.add.at(out, s.index, s.amps)
+def permuted(amps, gate):
+    """The permutation gate on 2^q amplitudes, from its action table."""
+    out = np.empty_like(amps)
+    out[destination([gate], len(amps).bit_length() - 1)] = amps
     return out
 
 
@@ -167,19 +157,19 @@ class TestV:
 
 
 class TestRotations:
+    """The rotation gates as operators on the whole register, through the tests' dense rotation."""
+
     def test_full_scale_pattern_fixes_target(self):
         gate = build_R(1, (0, 1, 2), 3)
-        s = full_support(basis_state(4, 0b0100))  # register holds +2 = 2^t
-        apply_block_rotation(s, gate)
-        assert abs(full_amps(s)[0b0100] - 1.0) < 1e-15
+        amps = rotated(gate, basis_state(4, 0b0100).amps)  # register holds +2 = 2^t
+        assert abs(amps[0b0100] - 1.0) < 1e-15
 
     def test_rprime_scale(self):
         gate = build_Rprime(2, (0, 1, 2), 3)
         assert gate.scale_exponent == 1
         # pattern 010 = +2 = 2^{t-1}: cos=1
-        s = full_support(basis_state(4, 0b0100))
-        apply_block_rotation(s, gate)
-        assert abs(full_amps(s)[0b0100] - 1.0) < 1e-15
+        amps = rotated(gate, basis_state(4, 0b0100).amps)
+        assert abs(amps[0b0100] - 1.0) < 1e-15
 
     def test_width_enforced(self):
         with pytest.raises(ValueError):
@@ -189,12 +179,14 @@ class TestRotations:
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_block_matrices_orthogonal(self, t):
+        # Every block at once, as the whole operator: row i of the rotated
+        # identity is the image of basis state i.
         r = build_R(t, tuple(range(t + 2)), t + 2)
         rp = build_Rprime(t, tuple(range(t + 1)), t + 1)
         for gate in (r, rp):
-            for pattern in range(1 << len(gate.control_qubits)):
-                m = gate.block_matrix(pattern)
-                assert np.allclose(m.T @ m, np.eye(2), atol=1e-15)
+            dim = 1 << (len(gate.control_qubits) + 1)
+            m = rotated(gate, np.eye(dim))
+            assert np.allclose(m @ m.T, np.eye(dim), rtol=0.0, atol=1e-15)
 
 
 class TestUncomputeIdentity:
@@ -209,16 +201,14 @@ class TestUncomputeIdentity:
         target = q - 1
         op_u = build_U(t, controls, reg)
         op_r = build_R(t, reg, target)
+        clear = pattern_of(np.arange(1 << q), reg, q) == 0
         for a_pattern in range(nodes):
             for e in (0, 1):
-                s = full_support(basis_state(q, (a_pattern << (t + 3)) | e))
-                apply_permutation(s, op_u)
-                apply_block_rotation(s, op_r)
-                apply_permutation(s, op_u)
-                assert probability_all_zero(s, reg) == pytest.approx(1.0, abs=1e-12)
-                delta = nodes - 2 * bin(a_pattern).count("1")
-                expected = op_r.block_matrix((delta) & ((1 << (t + 2)) - 1))[:, e]
-                amps = full_amps(s)
+                amps = permuted(rotated(op_r, permuted(basis_state(q, (a_pattern << (t + 3)) | e).amps, op_u)), op_u)
+                assert np.sum(amps[clear] ** 2) == pytest.approx(1.0, abs=1e-12)
+                delta = (nodes - 2 * bin(a_pattern).count("1")) & ((1 << (t + 2)) - 1)
+                c, s = op_r.cos_table[delta], op_r.sin_table[delta]
+                expected = [c, s] if e == 0 else [-s, c]  # column e of [[c, -s], [s, c]]
                 amp0 = amps[(a_pattern << (t + 3)) | 0]
                 amp1 = amps[(a_pattern << (t + 3)) | 1]
                 assert np.allclose([amp0, amp1], expected, atol=1e-14)
@@ -255,7 +245,7 @@ def test_all_gates_preserve_norm_on_random_states(t):
         for _ in range(30):
             s = random_state(q, rng)
             if gate.kind == "rotation":
-                s = apply_block_rotation(full_support(s), gate)
+                s.amps = rotated(gate, s.amps)
             else:
                 apply_permutation(s, gate)
             assert abs(s.norm() - 1.0) < 1e-12

@@ -24,6 +24,7 @@ from djsim.sim import (
     flip_layer,
     xor_permutation_gate,
 )
+from tests.dense_reference import rotated
 
 
 def random_state(q, rng):
@@ -46,6 +47,40 @@ def full_support(amps):
     return SupportState(q, np.arange(len(amps), dtype=np.int64), np.array(amps, dtype=np.float64))
 
 
+def basis_support(q, index):
+    """The basis state as a one-entry support state."""
+    return SupportState(q, np.array([index], dtype=np.int64), np.ones(1))
+
+
+def off_mask(q, wires):
+    """The index bits of the wires not listed."""
+    return ((1 << q) - 1) & ~sum(1 << (q - 1 - w) for w in wires)
+
+
+def random_circuit(rng):
+    """A random circuit of the paper's shape: (q, inputs, work wires, decision wire, compute gates, rotation).
+
+    The compute gates XOR functions of the inputs and work wires into work
+    wires; the rotation reads some of them into the decision wire, which no
+    gate touches.  Run as a Hadamard on the inputs, the compute, the rotation
+    and the compute undone, it leaves at every step a support state that the
+    support kernels take.
+    """
+    q = int(rng.integers(3, 8))
+    wires = [int(w) for w in rng.permutation(q)]
+    k = int(rng.integers(1, q - 1))
+    decision, inputs, work = wires[0], tuple(sorted(wires[1 : 1 + k])), tuple(wires[1 + k :])
+    gates = []
+    for _ in range(3):
+        results = tuple(int(w) for w in rng.choice(work, size=int(rng.integers(1, min(2, len(work)) + 1)), replace=False))
+        free = [w for w in inputs + work if w not in results]
+        controls = tuple(int(w) for w in rng.choice(free, size=int(rng.integers(0, min(3, len(free)) + 1)), replace=False))
+        gates.append(xor_permutation_gate(controls, results, rng.integers(0, 1 << len(results), size=1 << len(controls))))
+    controls = tuple(int(w) for w in rng.choice(inputs + work, size=int(rng.integers(1, min(3, q - 1) + 1)), replace=False))
+    rotation = block_rotation_gate(controls, decision, scale_exponent=int(rng.integers(0, 3)))
+    return q, inputs, work, decision, gates, rotation
+
+
 def full_amps(s):
     """All 2^q amplitudes of a support state."""
     out = np.zeros(1 << s.q)
@@ -61,19 +96,6 @@ def per_wire_hadamard(amps, q, wires):
         x0, x1 = view[:, 0].copy(), view[:, 1].copy()
         view[:, 0] = (x0 + x1) / np.sqrt(2.0)
         view[:, 1] = (x0 - x1) / np.sqrt(2.0)
-    return out
-
-
-def rotated(amps, gate):
-    """The rotation on a full amplitude vector, block by block from ``block_matrix``."""
-    q = int(len(amps)).bit_length() - 1
-    out = amps.copy()
-    tbit = 1 << (q - 1 - gate.target_qubit)
-    for index in range(len(amps)):
-        if index & tbit:
-            continue
-        pattern = int("".join(str((index >> (q - 1 - w)) & 1) for w in gate.control_qubits), 2)
-        out[index], out[index | tbit] = gate.block_matrix(pattern) @ amps[[index, index | tbit]]
     return out
 
 
@@ -111,13 +133,18 @@ class TestHadamard:
         assert np.allclose(s.amps, [0.5] * 4)
 
     @staticmethod
-    def both_forms(amps):
-        """A dense state and a support state holding the same amplitudes."""
+    def both_forms(amps, wires):
+        """(state, the amplitudes it holds): a dense state of all of them, and a support state of
+        those that agree with the first nonzero one off the Hadamard's wires, the states it takes."""
         q = int(amps.size).bit_length() - 1
         dense = init_zero(q)
         dense.amps = amps.copy()
         index = np.flatnonzero(amps)
-        return dense, SupportState(q, index, amps[index])
+        off = off_mask(q, wires)
+        index = index[(index & off) == (index[0] & off)]
+        held = np.zeros_like(amps)
+        held[index] = amps[index]
+        return (dense, amps), (SupportState(q, index, amps[index]), held)
 
     @staticmethod
     def dense_amps(s):
@@ -145,8 +172,8 @@ class TestHadamard:
             op = np.kron(op, h if w in wires else np.eye(2))
         rng = np.random.default_rng(q + len(wires))
         amps = rng.normal(size=1 << q) * (rng.random(1 << q) < 0.5)
-        for s in self.both_forms(amps):
-            assert np.allclose(self.dense_amps(apply_hadamard(s, wires)), op @ amps, rtol=0.0, atol=1e-12)
+        for s, held in self.both_forms(amps, wires):
+            assert np.allclose(self.dense_amps(apply_hadamard(s, wires)), op @ held, rtol=0.0, atol=1e-12)
 
     def test_block_path_matches_per_qubit_path(self):
         # Runs of 7 and 13 wires take two and three slices of the Walsh matrix;
@@ -154,19 +181,19 @@ class TestHadamard:
         rng = np.random.default_rng(1)
         for q, wires in ((9, tuple(range(1, 8))), (14, tuple(range(13))), (10, (9, 5, 1, 2, 3, 4, 6, 7, 0))):
             amps = rng.normal(size=1 << q) * (rng.random(1 << q) < 0.1)
-            ref = per_wire_hadamard(amps, q, wires)
-            for s in self.both_forms(amps):
+            for s, held in self.both_forms(amps, wires):
+                ref = per_wire_hadamard(held, q, wires)
                 assert np.allclose(self.dense_amps(apply_hadamard(s, wires)), ref, rtol=0.0, atol=1e-12)
 
     @staticmethod
     def hadamard_rows(rows, q, wires, form):
-        """H on the wires of each row, as a dense batch or as a support batch holding every entry."""
+        """H on the wires of each row, as a dense batch or as a support batch of each row's nonzero entries."""
         if form == "dense":
             s = init_zero(q, batch=len(rows))
             s.amps = rows.copy()
             return apply_hadamard(s, wires).amps
-        index = np.broadcast_to(np.arange(1 << q), rows.shape).copy()
-        s = apply_hadamard(SupportState(q, index, rows.copy()), wires)
+        index = np.nonzero(rows)[1].reshape(len(rows), -1)
+        s = apply_hadamard(SupportState(q, index, np.take_along_axis(rows, index, axis=1)), wires)
         out = np.zeros_like(rows)
         np.put_along_axis(out, s.index, s.amps, axis=1)
         return out
@@ -178,7 +205,7 @@ class TestHadamard:
             (4, (0, 1, 2), (1, 2, 3, 511, 4096)),  # alg1's inputs: folded with the wire after them
             (5, (0, 1, 2, 3), (1, 2, 3, 511, 4096)),  # dj at n=4
             (6, tuple(range(6)), (1, 2, 3, 511, 4096)),  # one 64 x 64 matrix
-            (2, (0, 1), (1, 2, 3, 511, 4096)),  # a support group of two wires
+            (2, (0, 1), (1, 2, 3, 511, 4096)),  # two wires
             (12, tuple(range(6)), (1, 2, 3, 511)),  # top wires: one Walsh matrix per block of a row
             (12, tuple(range(12)), (1, 2, 3, 511)),  # an unfolded slice, then a folded one
         ],
@@ -191,6 +218,11 @@ class TestHadamard:
         rng = np.random.default_rng(q + len(wires))
         starts = (0, 3)
         rows = rng.normal(size=(max(counts) + max(starts), 1 << q))
+        if form == "support":
+            # A support row's entries agree off the wires, at a pattern of each row's own.
+            off = off_mask(q, wires)
+            rest = rng.integers(0, 1 << q, size=len(rows)) & off
+            rows *= (np.arange(1 << q) & off) == rest[:, None]
         whole = self.hadamard_rows(rows, q, wires, form)
         assert np.allclose(whole, per_wire_hadamard(rows, q, wires), rtol=0.0, atol=1e-12)
         for count in counts:
@@ -342,35 +374,42 @@ class TestFlipLayer:
 
 
 class TestBlockRotation:
+    """The support kernel on states whose target wire reads 0, as the decision wire does before the rotation."""
+
     def test_cos_one_leaves_target(self):
         # width-3 control register, scale 2^1: pattern 010 decodes to +2
         gate = block_rotation_gate((0, 1, 2), 3, scale_exponent=1)
-        s = apply_block_rotation(full_support(basis_state(4, 0b0100).amps), gate)
+        s = apply_block_rotation(basis_support(4, 0b0100), gate)
         assert abs(full_amps(s)[0b0100] - 1.0) < 1e-15
 
     def test_zero_pattern_flips_target(self):
         gate = block_rotation_gate((0, 1, 2), 3, scale_exponent=1)
-        s = apply_block_rotation(full_support(basis_state(4, 0b0000).amps), gate)
+        s = apply_block_rotation(basis_support(4, 0b0000), gate)
         assert abs(full_amps(s)[0b0001] - 1.0) < 1e-15
 
     def test_minus_full_scale_gives_negative_amplitude(self):
         # pattern 110 decodes to -2: cos = -1, amplitude -1 on unflipped target
         gate = block_rotation_gate((0, 1, 2), 3, scale_exponent=1)
-        s = apply_block_rotation(full_support(basis_state(4, 0b1100).amps), gate)
+        s = apply_block_rotation(basis_support(4, 0b1100), gate)
         assert abs(full_amps(s)[0b1100] - (-1.0)) < 1e-15
 
     def test_block_matrices_orthogonal(self):
+        # Every block at once, as the whole operator by the tests' dense
+        # rotation: row i of the rotated identity is the image of basis state i.
         gate = block_rotation_gate((0, 1, 2, 3), 4, scale_exponent=2)
-        for pattern in range(16):
-            m = gate.block_matrix(pattern)
-            assert np.allclose(m.T @ m, np.eye(2), atol=1e-15)
+        m = rotated(gate, np.eye(32))
+        assert np.allclose(m @ m.T, np.eye(32), rtol=0.0, atol=1e-15)
 
     def test_norm_preserved_on_random_states(self):
+        # Wire 0 is the index's top bit: the first 8 of 16 basis states have the target clear.
         gate = block_rotation_gate((1, 3), 0, scale_exponent=1)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            s = apply_block_rotation(full_support(random_state(4, rng).amps), gate)
+            amps = rng.normal(size=8)
+            amps /= np.linalg.norm(amps)
+            s = apply_block_rotation(SupportState(4, np.arange(8, dtype=np.int64), amps.copy()), gate)
             assert abs(s.norm() - 1.0) < 1e-12
+            assert np.allclose(full_amps(s), rotated(gate, np.concatenate((amps, np.zeros(8)))), rtol=0.0, atol=1e-15)
 
     def test_target_inside_controls_rejected(self):
         with pytest.raises(ValueError):
@@ -511,25 +550,24 @@ def test_large_register_skips_source_caching():
 
 
 def test_norm_preserved_by_random_gate_sequences():
+    # Random circuits of the paper's shape on a support state: the work wires
+    # come back clean, and each branch of the decision keeps unit norm
+    # through the readout Hadamard.
     rng = np.random.default_rng(13)
     for _ in range(10):
-        q = int(rng.integers(2, 6))
-        s = full_support(random_state(q, rng).amps)
-        for _ in range(8):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                wires = rng.choice(q, size=rng.integers(1, q + 1), replace=False)
-                apply_hadamard(s, tuple(int(w) for w in wires))
-            elif kind == 1:
-                target = int(rng.integers(0, q))
-                controls = tuple(int(w) for w in range(q) if w != target and rng.random() < 0.5)
-                values = rng.integers(0, 2, size=1 << len(controls))
-                apply_permutation(s, xor_permutation_gate(controls, (target,), values.tolist()))
-            else:
-                target = int(rng.integers(0, q))
-                controls = tuple(int(w) for w in range(q) if w != target)
-                apply_block_rotation(s, block_rotation_gate(controls, target, scale_exponent=max(0, q - 3)))
+        q, inputs, work, decision, gates, rotation = random_circuit(rng)
+        s = apply_hadamard(init_zero(q, support=True), inputs)
+        for gate in gates:
+            apply_permutation(s, gate)
+        apply_block_rotation(s, rotation)
+        apply_pauli_z(s, decision)
+        for gate in reversed(gates):
+            apply_permutation(s, gate)
         assert abs(s.norm() - 1.0) < 1e-12
+        assert probability_all_zero(s, work) == pytest.approx(1.0, abs=1e-12)
+        rec = measure(s, (decision,))
+        for outcome in rec.distribution:
+            assert abs(apply_hadamard(rec.collapse(outcome), inputs).norm() - 1.0) < 1e-12
 
 
 def test_measurement_record_floor_filters_dust():
@@ -544,13 +582,14 @@ def test_measurement_record_floor_filters_dust():
 
 def test_every_kernel_keeps_the_state_real():
     # A silent promotion to complex would double the memory of every state.
-    # The support state holds all 16 entries; only it takes the rotation.
-    run = XorRun((xor_permutation_gate((1, 2), (3,), [0, 1, 1, 0]), xor_permutation_gate((3,), (0,), [0, 1])))
-    for s in (init_zero(4), full_support(init_zero(4).amps)):
+    # Only the support state takes the rotation, of wire 3, which no other
+    # step sets.
+    run = XorRun((xor_permutation_gate((1, 2), (0,), [0, 1, 1, 0]), xor_permutation_gate((0,), (2,), [0, 1])))
+    for s in (init_zero(4), init_zero(4, support=True)):
         assert s.amps.dtype == np.float64
         steps = [
+            lambda: apply_hadamard(s, (2, 0)),  # two runs of one wire
             lambda: apply_hadamard(s, (0, 1, 2)),  # a run of three wires
-            lambda: apply_hadamard(s, (3, 1)),  # two runs of one wire
             lambda: apply_permutation(s, xor_permutation_gate((0,), (2,), [0, 1])),
             lambda: apply_permutation(s, run),
             lambda: apply_pauli_z(s, 2),
@@ -565,21 +604,11 @@ def test_every_kernel_keeps_the_state_real():
 
 
 class TestSupportState:
-    """Each support kernel against the dense kernel on random sparse states,
-    including the cases the circuits never reach: entries that differ outside
-    the Hadamard wires, and rotation partners that are both entries.  The
-    rotation and ``probability_all_zero`` have no dense kernel: they are
-    checked against ``block_matrix`` and a sum over the full vector."""
-
-    @staticmethod
-    def sparse_pair(q, rng, entries):
-        index = rng.choice(1 << q, size=entries, replace=False).astype(np.int64)
-        amps = rng.normal(size=entries)
-        amps /= np.linalg.norm(amps)
-        dense = init_zero(q)
-        dense.amps[0] = 0.0
-        dense.amps[index] = amps
-        return SupportState(q, index, amps), dense
+    """Each support kernel against the dense kernel on random circuits of the
+    paper's shape, the states the support kernels serve; and the two
+    preconditions that say so.  The rotation and ``probability_all_zero``
+    have no dense kernel: they are checked against the tests' dense rotation
+    and a sum over the full vector."""
 
     @staticmethod
     def assert_same(support, dense):
@@ -588,32 +617,64 @@ class TestSupportState:
         full[support.index] = support.amps
         assert np.allclose(full, dense.amps, rtol=0.0, atol=1e-12)
 
+    @staticmethod
+    def assert_same_records(rec, ref):
+        assert rec.distribution.keys() == ref.distribution.keys()
+        for outcome, p in ref.distribution.items():
+            assert rec.distribution[outcome] == pytest.approx(p, abs=1e-12)
+
     def test_kernels_match_the_dense_kernels(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
-            q = int(rng.integers(3, 8))
-            support, dense = self.sparse_pair(q, rng, int(rng.integers(1, 1 << (q - 1))))
-            wires = tuple(int(w) for w in rng.choice(q, size=int(rng.integers(1, q)), replace=False))
-            self.assert_same(apply_hadamard(support, wires), apply_hadamard(dense, wires))
-            controls, results = wires[: len(wires) // 2], tuple(w for w in range(q) if w not in wires)[:2]
-            if results:
-                values = rng.integers(0, 1 << len(results), size=1 << len(controls))
-                gate = xor_permutation_gate(controls, results, values)
+            q, inputs, work, decision, gates, rotation = random_circuit(rng)
+            support, dense = init_zero(q, support=True), init_zero(q)
+            self.assert_same(apply_hadamard(support, inputs), apply_hadamard(dense, inputs))
+            for gate in gates:
                 self.assert_same(apply_permutation(support, gate), apply_permutation(dense, gate))
-            target = int(rng.integers(0, q))
-            others = [w for w in range(q) if w != target]
-            controls = tuple(int(w) for w in rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False))
-            rot = block_rotation_gate(controls, target, scale_exponent=1)
-            dense.amps = rotated(dense.amps, rot)
-            self.assert_same(apply_block_rotation(support, rot), dense)
-            self.assert_same(apply_pauli_z(support, target), apply_pauli_z(dense, target))
-            zero = np.all([(np.arange(1 << q) >> (q - 1 - w)) & 1 == 0 for w in wires], axis=0)
-            assert probability_all_zero(support, wires) == pytest.approx(np.sum(dense.amps[zero] ** 2), abs=1e-12)
+            dense.amps = rotated(rotation, dense.amps)
+            self.assert_same(apply_block_rotation(support, rotation), dense)
+            wire = int(rng.integers(0, q))
+            self.assert_same(apply_pauli_z(support, wire), apply_pauli_z(dense, wire))
+            # Measured on any wires, and read before and after the uncompute.
+            wires = tuple(int(w) for w in rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False))
             rec, ref = measure(support, wires), measure(dense, wires)
-            assert rec.distribution.keys() == ref.distribution.keys()
-            for outcome, p in ref.distribution.items():
-                assert rec.distribution[outcome] == pytest.approx(p, abs=1e-12)
+            self.assert_same_records(rec, ref)
+            for outcome in ref.distribution:
                 self.assert_same(rec.collapse(outcome), ref.collapse(outcome))
+            clean = np.all([(np.arange(1 << q) >> (q - 1 - w)) & 1 == 0 for w in work], axis=0)
+            assert probability_all_zero(support, work) == pytest.approx(np.sum(dense.amps[clean] ** 2), abs=1e-12)
+            for gate in reversed(gates):
+                self.assert_same(apply_permutation(support, gate), apply_permutation(dense, gate))
+            assert probability_all_zero(support, work) == pytest.approx(np.sum(dense.amps[clean] ** 2), abs=1e-12)
+            # The readout: each branch of the decision, then the inputs after a Hadamard.
+            rec, ref = measure(support, (decision,)), measure(dense, (decision,))
+            self.assert_same_records(rec, ref)
+            for outcome in ref.distribution:
+                branch, ref_branch = apply_hadamard(rec.collapse(outcome), inputs), apply_hadamard(ref.collapse(outcome), inputs)
+                self.assert_same(branch, ref_branch)
+                self.assert_same_records(measure(branch, inputs), measure(ref_branch, inputs))
+
+    def test_hadamard_needs_the_entries_to_agree_off_its_wires(self):
+        # Wire 2 is the index's lowest bit: one row, and one row of a batch, where it differs between entries.
+        amps = np.full(2, np.sqrt(0.5))
+        with pytest.raises(ValueError, match="agree on the wires it does not act on"):
+            apply_hadamard(SupportState(3, np.array([0b000, 0b011]), amps.copy()), (0, 1))
+        with pytest.raises(ValueError, match="agree on the wires it does not act on"):
+            apply_hadamard(SupportState(3, np.array([[0b000, 0b010], [0b001, 0b100]]), np.stack((amps, amps))), (0, 1))
+        # Rows that each agree, at patterns of their own, are transformed.
+        s = apply_hadamard(SupportState(3, np.array([[0b000, 0b010], [0b001, 0b101]]), np.stack((amps, amps))), (0, 1))
+        assert s.index.tolist() == [[0, 2, 4, 6], [1, 3, 5, 7]]
+
+    def test_rotation_needs_its_target_clear_in_every_entry(self):
+        gate = block_rotation_gate((0, 1), 2, scale_exponent=1)
+        amps = np.full(2, np.sqrt(0.5))
+        with pytest.raises(ValueError, match="target wire to read 0 in every entry"):
+            apply_block_rotation(SupportState(3, np.array([0b000, 0b011]), amps.copy()), gate)
+        with pytest.raises(ValueError, match="target wire to read 0 in every entry"):
+            apply_block_rotation(SupportState(3, np.array([[0b000, 0b010], [0b100, 0b111]]), np.stack((amps, amps))), gate)
+        # With the target clear, each entry and its partner.
+        s = apply_block_rotation(SupportState(3, np.array([[0b000, 0b010], [0b100, 0b110]]), np.stack((amps, amps))), gate)
+        assert s.index.tolist() == [[0b000, 0b010, 0b001, 0b011], [0b100, 0b110, 0b101, 0b111]]
 
     def test_rotation_drops_exact_zeros(self):
         # cos = 0 on control pattern 0: the amplitude moves to the partner and
