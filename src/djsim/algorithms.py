@@ -5,8 +5,10 @@ width, ordered layers (``Op``), readout plan and static node-assignment log
 entry.  ``_execute`` runs any description, enumerating both measurement
 branches analytically, so reported probabilities carry no sampling noise and
 exactness can be asserted at 1e-12.  A description with work registers runs
-on a support state (``Circuit.support``), the others on a dense one.  Qubit
-counts, gate breakdowns and ``analysis.resource_table`` are read from the
+on a support state (``Circuit.support``), the others on a dense one.
+``pattern_table`` runs a circuit once per pattern of one row of the truth
+table, which is all a sweep over the promise family needs.  Qubit counts,
+gate breakdowns and ``analysis.resource_table`` are read from the
 description.
 
 Gate accounting: each Hadamard layer, oracle call, named arithmetic or
@@ -454,6 +456,22 @@ def _start(c: Circuit, support: bool) -> tuple[int, State]:
     return skip, s
 
 
+def _evolve(c: Circuit, rows: np.ndarray, stop: Optional[int] = None) -> State:
+    """The batch's state after the compiled steps (those before ``stop``), one row per oracle table of ``rows``.
+
+    The steps, and with them the start row, are compiled on first use.
+    """
+    if c.steps is None:
+        c.steps = _compile(c)
+        c.start = _start(c, c.support) if c.row_bits <= _DEST_CACHE_MAX_Q else None
+    skip, start = c.start or (0, None)
+    s = init_zero(c.q, c.support, batch=len(rows), start=start)
+    layers: dict = {}
+    for step in c.steps[skip:stop]:
+        _apply(s, step, rows, layers)
+    return s
+
+
 def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
     """Run the circuit once on a batch: (constant-label probabilities, branch log of row 0, work-register p_all_zero).
 
@@ -470,15 +488,8 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     on; a description that breaks either raises a ValueError.  A run reaches
     the simulator kernels only through this module's names.
     """
-    if c.steps is None:
-        c.steps = _compile(c)
-        c.start = _start(c, c.support) if c.row_bits <= _DEST_CACHE_MAX_Q else None
     count = len(rows)
-    skip, start = c.start or (0, None)
-    s = init_zero(c.q, c.support, batch=count, start=start)
-    layers: dict = {}
-    for step in c.steps[skip:]:
-        _apply(s, step, rows, layers)
+    s = _evolve(c, rows)
     log: list = []
     anc = None
     if c.work:
@@ -529,6 +540,81 @@ def _run(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.nd
         log.append({"stage": "node_measurement", "w": format(w, f"0{c.t}b"), "p_all_zero": float(p_w[0]), "distribution": dist})
         p_constant *= p_w
     return p_constant, log, None
+
+
+def _check_row_patterns(c: Circuit) -> None:
+    """Raise ValueError, naming the op, unless every run of c is (1/√U) Σ_u |u>|ψ(r_u)> before its readout.
+
+    That holds when the first op on the input register is a Hadamard on all
+    of it, and after it the input wires are only the controls of oracle
+    rounds that read the whole register, until the readout Hadamard: the
+    last op when ``decision`` is None, else the executor's.  Then row u of
+    the function's table alone steers the other wires in branch u.
+    """
+    inputs = set(c.inputs)
+    readout = len(c.ops) - 1 if c.decision is None else None
+    opened = False
+    for i, op in enumerate(c.ops):
+        what = f"op {i} ({op.kind} {op.name or op.category})"
+        wires = set().union(*op.wires)
+        if op.kind == "hadamard" and wires & inputs and (not opened or i == readout):
+            if not inputs <= wires:
+                raise ValueError(f"{what} covers only part of the input register")
+            if i == readout and not opened:
+                raise ValueError(f"{what} is the readout, but no Hadamard opens the input register before it")
+            opened = True
+            continue
+        if op.kind == "oracle":
+            if tuple(op.wires[0]) != tuple(c.inputs) or not opened:
+                raise ValueError(f"{what} must be controlled by the whole input register after its opening Hadamard")
+            wires = {op.target(w) for w in op.ws}
+        if wires & inputs:
+            raise ValueError(f"{what} acts on input wire {min(wires & inputs)}; only oracle rounds may read the inputs")
+    if readout is not None and (readout < 0 or c.ops[readout].kind != "hadamard"):
+        raise ValueError("a circuit that measures its input register must end with the readout Hadamard on it")
+
+
+# Row patterns per batched run of the pattern table: t=4 has 2^16 of them.
+_TABLE_BATCH = 1 << 12
+
+
+def pattern_table(c: Circuit) -> np.ndarray:
+    """ψ(r) of every row pattern r, per node: a (nodes, 2^(2^T), K) float array, T = ``c.t or 0``.
+
+    A run on f is (1/√U) Σ_u |u>|ψ(r_u)> before its readout (U = 2^|inputs|,
+    r_u row u of f's (U, 2^T) table), so each circuit runs once, one batch
+    row per pattern p whose every row is p, read big-endian as ``boolfn``
+    packs a table.  ψ(p) is read where the inputs are 0, times √U, over the
+    K basis states of the other wires with the decision qubit at 0, before
+    the readout Hadamard: then f's p_constant is the product over nodes of
+    ‖Σ_u ψ(r_u) / U‖².  A circuit with ``runs`` > 1 has one node per run,
+    node w reading column w of each pattern.  A description the static
+    check rejects raises ValueError before any state is built.
+    """
+    _check_row_patterns(c)
+    width = 1 << (c.t or 0)
+    rows = 1 << len(c.inputs)
+    stop = -1 if c.decision is None else None  # the readout Hadamard is the last step, or the executor's
+    patterns = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    read = tuple(c.inputs) + (() if c.decision is None else (c.decision,))
+    mask = sum(1 << (c.q - 1 - w) for w in read)
+    pieces = []
+    for node in range(c.runs):
+        columns = patterns if c.runs == 1 else patterns[:, node : node + 1]
+        for lo in range(0, len(patterns), _TABLE_BATCH):
+            block = columns[lo : lo + _TABLE_BATCH]
+            s = _evolve(c, np.broadcast_to(block[:, None], (len(block), rows, block.shape[1])), stop)
+            index = np.broadcast_to(s.index if c.support else sim._indices(c.q), s.amps.shape)
+            at_zero = (index & mask) == 0
+            row = np.broadcast_to(np.arange(lo, lo + len(block))[:, None], at_zero.shape)
+            pieces.append((node, row[at_zero], index[at_zero], s.amps[at_zero]))
+    # A set, not np.unique or np.sort: they import numpy.ma or load sort
+    # kernels, 10 ms and 0.3 MiB of a fresh process, for a handful of keys.
+    keys = np.array(sorted(set(np.concatenate([piece[2] for piece in pieces]).tolist())), dtype=np.int64)
+    table = np.zeros((c.runs, len(patterns), len(keys)))
+    for node, row, key, amps in pieces:
+        table[node, row, np.searchsorted(keys, key)] = amps * math.sqrt(rows)
+    return table
 
 
 @dataclass

@@ -6,30 +6,37 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .algorithms import EXACTNESS_TOL, Circuit, _run, circuit, run_named, validate_run_config
+from .algorithms import EXACTNESS_TOL, Circuit, InvariantBreach, _run, circuit, pattern_table, run_named, validate_run_config
 # enumerate_promise_functions is unused here; it stays importable from this
 # module because perfbench/tracer.py wraps it on this module by name.
 from .boolfn import (  # noqa: F401
     BooleanFunction,
+    check_enumerable,
     count_promise_functions,
     enumerate_promise_functions,
     make_function,
-    packed_promise_tables,
+    packed_promise_range,
     unpack_tables,
 )
 
-# State entries per batched circuit run: a chunk holds as many promise
+# State entries per batched circuit run: a run holds as many promise
 # functions as rows of this many entries fit.  At n = 4 that is 512
 # functions for dj (2^5 entries a row), 1,024 for alg1 and 2,048 for alg2
 # and alg3 (support rows of 2^(n-t+1) entries).
 _SWEEP_ENTRIES = 1 << 14
-# Most chunks per message to a sweep worker.  A message costs about 1.5 ms
-# on a 2-vCPU host, about as much as one chunk's run, so one chunk per
-# message leaves the workers waiting on the parent process.
+# Promise functions per chunk of a verify sweep, checked from the pattern
+# table.  At n = 4 this cuts the 12,872 functions into two chunks, so two
+# workers get one each; at n = 5 a chunk of 2^12 spent about a third more
+# a function on making its tables and on numpy's per-call costs.
+_SWEEP_CHUNK = 1 << 13
+# Most chunks per message to a sweep worker.  A message names its chunks'
+# ranges of the family, which the worker makes itself; one chunk per
+# message would leave the workers waiting on the parent process.
 _CHUNKS_PER_TASK = 16
 
 
@@ -136,7 +143,8 @@ def mean_simulated_misid(n: int, t: int) -> float:
     """
     c = circuit("err-multi", n, t)
     total = 0.0
-    for packed in _sweep_chunks(n, _chunk_rows(c)):
+    for chunk in _sweep_chunks(n, _chunk_rows(c)):
+        packed = packed_promise_range(n, chunk.start, chunk.stop)
         bits = unpack_tables(packed[~_is_constant(packed, n)], n)
         p_constant, _, _ = _run(c, bits.reshape(len(bits), -1, 1 << t))
         for p in p_constant.tolist():
@@ -231,20 +239,15 @@ def _chunk_rows(c: Circuit) -> int:
     return max(1, _SWEEP_ENTRIES >> c.row_bits)
 
 
-def _sweep_chunks(n: int, size: int) -> Iterator[np.ndarray]:
-    """The promise family of arity n, packed, in enumeration order, cut into work units of ``size``."""
-    held: list[np.ndarray] = []
-    room = size
-    for block in packed_promise_tables(n):
-        while len(block):
-            held.append(block[:room])
-            room -= len(held[-1])
-            block = block[len(held[-1]) :]
-            if not room:
-                yield np.concatenate(held)
-                held, room = [], size
-    if held:
-        yield np.concatenate(held)
+def _sweep_chunks(n: int, size: int) -> Iterator[range]:
+    """Positions in the promise family of arity n, in enumeration order, cut into work units of ``size``.
+
+    ``packed_promise_range`` makes a unit's tables.  An arity past
+    MAX_ENUMERATION_ARITY raises ValueError here, not on the first chunk.
+    """
+    check_enumerable(n)
+    count = count_promise_functions(n)
+    return (range(lo, min(lo + size, count)) for lo in range(0, count, size))
 
 
 def _is_constant(packed: np.ndarray, n: int) -> np.ndarray:
@@ -252,37 +255,101 @@ def _is_constant(packed: np.ndarray, n: int) -> np.ndarray:
     return (packed == 0) | (packed == (1 << (1 << n)) - 1)
 
 
-def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray) -> list[dict]:
-    """The failure records of one chunk, from one batched run of the circuit over all its tables.
+@lru_cache(maxsize=64)
+def _field_sums(c: Circuit) -> tuple[int, np.ndarray]:
+    """(field width b, ψ summed over the rows that each b-bit field of a packed table holds).
 
-    A record carries what ``run_named`` reports for that function, bit for bit.
+    A field is a byte, or one row when rows are wider; the sums have shape
+    (2^b, nodes, K).  The sum over a function's rows does not depend on
+    their order, so it is the sum of its fields' entries.  This cache is
+    the only copy of c's pattern table a sweep keeps; its sums are read-only.
     """
-    c = circuit(algorithm, n, t)
-    bits = unpack_tables(packed, n)
-    p_constant, _, _ = _run(c, bits.reshape(len(bits), -1, 1 << (c.t or 0)))
+    table = pattern_table(c)
+    width = 1 << (c.t or 0)
+    bits = max(width, min(8, width << len(c.inputs)))
+    rows = (np.arange(1 << bits)[:, None] >> np.arange(0, bits, width)) & ((1 << width) - 1)
+    sums = np.ascontiguousarray(table[:, rows].sum(axis=2).transpose(1, 0, 2))
+    sums.flags.writeable = False
+    return bits, sums
+
+
+def _table_probabilities(c: Circuit, packed: np.ndarray) -> np.ndarray:
+    """Each packed table's p_constant from c's pattern table: the product over nodes of ‖Σ_u ψ(r_u) / U‖².
+
+    The few nodes and components are summed one slice at a time: numpy's
+    reductions over so short an axis cost more than the gathers.
+    """
+    bits, sums = _field_sums(c)
+    rows = 1 << len(c.inputs)
+    amps = 0.0
+    for shift in range(0, rows << (c.t or 0), bits):
+        amps = amps + sums.take((packed >> shift) & ((1 << bits) - 1), axis=0)
+    amps /= rows
+    amps *= amps
+    norms = amps[:, :, 0]
+    for k in range(1, amps.shape[2]):
+        norms = norms + amps[:, :, k]
+    p = norms[:, 0]
+    for node in range(1, norms.shape[1]):
+        p = p * norms[:, node]
+    return p
+
+
+def _misjudged(p_constant: np.ndarray, packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(says constant, exact, failed) per function: a failure's verdict differs from its promise or is not exact."""
     p_balanced = 1.0 - p_constant
     says_constant = p_constant >= p_balanced
     exact = np.maximum(p_constant, p_balanced) >= 1.0 - EXACTNESS_TOL
-    is_constant = _is_constant(packed, n)
+    return says_constant, exact, (says_constant != _is_constant(packed, n)) | ~exact
+
+
+def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray, first: bool = False) -> list[dict]:
+    """The failure records of one chunk: the pattern table flags the functions, batched runs make their records.
+
+    The flagged functions run the circuit, in batches of _chunk_rows, so a
+    record carries what ``run_named`` reports for that function, bit for
+    bit.  The ``first`` chunk of a sweep also runs one batch spread over
+    it, so that every sweep, even one that flags nothing, compares the
+    table with the circuit.  A run that disagrees with the table beyond
+    EXACTNESS_TOL raises InvariantBreach.
+    """
+    c = circuit(algorithm, n, t)
+    p_table = _table_probabilities(c, packed)
+    to_run = _misjudged(p_table, packed, n)[2]
+    size = _chunk_rows(c)
+    if first:
+        to_run[:: -(-len(packed) // size)] = True
+    picked = np.flatnonzero(to_run)
     failures = []
-    for r in np.flatnonzero((says_constant != is_constant) | ~exact):
-        f = make_function(n, bits[r].astype(np.uint8).tobytes())
-        failures.append(
-            {
-                "function": f.digest(),
-                "promise": f.promise.value,
-                "verdict": "constant" if says_constant[r] else "balanced",
-                "p_constant": float(p_constant[r]),
-                "verdict_exact": bool(exact[r]),
-            }
-        )
+    for lo in range(0, len(picked), size):
+        rows = picked[lo : lo + size]
+        bits = unpack_tables(packed[rows], n)
+        p_constant, _, _ = _run(c, bits.reshape(len(bits), -1, 1 << (c.t or 0)))
+        gap = np.abs(p_constant - p_table[rows]).max()
+        if gap > EXACTNESS_TOL:
+            raise InvariantBreach(f"the {algorithm} pattern table disagrees with its circuit run by {gap!r}")
+        says_constant, exact, failed = _misjudged(p_constant, packed[rows], n)
+        for r in np.flatnonzero(failed):
+            f = make_function(n, bits[r].astype(np.uint8).tobytes())
+            failures.append(
+                {
+                    "function": f.digest(),
+                    "promise": f.promise.value,
+                    "verdict": "constant" if says_constant[r] else "balanced",
+                    "p_constant": float(p_constant[r]),
+                    "verdict_exact": bool(exact[r]),
+                }
+            )
     return failures
 
 
-def _sweep_chunk(args: tuple[str, int, Optional[int], np.ndarray]) -> tuple[int, list[dict]]:
-    algorithm, n, t, packed = args
+def _sweep_chunk(args: tuple[str, int, Optional[int], range]) -> tuple[int, list[dict]]:
+    algorithm, n, t, chunk = args
+    packed = packed_promise_range(n, chunk.start, chunk.stop)
     try:
-        return len(packed), _chunk_failures(algorithm, n, t, packed)
+        return len(packed), _chunk_failures(algorithm, n, t, packed, not chunk.start)
+    except InvariantBreach:  # the table is wrong, and with it every verdict it gave: the sweep stops
+        raise
     except Exception as exc:  # the sweep goes on: the chunk is checked as run_named checks it
         warnings.warn(f"batched check of a chunk failed ({exc!r}); checking it one function at a time", RuntimeWarning)
         # An error then becomes a finding on the function that raises it.
@@ -312,19 +379,24 @@ def _sweep_results(chunks: Iterator[tuple], jobs: int, count: int) -> Iterator[t
 
 
 def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> VerificationSummary:
-    """Run the algorithm on every promise function of arity n and record mismatches.
+    """Check the algorithm on every promise function of arity n and record mismatches.
 
     A failure is any function whose verdict differs from its promise label or
-    whose winning-label probability is not 1 within tolerance.  Workers are
-    stateless, so the family can be partitioned across processes; serial and
-    parallel sweeps check the same chunks.
+    whose winning-label probability is not 1 within tolerance.  Each chunk is
+    checked from the circuit's pattern table, and only the functions it flags,
+    and one batch of the first chunk, run the circuit (``_chunk_failures``);
+    a run that disagrees with the table raises InvariantBreach.  An arity past MAX_ENUMERATION_ARITY
+    raises ValueError before the table is built.  A chunk is a range of
+    positions in the family, whose tables the worker makes itself, so the
+    family can be partitioned across processes; serial and parallel sweeps
+    check the same chunks.
     """
     c = validate_run_config(algorithm, n, t)
     start = time.perf_counter()
     summary = VerificationSummary(n=n, t=t, algorithm=algorithm, functions_checked=0)
-    rows = _chunk_rows(c)
-    chunks = ((algorithm, n, t, packed) for packed in _sweep_chunks(n, rows))
-    for count, failures in _sweep_results(chunks, jobs, -(-count_promise_functions(n) // rows)):
+    chunks = ((algorithm, n, t, chunk) for chunk in _sweep_chunks(n, _SWEEP_CHUNK))
+    _field_sums(c)  # the pattern table, built before any worker starts so that each inherits it
+    for count, failures in _sweep_results(chunks, jobs, -(-count_promise_functions(n) // _SWEEP_CHUNK)):
         summary.functions_checked += count
         summary.failures.extend(failures)
     summary.wall_time = time.perf_counter() - start

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -314,26 +315,65 @@ def packed_promise_tables(n: int) -> Iterator[np.ndarray]:
 
     A packed table is the truth table read as a big-endian integer (bit
     2^n - 1 - x is f(x)).  Blocks come out in ascending order: the two
-    constants, then for each value of the high half of the table, in
-    ascending order, the low halves that balance it.  The low halves are
-    sorted once per popcount, so neither the family nor the range 2^(2^n) is
-    ever held in memory.
+    constants, then the balanced tables, at most 2^14 to a block.  An arity
+    past MAX_ENUMERATION_ARITY raises ValueError at the call, before any
+    block is made.
     """
+    check_enumerable(n)
+    count = count_promise_functions(n)
+    starts = [0, *range(2, count, 1 << 14), count]
+    return (packed_promise_range(n, lo, hi) for lo, hi in zip(starts, starts[1:]))
+
+
+def packed_promise_range(n: int, start: int, stop: int) -> np.ndarray:
+    """Tables start to stop - 1 of the promise family of arity n, packed, in the order of ``packed_promise_tables``.
+
+    Balanced table j is the j-th in ascending order: for each value of the
+    high half of the table, ascending, the low halves that balance it,
+    ascending.  Any range is made by a few gathers from the low halves
+    grouped by popcount, so neither the family nor the range 2^(2^n) is
+    ever held in memory, and workers can each make their own share.
+    """
+    check_enumerable(n)
+    half, lows, offset, ends = _balanced_layout(n)
+    constants = np.array([0, (1 << (2 * half)) - 1], dtype=np.int64)[start:stop]
+    lo, hi = max(start - 2, 0), min(max(stop - 2, 0), int(ends[-1]))  # the range among the balanced tables
+    if hi <= lo:
+        return constants
+    first, last = int(ends.searchsorted(lo, "right")), int(ends.searchsorted(hi - 1, "right"))  # their high halves
+    counts = np.minimum(ends[first : last + 1], hi)  # each high half's tables in the range
+    counts[1:] -= ends[first:last]
+    counts[0] -= lo
+    balanced = np.repeat(np.arange(first, last + 1) << half, counts)
+    balanced |= lows[np.repeat(offset[first : last + 1], counts) + np.arange(lo, hi)]
+    return np.concatenate([constants, balanced]) if len(constants) else balanced
+
+
+def check_enumerable(n: int) -> None:
+    """Raise ValueError unless the promise family of arity n is small enough to enumerate."""
     if n > MAX_ENUMERATION_ARITY:
         raise ValueError(
             f"full enumeration is limited to n <= {MAX_ENUMERATION_ARITY} "
             f"(C(2^{n}, 2^{n - 1}) balanced functions); sample with random_balanced_table instead"
         )
-    size = 1 << n
-    low_bits = size // 2
-    yield np.array([0, (1 << size) - 1], dtype=np.int64)
-    lows = np.arange(1 << low_bits, dtype=np.int64)
-    weights = _popcounts(lows)
-    by_weight = [lows[weights == k] for k in range(low_bits + 1)]
-    for high in range(1 << (size - low_bits)):
-        need = size // 2 - high.bit_count()
-        if 0 <= need <= low_bits:
-            yield (high << low_bits) | by_weight[need]
+
+
+@lru_cache(maxsize=None)
+def _balanced_layout(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(bits in each half of a table, the halves by popcount, offsets, ends) of the balanced tables of arity n.
+
+    Balanced table j, of high half h, has low half ``lows[offset[h] + j]``;
+    ``ends[h]`` counts the balanced tables of high halves up to h.
+    """
+    half = 1 << (n - 1)
+    halves = np.arange(1 << half, dtype=np.int64)
+    weights = _popcounts(halves)
+    lows = np.concatenate([halves[weights == k] for k in range(half + 1)])  # ascending within each popcount
+    first = np.concatenate(([0], np.cumsum(np.bincount(weights, minlength=half + 1))))  # where each popcount starts
+    need = half - weights  # the low halves' popcount that balances each high half
+    counts = first[need + 1] - first[need]
+    ends = np.cumsum(counts)
+    return half, lows, first[need] - ends + counts, ends
 
 
 def unpack_tables(packed: np.ndarray, n: int) -> np.ndarray:

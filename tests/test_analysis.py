@@ -178,7 +178,7 @@ class TestVerifySweep:
         # the same failures in the same order.
         from djsim import analysis
 
-        monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 8)
+        monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 8)
         serial = verify_sweep(3, 1, "err-multi", jobs=1)
         parallel = verify_sweep(3, 1, "err-multi", jobs=2)
         assert serial.functions_checked == parallel.functions_checked == 72
@@ -208,7 +208,7 @@ class TestVerifySweep:
         one_chunk = verify_sweep(2, None, "dj", jobs=8)
         assert sizes == [] and one_chunk.functions_checked == 8
         serial = verify_sweep(3, 1, "err-multi", jobs=1)
-        monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 30)  # 72 functions: three chunks
+        monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 30)  # 72 functions: three chunks
         for jobs, workers in ((8, 3), (2, 2)):
             parallel = verify_sweep(3, 1, "err-multi", jobs=jobs)
             assert sizes[-1] == workers
@@ -234,8 +234,9 @@ class TestVerifySweep:
 
         monkeypatch.setattr(analysis, "_sweep_results", spy)
         verify_sweep(4, t, alg)
-        chunks = analysis._sweep_chunks(4, analysis._chunk_rows(analysis.circuit(alg, 4, t)))
+        chunks = analysis._sweep_chunks(4, analysis._SWEEP_CHUNK)
         assert seen == [sum(1 for _ in chunks)]
+        assert seen[0] >= 2  # so ``--jobs 2`` at n=4 reaches two workers
 
     def test_record_shape(self):
         record = verify_sweep(2, 1, "alg1").to_record()

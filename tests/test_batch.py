@@ -1,11 +1,12 @@
-"""Batched sweeps: one circuit run per chunk of packed truth tables.
+"""Batched sweeps: one circuit run over many packed truth tables.
 
-``verify_sweep`` streams the promise family as packed integers and runs each
-circuit once per chunk, one state row per function.  These tests pin the
-batched path to the per-function one (``run_named`` on each function of
-``enumerate_promise_functions``), show that a row's result does not depend on
-the rows that share its batch, and check the packed enumeration against the
-same-popcount successor walk.
+``verify_sweep`` streams the promise family as packed integers, flags each
+chunk's failures from the circuit's row-pattern table, and runs the circuit
+once per batch of flagged functions, one state row per function, to make
+their records.  These tests pin the sweep to the per-function path
+(``run_named`` on each function of ``enumerate_promise_functions``), show
+that a row's result does not depend on the rows that share its batch, and
+check the packed enumeration against the same-popcount successor walk.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from djsim import algorithms, analysis, cli, count_promise_functions, enumerate_promise_functions, make_function
 from djsim.algorithms import _apply, _execute, _run, _start, circuit, run_named
 from djsim.analysis import verify_sweep
-from djsim.boolfn import packed_promise_tables
+from djsim.boolfn import packed_promise_range, packed_promise_tables
 from djsim.sim import MeasurementRecord, StateVector, init_zero
 
 TOL = 1e-12
@@ -88,7 +89,9 @@ def test_chunks_hold_about_the_same_number_of_state_entries(alg, t, rows):
 
 def test_chunk_boundaries_do_not_change_the_failures(monkeypatch):
     whole = verify_sweep(4, 2, "err-multi", jobs=1)
-    monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 37)
+    # Cut both the sweep's chunks and the batched runs of their flagged functions.
+    monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 37)
+    monkeypatch.setattr(analysis, "_chunk_rows", lambda c: 5)
     cut = verify_sweep(4, 2, "err-multi", jobs=1)
     assert cut.functions_checked == whole.functions_checked
     assert cut.failures == whole.failures
@@ -258,7 +261,8 @@ def test_packed_tables_at_n5_without_materialising_the_family():
 def test_sweep_chunks_cut_the_stream_evenly():
     chunks = list(analysis._sweep_chunks(4, 1000))
     assert [len(c) for c in chunks] == [1000] * 12 + [872]
-    assert np.array_equal(np.concatenate(chunks), np.concatenate(list(packed_promise_tables(4))))
+    made = [packed_promise_range(4, c.start, c.stop) for c in chunks]
+    assert np.array_equal(np.concatenate(made), np.concatenate(list(packed_promise_tables(4))))
 
 
 @pytest.mark.parametrize(

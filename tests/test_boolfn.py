@@ -18,7 +18,7 @@ from djsim import (
     make_function,
     random_balanced_table,
 )
-from djsim.boolfn import packed_promise_tables
+from djsim.boolfn import packed_promise_range, packed_promise_tables
 
 
 class TestMakeFunction:
@@ -120,6 +120,42 @@ class TestEnumeration:
         functions = list(enumerate_promise_functions(n))
         assert [int("".join(map(str, f.table)), 2) for f in functions] == expected
         assert [f.promise for f in functions] == [Promise.CONSTANT] * 2 + [Promise.BALANCED] * (len(expected) - 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_range_is_its_slice_of_the_family(self, n):
+        family = np.concatenate(list(packed_promise_tables(n))).tolist()
+        total = len(family)
+        rng = np.random.default_rng(n)
+        cuts = [(a, a + 1) for a in range(total)] + [tuple(sorted(rng.integers(0, total + 1, 2))) for _ in range(200)]
+        for start, stop in cuts + [(0, total), (0, 2), (2, total), (total, total)]:
+            assert packed_promise_range(n, start, stop).tolist() == family[start:stop]
+
+    def test_ranges_at_n5_are_the_ranked_tables(self):
+        # Balanced table j is the j-th 32-bit integer with 16 ones, ascending:
+        # unranked bit by bit from the top, independently of the enumeration.
+        def unrank(j):
+            value, ones = 0, 16
+            for bit in range(31, -1, -1):
+                below = math.comb(bit, ones)  # tables with this bit clear
+                if j >= below:
+                    j -= below
+                    value |= 1 << bit
+                    ones -= 1
+            return value
+
+        total = count_promise_functions(5)
+        rng = np.random.default_rng(5)
+        starts = [0, 2, total - 3000] + rng.integers(2, total - 3000, 20).tolist()
+        for start in starts:
+            got = packed_promise_range(5, start, start + 3000).tolist()
+            constants = [0, (1 << 32) - 1][start:]
+            assert got[: len(constants)] == constants
+            assert got[len(constants) :] == [unrank(j - 2) for j in range(start + len(constants), start + 3000)]
+        assert packed_promise_range(5, total - 1, total + 5).tolist() == [((1 << 16) - 1) << 16]
+
+    def test_ranges_past_enumeration_rejected(self):
+        with pytest.raises(ValueError, match="random_balanced_table"):
+            packed_promise_range(6, 0, 1)
 
 
 class TestStats:

@@ -204,6 +204,16 @@ class TestVerify:
         assert status == 0
         assert payload["failure_count"] > 0
 
+    @pytest.mark.parametrize("args", [("--n", "6", "--alg", "dj"), ("--n", "20", "--t", "3", "--alg", "alg3")])
+    def test_arity_past_enumeration_fails_fast(self, args):
+        # At n=20, t=3 the pattern table would hold 256 rows of 2^18 entries;
+        # the arity check comes before it, within a 1 GiB cap.
+        proc = TestRun.run_capped("verify", *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: full enumeration is limited to n <= 5 ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         assert cli.main(["verify", "--n", "2", "--alg", "dj", "--jobs", jobs]) == 1
