@@ -129,11 +129,12 @@ class Circuit:
         After the input Hadamard their gates are XOR permutations and one
         rotation, so at most 2^(n-t+1) of the 2^q amplitudes are nonzero.  The
         other circuits (dj, alg1, err-multi, err-4node) fill their register:
-        their dense state is at most twice their support, and on it their
-        batched sweeps run faster.  Run on support states, the n=4 verify
-        sweeps of dj and alg1 took 32.1-32.8 and 23.0-23.8 ms instead of
-        9.4-10.4 and 15.5-15.8 ms (medians of 15 sweeps, three alternating
-        rounds in one process, 2-vCPU shared host).
+        their dense state is at most twice their support.  On support states
+        alg1's readout breaks the support Hadamard's precondition (a collapsed
+        batch keeps the decision-1 entries, zeroed, in every row), and with
+        that relaxed their n=4 check batches ran slower: dj 0.16-0.28 against
+        0.49-0.89 ms, err-multi t=1 0.35-0.63 against 1.9-2.0 ms (ROADMAP
+        item 4).
         """
         return bool(self.work)
 
@@ -340,6 +341,8 @@ def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str =
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}")
+    if n < 1:
+        raise ValueError(f"arity n must be at least 1, got n={n}")
     if algorithm == "dj":
         if t is not None:
             raise ValueError("dj takes no split size t")
@@ -481,12 +484,13 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     starts from the circuit's start row, kept when a row holds at most
     2^_DEST_CACHE_MAX_Q entries; the first oracle round gathers from it.  The
     state is a support state when ``c.support`` holds, else dense.  The
-    readout follows ``Circuit``'s plan in every row.  A support run meets the
-    two preconditions of the support kernels: the decision wire reads 0 in
-    every entry before the rotation, and after the uncompute the entries of
-    a row differ only on the input wires, which the readout Hadamard acts
-    on; a description that breaks either raises a ValueError.  A run reaches
-    the simulator kernels only through this module's names.
+    readout follows ``Circuit``'s plan in every row: each measurement builds
+    every row's outcome distribution, and the log takes row 0's.  A support
+    run meets the two preconditions of the support kernels: the decision
+    wire reads 0 in every entry before the rotation, and after the uncompute
+    the entries of a row differ only on the input wires, which the readout
+    Hadamard acts on; a description that breaks either raises a ValueError.
+    A run reaches the simulator kernels only through this module's names.
     """
     count = len(rows)
     s = _evolve(c, rows)
@@ -498,10 +502,8 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     inputs = tuple(c.inputs)
 
     def input_register(rec) -> dict:
-        return {"stage": "input_register", "qubits": list(inputs), "distribution": outcome_distribution(rec.row_probs(0))}
+        return {"stage": "input_register", "qubits": list(inputs), "distribution": outcome_distribution(rec.probs[0])}
 
-    # Each record reads outcome 0 of every row first: a dense one then builds
-    # only row 0's distribution, for the log.
     if c.decision is None:
         rec = measure(s, inputs)
         p = rec.probability(0)
@@ -509,7 +511,7 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
         return p, log, anc
     rec = measure(s, (c.decision,))
     p_zero = rec.probability(0)
-    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": outcome_distribution(rec.row_probs(0))})
+    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": outcome_distribution(rec.probs[0])})
     live = p_zero > _PROB_FLOOR
     if not live.any():
         return np.zeros(count), log, anc

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .algorithms import EXACTNESS_TOL, Circuit, InvariantBreach, _run, circuit, pattern_table, run_named, validate_run_config
-# enumerate_promise_functions is unused here; it stays importable from this
-# module because perfbench/tracer.py wraps it on this module by name.
+# run_named and enumerate_promise_functions are unused here; they stay
+# importable from this module because perfbench/tracer.py wraps them on this
+# module by name.
+from .algorithms import EXACTNESS_TOL, Circuit, InvariantBreach, _run, circuit, pattern_table, run_named, validate_run_config  # noqa: F401
 from .boolfn import (  # noqa: F401
-    BooleanFunction,
     check_enumerable,
     count_promise_functions,
     enumerate_promise_functions,
@@ -38,6 +37,13 @@ _SWEEP_CHUNK = 1 << 13
 # ranges of the family, which the worker makes itself; one chunk per
 # message would leave the workers waiting on the parent process.
 _CHUNKS_PER_TASK = 16
+# The error models sum over weight configurations with exact binomials of
+# integers of up to 2^n bits.  On a 2-vCPU host a configuration costs 5-6 µs
+# up to n = 9, and more as the integers grow: at t = 1, n = 13 takes 1.9 s
+# and n = 14 11-13 s; at t = 2, n = 9 (1,431,169 configurations) takes
+# 8.3-8.8 s and n = 10 (11,316,481) over 20 s.  Larger models are rejected.
+_ERROR_MODEL_MAX_ARITY = 13
+_ERROR_MODEL_MAX_CONFIGURATIONS = 2_000_000
 
 
 def per_node_success_prob(k_w: int, n: int, t: int) -> float:
@@ -95,6 +101,26 @@ class ErrorModel:
 
         yield from rec([], self.size // 2, nodes)
 
+    @property
+    def configuration_count(self) -> int:
+        """How many configurations there are: inclusion-exclusion over the j blocks filled past capacity."""
+        nodes, block, half = 1 << self.t, self.block, self.size // 2
+        return sum(
+            (-1) ** j * math.comb(nodes, j) * math.comb(half - j * (block + 1) + nodes - 1, nodes - 1)
+            for j in range(half // (block + 1) + 1)
+        )
+
+
+def _check_error_model(n: int, t: int) -> None:
+    """Raise ValueError for a model past the arity or configuration bound, before anything is enumerated."""
+    if n > _ERROR_MODEL_MAX_ARITY:
+        raise ValueError(f"the error models are enumerated up to n = {_ERROR_MODEL_MAX_ARITY}, got n={n}")
+    # Pairing the nodes, k_2i + k_2i+1 = N/2^t alone gives more than
+    # 2^((n-t) 2^(t-1)) configurations: a wide t is rejected without counting.
+    top = _ERROR_MODEL_MAX_CONFIGURATIONS
+    if (n - t) << (t - 1) >= top.bit_length() or ErrorModel(n, t).configuration_count > top:
+        raise ValueError(f"the error model at n={n}, t={t} has more than {top:,} weight configurations to enumerate")
+
 
 def multinode_misid_probability(n: int, t: int) -> float:
     """Exact probability that the independent-nodes baseline labels a balanced function constant.
@@ -104,6 +130,7 @@ def multinode_misid_probability(n: int, t: int) -> float:
     """
     if not 1 <= t < n:
         raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
+    _check_error_model(n, t)
     model = ErrorModel(n, t)
     total = 0.0
     for config, weight in model.configurations():
@@ -122,6 +149,7 @@ def two_node_misid_probability(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"the two-node model requires n >= 2, got {n}")
+    _check_error_model(n, 1)
     size = 1 << n
     half = size // 2
     denom = math.comb(size, half)
@@ -216,22 +244,6 @@ class VerificationSummary:
         if include_wall_time:
             record["wall_time_s"] = self.wall_time
         return record
-
-
-def _check_one(algorithm: str, f: BooleanFunction, t: Optional[int]) -> Optional[dict]:
-    try:
-        report = run_named(algorithm, f, t)
-    except Exception as exc:  # per-function run errors become findings, not aborts
-        return {"function": f.digest(), "promise": f.promise.value, "error": str(exc)}
-    if report.verdict == f.promise.value and report.verdict_exact:
-        return None
-    return {
-        "function": f.digest(),
-        "promise": f.promise.value,
-        "verdict": report.verdict,
-        "p_constant": report.p_constant,
-        "verdict_exact": report.verdict_exact,
-    }
 
 
 def _chunk_rows(c: Circuit) -> int:
@@ -344,17 +356,15 @@ def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray
 
 
 def _sweep_chunk(args: tuple[str, int, Optional[int], range]) -> tuple[int, list[dict]]:
+    """(functions checked, failure records) of one chunk; any error in its check stops the sweep as InvariantBreach."""
     algorithm, n, t, chunk = args
     packed = packed_promise_range(n, chunk.start, chunk.stop)
     try:
         return len(packed), _chunk_failures(algorithm, n, t, packed, not chunk.start)
-    except InvariantBreach:  # the table is wrong, and with it every verdict it gave: the sweep stops
+    except InvariantBreach:  # the table is wrong, and with it every verdict it gave
         raise
-    except Exception as exc:  # the sweep goes on: the chunk is checked as run_named checks it
-        warnings.warn(f"batched check of a chunk failed ({exc!r}); checking it one function at a time", RuntimeWarning)
-        # An error then becomes a finding on the function that raises it.
-        functions = (make_function(n, row.astype(np.uint8).tobytes()) for row in unpack_tables(packed, n))
-        return len(packed), [failure for f in functions if (failure := _check_one(algorithm, f, t)) is not None]
+    except Exception as exc:  # verify_sweep has rejected every bad configuration: this is a fault of the program
+        raise InvariantBreach(f"the {algorithm} check of positions {chunk.start}-{chunk.stop - 1} raised {exc!r}") from exc
 
 
 def _chunks_per_message(chunks: int, jobs: int) -> int:

@@ -269,6 +269,7 @@ def cmd_error_prob(args) -> tuple[dict, int]:
     t = args.t if args.t is not None else 1
     try:
         multi = analysis.multinode_misid_probability(n, t)
+        two_node = analysis.two_node_misid_probability(n) if t == 1 else None
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cap = (1 << n) >> t
@@ -282,7 +283,7 @@ def cmd_error_prob(args) -> tuple[dict, int]:
         },
     }
     if t == 1:
-        payload["two_node_misid_probability"] = round_sig(analysis.two_node_misid_probability(n))
+        payload["two_node_misid_probability"] = round_sig(two_node)
     return payload, 0
 
 

@@ -20,9 +20,10 @@ Conventions:
   (``SupportState``: the basis indices and amplitudes of its nonzero
   entries).  The dense form serves the circuits without work registers:
   Hadamard layers, XOR gates, Pauli-Z and measurement.  The rotation and
-  ``probability_all_zero`` take support states only.  Every XOR layer, on
-  either form, is applied through its ``xor_plan``: the bit fields of its
-  controls and a flip table of index bits.
+  ``probability_all_zero`` take support states only.  Every XOR layer is
+  applied through its ``xor_plan``: the bit fields of its controls and a
+  flip table of index bits.  A composed run of gates (``XorRun``) takes
+  support states only.
 * The support kernels serve the states the circuits make: compute into work
   registers, rotate one decision qubit, uncompute.  So a support Hadamard
   needs the entries of a row to agree on every wire it does not act on, and
@@ -181,9 +182,6 @@ class StateVector:
     def __init__(self, q: int, amps: np.ndarray):
         self.q = q
         self.amps = amps
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.q, self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -469,9 +467,6 @@ class PermutationGate:
             plan = self._cache[key] = (_fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits))
         return plan
 
-    # XOR by a control-selected constant is an involution: its own inverse.
-    gather_plan = xor_plan
-
 
 def xor_permutation_gate(
     control_qubits: Sequence[int],
@@ -497,12 +492,15 @@ def xor_permutation_gate(
 def apply_permutation(state: State, gate: Union[PermutationGate, "XorRun", "FlipLayer"]) -> State:
     """Move each basis index to index ^ flip[control pattern], by the gate's ``xor_plan``.
 
-    A dense state gathers each amplitude from where it comes from, through
-    the ``gather_plan``: the plan of the inverse map.
+    A dense state gathers each amplitude from where it comes from through
+    the same plan: a gate or a flip layer is its own inverse.  A composed
+    run is not, so a dense state raises TypeError on one.
     """
     if isinstance(state, SupportState):
         return state.permute(gate)
-    fields, flip = gate.gather_plan(state.q)
+    if isinstance(gate, XorRun):
+        raise TypeError("a composed XOR run takes a support state (SupportState), not a StateVector")
+    fields, flip = gate.xor_plan(state.q)
     idx = _indices(state.q)
     state.amps = _lookup(state.amps, idx ^ _lookup(flip, _gather(idx, fields)))
     return state
@@ -546,14 +544,6 @@ class XorRun:
             plan = self._cache[q] = (_fields(q, self.targets), after ^ before)
         return plan
 
-    def gather_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
-        """The plan of the inverse map: the run reversed, each of its gates being its own inverse."""
-        return self._reversed.xor_plan(q)
-
-    @cached_property
-    def _reversed(self) -> "XorRun":
-        return XorRun(self.gates[::-1])
-
 
 def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, XorRun]]:
     """The gates cut greedily into maximal runs whose union of wires is at most _XOR_RUN_WIRES.
@@ -588,8 +578,6 @@ class FlipLayer:
 
     def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
         return _fields(q, self.control_qubits), self.flip
-
-    gather_plan = xor_plan  # an involution, as a PermutationGate
 
 
 def flip_layer(q: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...], flip: np.ndarray) -> FlipLayer:
@@ -667,20 +655,12 @@ def outcome_distribution(probs: np.ndarray) -> dict[str, float]:
     return {keys[o]: values[o] for o in hits.tolist()}
 
 
-@lru_cache(maxsize=1024)
-def _complement(q: int, wires: tuple[int, ...]) -> tuple[int, ...]:
-    """The wires of a q-qubit register not listed, ascending."""
-    return tuple(w for w in range(q) if w not in wires)
-
-
 class MeasurementRecord:
     """Exact outcome distribution of a partial measurement, with branch access.
 
     ``probs`` holds the outcome probabilities, shape (2^k,) or, for a batch,
     (rows, 2^k), built on first use; ``probability`` returns a float or one
-    value per row.  On a dense state outcome 0 is read without ``probs``:
-    per row, the squares at the columns whose measured bits are 0, summed in
-    column order, which is bit-identical to ``probs``' bin 0.
+    value per row.
     """
 
     def __init__(self, state: State, qubits: Sequence[int]):
@@ -693,26 +673,10 @@ class MeasurementRecord:
         state = self._state
         return _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
 
-    @cached_property
-    def _zero(self) -> np.ndarray:
-        state = self._state
-        if isinstance(state, SupportState):
-            return self.probs[..., 0]
-        a = state.amps[..., _columns(state.q, _complement(state.q, self.measured_qubits))]
-        return np.add.accumulate(a * a, axis=-1)[..., -1]
-
     def _outcome(self, outcome: Union[int, str]) -> np.ndarray:
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
-        return self._zero if outcome == 0 else self.probs[..., outcome]
-
-    def row_probs(self, row: int) -> np.ndarray:
-        """One row's outcome probabilities, bit-identical to ``probs[row]``, without the other rows' when not built."""
-        if "probs" in self.__dict__:
-            return self.probs[row]
-        pat = self._state.patterns(self.measured_qubits)
-        amps = self._state.amps[row]
-        return _outcome_totals(pat[row] if pat.ndim > 1 else pat, amps * amps, len(self.measured_qubits))
+        return self.probs[..., outcome]
 
     @property
     def distribution(self) -> dict[str, float]:

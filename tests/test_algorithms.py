@@ -319,6 +319,11 @@ class TestRunNamed:
         with pytest.raises(ValueError):
             run_named(name, two_node_example, t)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_arity_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"arity n must be at least 1, got n={n}"):
+            circuit("dj", n)
+
     def test_circuit_wider_than_the_simulator_rejected(self):
         # alg3 at n=12, t=6 needs 6 + 96 + 18 + 2 = 122 qubits: no int64 index holds them
         with pytest.raises(ValueError, match="needs 122 qubits; the simulator holds at most 62"):

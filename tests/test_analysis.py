@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from djsim import analysis, make_function, random_balanced_table
-from djsim.algorithms import run_dj, run_erroneous_multinode, run_named
+from djsim.algorithms import InvariantBreach, run_dj, run_erroneous_multinode, run_named
 from djsim.analysis import (
     ErrorModel,
     mean_simulated_misid,
@@ -51,6 +51,21 @@ class TestErrorModel:
         assert configs == sorted(configs)
         for c in configs:
             assert sum(c) == 8 and all(0 <= k <= 4 for k in c)
+
+    @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (7, 2)])
+    def test_configuration_count_is_the_enumerated_count(self, n, t):
+        assert ErrorModel(n, t).configuration_count == sum(1 for _ in ErrorModel(n, t).configurations())
+
+    def test_models_at_the_bounds_are_accepted(self):
+        # The largest accepted arity at t = 1, 2 and 3: n = 13, n = 9 (1,431,169
+        # configurations) and n = 5 (38,165); at t >= 4 even n = t + 1 has
+        # 5,196,627.  One more bit of n is rejected.
+        assert ErrorModel(9, 2).configuration_count == 1_431_169 <= analysis._ERROR_MODEL_MAX_CONFIGURATIONS
+        for n, t in ((13, 1), (9, 2), (5, 3)):
+            analysis._check_error_model(n, t)
+        for n, t in ((14, 1), (10, 2), (6, 3), (5, 4)):
+            with pytest.raises(ValueError):
+                analysis._check_error_model(n, t)
 
 
 class TestMisidProbability:
@@ -246,29 +261,17 @@ class TestVerifySweep:
         assert "wall_time_s" not in without_time
 
 
-def test_per_function_run_errors_become_findings(monkeypatch):
-    from djsim import analysis as mod
-
-    real = mod.run_named
-
-    def flaky(algorithm, f, t=None, **kwargs):
-        if f.popcount == 0:
-            raise RuntimeError("synthetic per-function failure")
-        return real(algorithm, f, t, **kwargs)
-
+def test_chunk_errors_stop_the_sweep(monkeypatch):
+    # verify_sweep rejects every bad configuration before the chunks, so an
+    # error in a chunk's check is a fault of the program: the sweep stops,
+    # naming the chunk.
     def broken_batch(*args):
         raise RuntimeError("synthetic batch failure")
 
-    # A chunk whose batched run raises is checked again one function at a
-    # time, so the error lands on the one function that raises it.
-    monkeypatch.setattr(mod, "_chunk_failures", broken_batch)
-    monkeypatch.setattr(mod, "run_named", flaky)
-    with pytest.warns(RuntimeWarning, match="synthetic batch failure"):
-        summary = mod.verify_sweep(2, 1, "alg2")
-    errors = [entry for entry in summary.failures if "error" in entry]
-    assert len(errors) == 1
-    assert "synthetic" in errors[0]["error"]
-    assert summary.functions_checked == 8
+    monkeypatch.setattr(analysis, "_chunk_failures", broken_batch)
+    with pytest.raises(InvariantBreach, match=r"alg2 check of positions 0-7 raised RuntimeError\('synthetic batch failure'\)") as info:
+        verify_sweep(2, 1, "alg2")
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_invalid_config_aborts_before_sweeping():

@@ -18,7 +18,7 @@ from djsim import algorithms, analysis, cli, count_promise_functions, enumerate_
 from djsim.algorithms import _apply, _execute, _run, _start, circuit, run_named
 from djsim.analysis import verify_sweep
 from djsim.boolfn import packed_promise_range, packed_promise_tables
-from djsim.sim import MeasurementRecord, StateVector, init_zero
+from djsim.sim import StateVector, init_zero
 
 TOL = 1e-12
 CASES = [("dj", None), ("alg1", None), ("err-4node", None)] + [
@@ -122,18 +122,18 @@ def test_start_row_is_the_prefix_run_on_the_batch(alg, t, support):
 def test_dense_readout_of_outcome_zero_is_bin_zero_of_the_distribution(alg, t, monkeypatch):
     # Every dense measurement of a run over the n=4 family, and over tables
     # off the promise at n=4 and 7 (up to 64 columns a sum), in a batch and
-    # alone, reads outcome 0 from the columns whose measured bits are 0; it
-    # must equal the bincount distribution's outcome 0 bit for bit, and row
-    # 0's distribution its row 0.
+    # alone, reads outcome 0 of each row as bin 0 of the batch's
+    # distribution; it must equal, bit for bit, that row's squares at the
+    # columns whose measured bits are 0, summed in column order.
     real, rows_checked = algorithms.measure, []
 
     def measure(s, qubits):
         rec = real(s, qubits)
         assert isinstance(s, StateVector)
-        full = MeasurementRecord(s, qubits).probs
-        assert np.array_equal(rec.probability(0), full[:, 0])
-        assert np.array_equal(rec.row_probs(0), full[0])
-        rows_checked.append(len(full))
+        mask = sum(1 << (s.q - 1 - w) for w in qubits)
+        a = s.amps[:, (np.arange(1 << s.q) & mask) == 0]
+        assert np.array_equal(rec.probability(0), np.add.accumulate(a * a, axis=-1)[:, -1])
+        rows_checked.append(len(a))
         return rec
 
     monkeypatch.setattr(algorithms, "measure", measure)

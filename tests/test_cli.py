@@ -214,6 +214,32 @@ class TestVerify:
         assert proc.stderr.startswith("error: full enumeration is limited to n <= 5 ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_arity_below_one_rejected(self, capsys, n):
+        assert cli.main(["verify", "--n", n, "--alg", "dj"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: arity n must be at least 1, got n={n}\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_chunk_check_that_raises_stops_the_sweep(self, jobs):
+        # In a fresh process, so that a worker's output is seen too: one line
+        # on stderr, exit 3, no traceback and no warning.
+        script = (
+            "import sys\n"
+            "from djsim import analysis, cli\n"
+            "def broken(*args):\n"
+            "    raise RuntimeError('synthetic chunk failure')\n"
+            "analysis._chunk_failures = broken\n"
+            f"sys.exit(cli.main(['verify', '--n', '4', '--t', '2', '--alg', 'alg2', '--jobs', '{jobs}']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("invariant breach: the alg2 check of positions 0-8191 raised RuntimeError('synthetic chunk failure')")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         assert cli.main(["verify", "--n", "2", "--alg", "dj", "--jobs", jobs]) == 1
@@ -242,6 +268,25 @@ class TestErrorProb:
         _, payload = run_json(capsys, "error-prob", "--n", "4", "--t", "2")
         assert payload["per_node_success_prob"]["0"] == 1.0
         assert payload["per_node_success_prob"]["2"] == 0.0
+
+    @pytest.mark.parametrize(
+        "n,t,reason",
+        [
+            ("11", "10", "weight configurations"),  # recursed once per node
+            ("64", "1", "up to n = 13"),  # overflowed math.comb
+            ("5", "4", "weight configurations"),  # each of these ran for more than 20 s
+            ("6", "4", "weight configurations"),
+            ("7", "3", "weight configurations"),
+            ("10", "2", "weight configurations"),
+            ("12", "2", "weight configurations"),
+            ("16", "1", "up to n = 13"),
+        ],
+    )
+    def test_models_past_the_bounds_fail_fast(self, capsys, n, t, reason):
+        assert cli.main(["error-prob", "--n", n, "--t", t]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err and captured.err.count("\n") == 1
 
 
 class TestResources:

@@ -448,19 +448,18 @@ class TestMeasurement:
             rec.collapse(1)
 
     def test_dense_outcome_zero_is_bin_zero_of_the_distribution(self):
-        # Outcome 0 is read from the columns whose measured bits are 0, summed
-        # in order; it must equal the bincount's bin 0 bit for bit, on any
-        # amplitudes and any wire set, with or without a batch axis.
+        # Outcome 0 of each row of a batch is bin 0 of that row's own
+        # distribution, a bincount of its squares alone, bit for bit, on any
+        # amplitudes and any wire set; so is outcome 0 of the row on its own.
         rng = np.random.default_rng(23)
         rows = rng.normal(size=(9, 1 << 7))
         for wires in [(0,), (6,), (1, 4), (0, 2, 3, 5), tuple(range(7)), (3, 0, 6)]:
-            for s in (StateVector(7, rows), StateVector(7, rows[4])):
-                rec = measure(s, wires)
-                zero = rec.probability(0)
-                assert "probs" not in vars(rec)
-                assert np.array_equal(zero, measure(s, wires).probs[..., 0])
-                if s.amps.ndim > 1:
-                    assert np.array_equal(rec.row_probs(4), measure(s, wires).probs[4])
+            pattern = sum(((np.arange(1 << 7) >> (6 - w)) & 1) << (len(wires) - 1 - j) for j, w in enumerate(wires))
+            zero = measure(StateVector(7, rows), wires).probability(0)
+            for r, row in enumerate(rows):
+                alone = np.bincount(pattern, weights=row * row, minlength=1 << len(wires))
+                assert zero[r] == alone[0]
+                assert measure(StateVector(7, row), wires).probability(0) == alone[0]
 
     def test_probability_all_zero_matches_measure(self):
         rng = np.random.default_rng(9)
@@ -502,21 +501,34 @@ class TestComposition:
         assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, s2.amps)
 
     @pytest.mark.parametrize("rows", [None, 3])
-    def test_composed_run_on_a_dense_state_matches_sequential(self, rows):
+    def test_composed_run_on_a_batch_matches_sequential(self, rows):
+        # Rows of different entries, so each row's indices move on their own.
         rng = np.random.default_rng(14)
         gates = [
             xor_permutation_gate((0,), (2,), [0, 1]),
             xor_permutation_gate((1, 3), (0,), [0, 1, 1, 0]),
             xor_permutation_gate((0, 2), (1, 3), [3, 0, 2, 1]),
         ]
-        amps = rng.normal(size=(rows or 1, 16))
-        s1, s2 = init_zero(4, batch=rows), init_zero(4, batch=rows)
-        s1.amps, s2.amps = amps.reshape(s1.amps.shape).copy(), amps.reshape(s2.amps.shape).copy()
+        index = np.stack([rng.permutation(16)[:6] for _ in range(rows or 1)])
+        if rows is None:
+            index = index[0]
+        amps = rng.normal(size=index.shape)
+        s1, s2 = SupportState(4, index.copy(), amps.copy()), SupportState(4, index.copy(), amps.copy())
         apply_permutation(s1, XorRun(tuple(gates)))
         for g in gates:
             apply_permutation(s2, g)
-        assert np.array_equal(s1.amps, s2.amps)
-        assert not np.array_equal(s1.amps, amps.reshape(s1.amps.shape))
+        assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, amps)
+        assert not np.array_equal(s1.index, index)
+
+    def test_composed_run_on_a_dense_state_is_rejected(self):
+        # A dense state gathers through the plan of the map, which is its own
+        # inverse for a gate but not for a run; the run is refused untouched.
+        run = XorRun((xor_permutation_gate((0,), (2,), [0, 1]), xor_permutation_gate((2,), (0,), [0, 1])))
+        s = random_state(3, np.random.default_rng(15))
+        before = s.amps.copy()
+        with pytest.raises(TypeError, match="composed XOR run takes a support state"):
+            apply_permutation(s, run)
+        assert np.array_equal(s.amps, before) and not run._cache
 
     def test_empty_composition_is_identity(self):
         s = full_support(random_state(3, np.random.default_rng(12)).amps)
@@ -524,10 +536,11 @@ class TestComposition:
         assert np.array_equal(s.index, np.arange(8))
 
     def test_wrong_register_size_rejected(self):
-        run = XorRun((xor_permutation_gate((), (0,), [1]), xor_permutation_gate((0,), (2,), [0, 1])))
-        for support in (False, True):
-            with pytest.raises(ValueError, match="out of range"):
-                apply_permutation(init_zero(2, support=support), run)
+        gate = xor_permutation_gate((0,), (2,), [0, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            apply_permutation(init_zero(2, support=True), XorRun((xor_permutation_gate((), (0,), [1]), gate)))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_permutation(init_zero(2), gate)
 
 
 def test_large_register_skips_source_caching():
@@ -540,11 +553,11 @@ def test_large_register_skips_source_caching():
     s = basis_state(q, 1 << (q - 1))
     apply_permutation(s, gate)
     assert s.amps[(1 << (q - 1)) | 1] == 1.0
-    # The run's first gate undoes the gate; its second reads wire q - 1 clear.
-    apply_permutation(s, run)
-    assert s.amps[1 << (q - 1)] == 1.0
-    # A dense state gathers a run through its reversal's plan.
-    flips = [flip for g in (gate, run._reversed) for _, flip in g._cache.values()]
+    # On a support state, the run's first gate undoes the gate; its second reads wire q - 1 clear.
+    support = basis_support(q, (1 << (q - 1)) | 1)
+    apply_permutation(support, run)
+    assert support.index.tolist() == [1 << (q - 1)]
+    flips = [flip for g in (gate, run) for _, flip in g._cache.values()]
     assert flips and max(flip.size for flip in flips) < 1 << q
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
 
@@ -582,8 +595,8 @@ def test_measurement_record_floor_filters_dust():
 
 def test_every_kernel_keeps_the_state_real():
     # A silent promotion to complex would double the memory of every state.
-    # Only the support state takes the rotation, of wire 3, which no other
-    # step sets.
+    # Only the support state takes a composed run and the rotation, of wire
+    # 3, which no other step sets.
     run = XorRun((xor_permutation_gate((1, 2), (0,), [0, 1, 1, 0]), xor_permutation_gate((0,), (2,), [0, 1])))
     for s in (init_zero(4), init_zero(4, support=True)):
         assert s.amps.dtype == np.float64
@@ -591,10 +604,10 @@ def test_every_kernel_keeps_the_state_real():
             lambda: apply_hadamard(s, (2, 0)),  # two runs of one wire
             lambda: apply_hadamard(s, (0, 1, 2)),  # a run of three wires
             lambda: apply_permutation(s, xor_permutation_gate((0,), (2,), [0, 1])),
-            lambda: apply_permutation(s, run),
             lambda: apply_pauli_z(s, 2),
         ]
         if isinstance(s, SupportState):
+            steps.append(lambda: apply_permutation(s, run))
             steps.append(lambda: apply_block_rotation(s, block_rotation_gate((0, 1), 3, scale_exponent=1)))
         for step in steps:
             assert step().amps.dtype == np.float64

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from djsim import enumerate_promise_functions
-from djsim.algorithms import _compile, _execute, circuit, validate_run_config
+from djsim.algorithms import ALGORITHM_NAMES, _compile, _execute, circuit, validate_run_config
 from djsim.sim import _XOR_RUN_WIRES, SupportState, XorRun, apply_permutation
 
 CIRCUITS = [("alg2", t, "interleaved") for t in (1, 2, 3, 4)] + [
@@ -138,3 +138,23 @@ def test_table_bits_cover_every_composed_table():
                                 assert flip.size == 1 << len(run.targets)
                                 checked += 1
     assert checked > 50
+
+
+def test_no_dense_circuit_composes_a_run():
+    # A dense state refuses a composed run (TypeError), so ``run`` and
+    # ``verify`` depend on every description that runs dense compiling none.
+    dense = set()
+    for n in range(1, 9):
+        for alg in ALGORITHM_NAMES:
+            for t in (None, *range(1, n)):
+                for layout in ("interleaved", "compact") if alg == "alg3" else ("interleaved",):
+                    try:
+                        c = circuit(alg, n, t, layout)
+                    except ValueError:
+                        continue
+                    if c.support:
+                        continue
+                    runs = [run for step in fixed_steps(c) for run in step[3]]
+                    assert not any(isinstance(run, XorRun) for run in runs), (alg, n, t)
+                    dense.add(c)
+    assert len(dense) == 8 + 7 + 6 + 28  # dj, alg1, err-4node, err-multi at n <= 8
