@@ -58,7 +58,6 @@ from .algorithms import (
     run_named,
 )
 from .analysis import (
-    ErrorModel,
     ResourceTable,
     VerificationSummary,
     mean_simulated_misid,

@@ -37,13 +37,12 @@ _SWEEP_CHUNK = 1 << 13
 # ranges of the family, which the worker makes itself; one chunk per
 # message would leave the workers waiting on the parent process.
 _CHUNKS_PER_TASK = 16
-# The error models sum over weight configurations with exact binomials of
-# integers of up to 2^n bits.  On a 2-vCPU host a configuration costs 5-6 µs
-# up to n = 9, and more as the integers grow: at t = 1, n = 13 takes 1.9 s
-# and n = 14 11-13 s; at t = 2, n = 9 (1,431,169 configurations) takes
-# 8.3-8.8 s and n = 10 (11,316,481) over 20 s.  Larger models are rejected.
-_ERROR_MODEL_MAX_ARITY = 13
-_ERROR_MODEL_MAX_CONFIGURATIONS = 2_000_000
+# The error model is one coefficient of a polynomial power in exact
+# integers (multinode_misid_probability).  On a 2-vCPU host n = 12 takes
+# 0.2-0.7 s at every t; n = 13 takes 0.09 s at t = 1 but 2.3-3.4 s at
+# t >= 2, whose squarings hold 4,097 coefficients of over 4,096 bits.  At
+# t = 1 the two-node sum costs more: 1.7-2.1 s at n = 13, 11 s at n = 14.
+_ERROR_MODEL_MAX_ARITY = 12
 
 
 def per_node_success_prob(k_w: int, n: int, t: int) -> float:
@@ -59,86 +58,47 @@ def per_node_success_prob(k_w: int, n: int, t: int) -> float:
     return ((1 << (t + 1)) * k_w / size - 1.0) ** 2
 
 
-@dataclass(frozen=True)
-class ErrorModel:
-    """Hypergeometric weights of subfunction weight configurations over the balanced ensemble.
-
-    A uniformly random balanced function induces weights (k_0, ..., k_{2^t-1})
-    with sum N/2 and each k_w at most N/2^t; the weight of a configuration is
-    the product of per-block binomials over the central binomial.  The weights
-    sum to 1 (Vandermonde).
-    """
-
-    n: int
-    t: int
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def block(self) -> int:
-        return self.size >> self.t
-
-    def configurations(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """Yield (configuration, weight) pairs in lexicographic configuration order."""
-        nodes = 1 << self.t
-        block = self.block
-        denom = math.comb(self.size, self.size // 2)
-
-        def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[tuple[tuple[int, ...], float]]:
-            if slots == 0:
-                if remaining == 0:
-                    numer = math.prod(math.comb(block, k) for k in prefix)
-                    yield tuple(prefix), numer / denom
-                return
-            low = max(0, remaining - block * (slots - 1))
-            high = min(block, remaining)
-            for k in range(low, high + 1):
-                prefix.append(k)
-                yield from rec(prefix, remaining - k, slots - 1)
-                prefix.pop()
-
-        yield from rec([], self.size // 2, nodes)
-
-    @property
-    def configuration_count(self) -> int:
-        """How many configurations there are: inclusion-exclusion over the j blocks filled past capacity."""
-        nodes, block, half = 1 << self.t, self.block, self.size // 2
-        return sum(
-            (-1) ** j * math.comb(nodes, j) * math.comb(half - j * (block + 1) + nodes - 1, nodes - 1)
-            for j in range(half // (block + 1) + 1)
-        )
-
-
 def _check_error_model(n: int, t: int) -> None:
-    """Raise ValueError for a model past the arity or configuration bound, before anything is enumerated."""
-    if n > _ERROR_MODEL_MAX_ARITY:
-        raise ValueError(f"the error models are enumerated up to n = {_ERROR_MODEL_MAX_ARITY}, got n={n}")
-    # Pairing the nodes, k_2i + k_2i+1 = N/2^t alone gives more than
-    # 2^((n-t) 2^(t-1)) configurations: a wide t is rejected without counting.
-    top = _ERROR_MODEL_MAX_CONFIGURATIONS
-    if (n - t) << (t - 1) >= top.bit_length() or ErrorModel(n, t).configuration_count > top:
-        raise ValueError(f"the error model at n={n}, t={t} has more than {top:,} weight configurations to enumerate")
+    """Raise ValueError past _ERROR_MODEL_MAX_ARITY, or one more at t = 1, before any polynomial is built."""
+    top = _ERROR_MODEL_MAX_ARITY + (t == 1)
+    if n > top:
+        raise ValueError(f"the error model at t={t} is computed up to n = {top}, got n={n}")
 
 
 def multinode_misid_probability(n: int, t: int) -> float:
     """Exact probability that the independent-nodes baseline labels a balanced function constant.
 
-    Enumerates every weight configuration of the balanced ensemble and sums
-    weight times the product of per-node all-zero probabilities.
+    A uniformly random balanced function puts k_w ones in the block of
+    B = N/2^t entries of node w, with k_0 + ... + k_(2^t-1) = N/2, with
+    probability Π_w C(B, k_w) / C(N, N/2); node w then reads all zeros with
+    probability (2 k_w - B)^2 / B^2.  So p is the coefficient of x^(N/2) in
+    Q(x)^(2^t), Q(x) = Σ_k C(B, k) (2k - B)^2 x^k, over C(N, N/2) B^(2·2^t).
+    Q's coefficients are packed into one integer, a slot each, and squared
+    t - 1 times, each power cut past degree N/2; the coefficient is then
+    read off the last product, and divided once, correctly rounded.  A
+    value too small for a double raises ValueError rather than read 0.
     """
     if not 1 <= t < n:
         raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
     _check_error_model(n, t)
-    model = ErrorModel(n, t)
-    total = 0.0
-    for config, weight in model.configurations():
-        product = 1.0
-        for k_w in config:
-            product *= per_node_success_prob(k_w, n, t)
-        total += weight * product
-    return total
+    size, half, block = 1 << n, 1 << (n - 1), (1 << n) >> t
+    # Q(1)^(2^(t-1)) = 2^(N/2 + (n-t) 2^(t-1)) bounds every coefficient of
+    # the powers squared, so no slot carries into the next.
+    width = (half + ((n - t) << (t - 1))) // 8 + 1
+    packed, binomial = bytearray(), 1
+    for k in range(block + 1):
+        packed += (binomial * (2 * k - block) ** 2).to_bytes(width, "little")
+        binomial = binomial * (block - k) // (k + 1)
+    power, mask = int.from_bytes(packed, "little"), (1 << 8 * width * (half + 1)) - 1
+    for _ in range(t - 1):
+        power = power * power & mask
+    packed = power.to_bytes(width * (half + 1), "little")
+    coefficients = [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+    coefficient = sum(a * b for a, b in zip(coefficients, reversed(coefficients)))
+    p = coefficient / (math.comb(size, half) << ((n - t) << (t + 1)))
+    if p == 0.0:
+        raise ValueError(f"the error model at n={n}, t={t} is positive but below the smallest double")
+    return p
 
 
 def two_node_misid_probability(n: int) -> float:

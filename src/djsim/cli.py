@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import string
 import sys
 import time
 from functools import lru_cache
@@ -28,6 +29,8 @@ EXACT_ALGORITHMS = ("dj", "alg1", "alg2", "alg3")
 PROB_TOL = 1e-12
 # Deletes the characters 0 and 1: what is left of a 'bits' string is not a bit.
 _DROP_BITS = str.maketrans("", "", "01")
+# Deletes the ASCII hex digits: int(s, 16) alone also takes a sign, 0x, _ and whitespace.
+_DROP_HEX = str.maketrans("", "", string.hexdigits)
 
 
 class UsageError(Exception):
@@ -97,11 +100,9 @@ def load_truth_table(path: str) -> BooleanFunction:
         digits = size // 4
         if not isinstance(hexstr, str) or len(hexstr) != digits:
             raise UsageError(f"'hex' must have {digits} hex digits for n = {n}")
-        try:
-            value = int(hexstr, 16)
-        except ValueError as exc:
-            raise UsageError(f"'hex' is not valid hexadecimal: {hexstr}") from exc
-        table = format(value, f"0{size}b")
+        if hexstr.translate(_DROP_HEX):
+            raise UsageError(f"'hex' is not valid hexadecimal: {hexstr!r}")
+        table = format(int(hexstr, 16), f"0{size}b")
     try:
         return make_function(n, table)
     except ValueError as exc:
@@ -272,6 +273,8 @@ def cmd_error_prob(args) -> tuple[dict, int]:
         two_node = analysis.two_node_misid_probability(n) if t == 1 else None
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if t == 1 and abs(multi - two_node) > PROB_TOL * multi:
+        raise InvariantBreach(f"at n={n} the two-node sum {two_node!r} disagrees with the multi-node model {multi!r}")
     cap = (1 << n) >> t
     payload = {
         "command": "error-prob",

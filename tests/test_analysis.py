@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from djsim import analysis, make_function, random_balanced_table
 from djsim.algorithms import InvariantBreach, run_dj, run_erroneous_multinode, run_named
 from djsim.analysis import (
-    ErrorModel,
     mean_simulated_misid,
     multinode_misid_probability,
     per_node_success_prob,
@@ -39,36 +40,50 @@ class TestPerNodeSuccess:
         assert per_node_success_prob(k, 4, 2) == pytest.approx(report.p_constant, abs=1e-12)
 
 
-class TestErrorModel:
-    @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
-    def test_weights_sum_to_one(self, n, t):
-        total = sum(w for _, w in ErrorModel(n, t).configurations())
-        assert total == pytest.approx(1.0, abs=1e-12)
+def _node_factors(n: int, t: int) -> list[int]:
+    """(2^(t+1) k - N)^2 for each weight k of a node's block: N^2 times its all-zero probability."""
+    return [((k << (t + 1)) - (1 << n)) ** 2 for k in range(((1 << n) >> t) + 1)]
 
-    def test_configurations_lexicographic_and_bounded(self):
-        model = ErrorModel(4, 2)
-        configs = [c for c, _ in model.configurations()]
-        assert configs == sorted(configs)
-        for c in configs:
-            assert sum(c) == 8 and all(0 <= k <= 4 for k in c)
 
-    @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (7, 2)])
-    def test_configuration_count_is_the_enumerated_count(self, n, t):
-        assert ErrorModel(n, t).configuration_count == sum(1 for _ in ErrorModel(n, t).configurations())
+def ensemble_misid(n: int, t: int) -> Fraction:
+    """The misidentification probability as the mean over every balanced truth table of its nodes' product."""
+    size, nodes = 1 << n, 1 << t
+    factors = _node_factors(n, t)
+    total = count = 0
+    for ones in itertools.combinations(range(size), size // 2):
+        weights = [0] * nodes
+        for x in ones:
+            weights[x % nodes] += 1  # node w holds the entries whose last t bits are w
+        total += math.prod(factors[k] for k in weights)
+        count += 1
+    return Fraction(total, count * size ** (2 * nodes))
 
-    def test_models_at_the_bounds_are_accepted(self):
-        # The largest accepted arity at t = 1, 2 and 3: n = 13, n = 9 (1,431,169
-        # configurations) and n = 5 (38,165); at t >= 4 even n = t + 1 has
-        # 5,196,627.  One more bit of n is rejected.
-        assert ErrorModel(9, 2).configuration_count == 1_431_169 <= analysis._ERROR_MODEL_MAX_CONFIGURATIONS
-        for n, t in ((13, 1), (9, 2), (5, 3)):
-            analysis._check_error_model(n, t)
-        for n, t in ((14, 1), (10, 2), (6, 3), (5, 4)):
-            with pytest.raises(ValueError):
-                analysis._check_error_model(n, t)
+
+def weight_dp_misid(n: int, t: int) -> Fraction:
+    """The same probability node by node: the weighted mass of each partial weight sum over the nodes so far."""
+    size, block = 1 << n, (1 << n) >> t
+    node = [Fraction(math.comb(block, k) * f, size**2) for k, f in enumerate(_node_factors(n, t))]
+    mass = {0: Fraction(1)}
+    for _ in range(1 << t):
+        after: dict[int, Fraction] = {}
+        for total, m in mass.items():
+            for k in range(min(block, size // 2 - total) + 1):
+                after[total + k] = after.get(total + k, 0) + m * node[k]
+        mass = after
+    return mass[size // 2] / math.comb(size, size // 2)
 
 
 class TestMisidProbability:
+    @pytest.mark.parametrize("n,t", [(n, t) for n in (2, 3, 4) for t in (1, 2, 3) if t < n])
+    def test_is_the_rounded_mean_over_the_balanced_tables(self, n, t):
+        exact = ensemble_misid(n, t)
+        assert exact == weight_dp_misid(n, t)
+        assert multinode_misid_probability(n, t) == float(exact)
+
+    @pytest.mark.parametrize("n,t", [(n, t) for n in range(2, 7) for t in range(1, n)])
+    def test_is_the_rounded_weight_sum(self, n, t):
+        assert multinode_misid_probability(n, t) == float(weight_dp_misid(n, t))
+
     def test_hand_enumerated_value(self):
         # (k0,k1) in {(0,2),(1,1),(2,0)}: (1 + 0 + 1)/6 * ... = 1/3
         assert multinode_misid_probability(2, 1) == pytest.approx(1 / 3, abs=1e-15)
@@ -84,7 +99,7 @@ class TestMisidProbability:
     def test_two_node_exact_third(self):
         assert two_node_misid_probability(2) == pytest.approx(1 / 3, abs=1e-15)
 
-    @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
     def test_matches_ensemble_mean(self, n, t):
         assert multinode_misid_probability(n, t) == pytest.approx(mean_simulated_misid(n, t), abs=1e-10)
 

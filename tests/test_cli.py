@@ -65,6 +65,16 @@ class TestClassify:
         assert payload["function_id"] == "4:a2b3"
         assert payload["promise"] == ("balanced" if bits.count("1") == 8 else "unknown")
 
+    @pytest.mark.parametrize("hexstr", ["0x0f", "+0ff", " 0ff", "0_ff", "0\n0f", "00f\u0663"])
+    def test_non_hex_characters_rejected(self, tmp_path, capsys, hexstr):
+        # int(s, 16) takes each of these, and the first four ran as 4:000f or 4:00ff.
+        path = tmp_path / "hex.json"
+        path.write_text(json.dumps({"n": 4, "hex": hexstr}))
+        assert cli.main(["run", "--input", str(path), "--alg", "dj"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'hex' is not valid hexadecimal") and captured.err.count("\n") == 1
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -272,14 +282,11 @@ class TestErrorProb:
     @pytest.mark.parametrize(
         "n,t,reason",
         [
-            ("11", "10", "weight configurations"),  # recursed once per node
             ("64", "1", "up to n = 13"),  # overflowed math.comb
-            ("5", "4", "weight configurations"),  # each of these ran for more than 20 s
-            ("6", "4", "weight configurations"),
-            ("7", "3", "weight configurations"),
-            ("10", "2", "weight configurations"),
-            ("12", "2", "weight configurations"),
             ("16", "1", "up to n = 13"),
+            ("14", "1", "up to n = 13"),  # the first models past the arity rule
+            ("13", "2", "up to n = 12"),
+            ("12", "9", "n=12, t=9 is positive but below the smallest double"),
         ],
     )
     def test_models_past_the_bounds_fail_fast(self, capsys, n, t, reason):
@@ -287,6 +294,27 @@ class TestErrorProb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and reason in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,t", [("11", "10"), ("5", "4"), ("6", "4"), ("7", "3"), ("10", "2"), ("12", "2")])
+    def test_models_once_past_the_bounds_succeed(self, capsys, n, t):
+        assert cli.main(["error-prob", "--n", n, "--t", t, "--deterministic"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["multinode_misid_probability"] > 0.0
+
+    def test_the_two_routes_agree_at_every_accepted_arity(self, capsys):
+        for n in range(2, 14):
+            assert cli.main(["error-prob", "--n", str(n), "--t", "1", "--deterministic"]) == 0
+            assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("route", ["multinode_misid_probability", "two_node_misid_probability"])
+    def test_routes_that_disagree_are_a_breach(self, capsys, monkeypatch, route):
+        exact = getattr(analysis, route)
+        monkeypatch.setattr(analysis, route, lambda *args: exact(*args) * (1 + 1e-9))
+        assert cli.main(["error-prob", "--n", "5", "--t", "1", "--deterministic"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant breach: at n=5 the two-node sum") and captured.err.count("\n") == 1
 
 
 class TestResources:

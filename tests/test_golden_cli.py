@@ -6,7 +6,9 @@ at n = 5..6, at most 20 qubits) and of ``verify --n 3``, captured from the
 simulator before its amplitudes became real; and of ``resources`` (t = 1..3
 in json, csv and table, and t = 40) and ``verify --n 3`` for the two inexact
 baselines with their failure lists, captured before the algorithms became
-circuit descriptions.  An ``@name`` argument stands for a truth-table file
+circuit descriptions; and of ``error-prob`` (t = 1 at n = 2..9, t = 2 at
+n = 3..9 and t = 3 at n = 4..5 in json, two of them in csv and table),
+captured while the error model still summed over weight configurations.  An ``@name`` argument stands for a truth-table file
 holding ``tables[name]``.  Changes that only simplify the engine must
 reproduce every byte.
 """
