@@ -49,12 +49,6 @@ from .algorithms import (
     InvariantBreach,
     RunReport,
     probability_oracle,
-    run_algorithm1,
-    run_algorithm2,
-    run_algorithm3,
-    run_dj,
-    run_erroneous_4node_xor,
-    run_erroneous_multinode,
     run_named,
 )
 from .analysis import (

@@ -639,7 +639,11 @@ class RunReport:
 
 
 def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder_layout: str = "interleaved") -> RunReport:
-    """Run the algorithm named by the CLI selector on f."""
+    """Run the algorithm named by the CLI selector (one of ``ALGORITHM_NAMES``) on f.
+
+    ``t`` is the split size: dj takes none, alg1 and err-4node fix it.
+    ``adder_layout`` "compact" renames alg3's adder A to A'.
+    """
     c = validate_run_config(algorithm, f.n, t, adder_layout)
     rows = f.as_array().reshape(1, -1, 1 << (c.t or 0)).astype(np.int64)
     p_rows, log, anc_rows = _run(c, rows)
@@ -663,36 +667,6 @@ def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder
         branch_log=log,
         ancilla_zero_prob=anc,
     )
-
-
-def run_dj(f: BooleanFunction) -> RunReport:
-    """Single-oracle global algorithm on n+1 qubits."""
-    return run_named("dj", f)
-
-
-def run_algorithm1(f: BooleanFunction) -> RunReport:
-    """Two-node algorithm: one query per subfunction oracle, phase flip in between."""
-    return run_named("alg1", f)
-
-
-def run_algorithm2(f: BooleanFunction, t: int) -> RunReport:
-    """Multi-node algorithm with the sum-difference register and controlled rotation."""
-    return run_named("alg2", f, t)
-
-
-def run_algorithm3(f: BooleanFunction, t: int, adder_layout: str = "interleaved") -> RunReport:
-    """Multi-node algorithm pairing subfunctions; ``adder_layout`` "compact" renames the adder A to A'."""
-    return run_named("alg3", f, t, adder_layout)
-
-
-def run_erroneous_multinode(f: BooleanFunction, t: int) -> RunReport:
-    """Baseline running the single-node algorithm once per subfunction; q_used is the per-node width."""
-    return run_named("err-multi", f, t)
-
-
-def run_erroneous_4node_xor(f: BooleanFunction) -> RunReport:
-    """Four-node baseline chaining all four oracles onto one shared target qubit."""
-    return run_named("err-4node", f)
 
 
 def probability_oracle(report: RunReport, f: BooleanFunction, t: Optional[int] = None, tol: float = 1e-10) -> float:

@@ -41,7 +41,7 @@ _CHUNKS_PER_TASK = 16
 # integers (multinode_misid_probability).  On a 2-vCPU host n = 12 takes
 # 0.2-0.7 s at every t; n = 13 takes 0.09 s at t = 1 but 2.3-3.4 s at
 # t >= 2, whose squarings hold 4,097 coefficients of over 4,096 bits.  At
-# t = 1 the two-node sum costs more: 1.7-2.1 s at n = 13, 11 s at n = 14.
+# t = 1 the two-node sum takes 0.03-0.06 s at n = 13.
 _ERROR_MODEL_MAX_ARITY = 12
 
 
@@ -114,11 +114,13 @@ def two_node_misid_probability(n: int) -> float:
     half = size // 2
     denom = math.comb(size, half)
     scale = (4.0 / size) ** 2
-    total = 0.0
+    total, binomial = 0.0, 1
     for k0 in range(half + 1):
         k1 = half - k0
-        weight = math.comb(half, k0) * math.comb(half, k1) / denom
+        # C(half, k0) C(half, k1) = C(half, k0)^2, each binomial built from the last.
+        weight = binomial * binomial / denom
         total += weight * scale * (k0 - size / 4.0) ** 2 * scale * (k1 - size / 4.0) ** 2
+        binomial = binomial * (half - k0) // (k0 + 1)
     return total
 
 

@@ -110,11 +110,11 @@ def load_truth_table(path: str) -> BooleanFunction:
 
 
 def _resolve_function(args) -> BooleanFunction:
-    if getattr(args, "input", None) and getattr(args, "gen", None):
+    if args.input and args.gen:
         raise UsageError("pass exactly one input source: --input or --gen")
-    if getattr(args, "input", None):
+    if args.input:
         return load_truth_table(args.input)
-    if getattr(args, "gen", None):
+    if args.gen:
         if args.n is None:
             raise UsageError("--gen requires --n")
         n = args.n
@@ -337,16 +337,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="djsim", description="Distributed Deutsch-Jozsa simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each subcommand takes only the options it reads: any other is a usage error.
     def add_common(p: _Parser, with_input: bool = False) -> None:
         p.add_argument("--n", type=int, default=None, help="function arity")
         p.add_argument("--t", type=int, default=None, help="split size (subfunction suffix bits)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled outputs / generators")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for verify (default: 1)")
         p.add_argument("--deterministic", action="store_true", help="suppress timestamp/wall-time fields")
         if with_input:
             p.add_argument("--input", type=str, default=None, help="truth-table JSON file")
             p.add_argument("--gen", choices=("zeros", "ones", "random"), default=None, help="generated input")
+            p.add_argument("--seed", type=int, default=None, help="seed for --gen random and run's sampled shot")
 
     p_classify = sub.add_parser("classify", help="structural statistics and theorem verdicts")
     add_common(p_classify, with_input=True)
@@ -360,6 +360,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="exhaustive sweep over all promise functions")
     add_common(p_verify)
     p_verify.add_argument("--alg", choices=ALGORITHM_NAMES, default=None)
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
 
     p_err = sub.add_parser("error-prob", help="closed-form misidentification probabilities")
     add_common(p_err)

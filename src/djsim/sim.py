@@ -31,11 +31,11 @@ Conventions:
   ValueError otherwise.  The indices within a row are distinct.
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
-  every row; an XOR gate may carry one value table per row.  The rows may
-  start as read-only views of one start row (``init_zero(..., start=)``);
-  the first kernel to change them gives them arrays of their own.  Sums over
-  a row's entries run in entry order, so a row's probabilities are
-  bit-identical whatever other rows share its batch.
+  every row; a flip layer (``FlipLayer``) may carry one flip table per row.
+  The rows may start as read-only views of one start row (``init_zero(...,
+  start=)``); the first kernel to change them gives them arrays of their
+  own.  Sums over a row's entries run in entry order, so a row's
+  probabilities are bit-identical whatever other rows share its batch.
 
 Apply functions mutate the passed state in place and return it.
 """
@@ -433,13 +433,13 @@ class PermutationGate:
 
     A value looked up from the control pattern is XORed into the disjoint
     result register, which is always a self-inverse bijection.  Every oracle
-    and arithmetic operator of the circuits has this form.  A value table of
-    shape (rows, 2^controls) is one gate per row of a batched state.
+    and arithmetic operator of the circuits has this form.  One gate acts
+    alike on every row of a batch; ``FlipLayer`` is the per-row XOR layer.
     """
 
     control_qubits: tuple[int, ...]
     result_qubits: tuple[int, ...]
-    value_table: np.ndarray  # control pattern -> XOR value, per row in a batch
+    value_table: np.ndarray  # control pattern -> XOR value
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -460,11 +460,10 @@ class PermutationGate:
 
     def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
         """(bit fields of the controls, value table spread onto the result wires' index bits) on q qubits."""
-        key = ("xor", q)
-        plan = self._cache.get(key)
+        plan = self._cache.get(q)
         if plan is None:
             _check_wires(q, self.targets)
-            plan = self._cache[key] = (_fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits))
+            plan = self._cache[q] = (_fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits))
         return plan
 
 
@@ -481,8 +480,8 @@ def xor_permutation_gate(
     if len(set(targets)) != len(targets):
         raise ValueError(f"control and result registers must not overlap: {controls} vs {results}")
     table = np.asarray(values, dtype=np.int64)
-    if table.ndim not in (1, 2) or table.shape[-1] != 1 << len(controls):
-        raise ValueError(f"value table must have one entry per control pattern (2^{len(controls)}): one table, or one per row")
+    if table.shape != (1 << len(controls),):
+        raise ValueError(f"value table must have one entry per control pattern (2^{len(controls)})")
     width = len(results)
     if table.min() < 0 or table.max() >= 1 << width:
         raise ValueError(f"XOR values must fit the {width}-bit result register")
@@ -514,7 +513,7 @@ def _support_only(state: State, kernel: str) -> SupportState:
 
 @dataclass(eq=False)
 class XorRun:
-    """Consecutive 1-D XOR gates applied as one.
+    """Consecutive XOR gates applied as one.
 
     Their composition acts only on the union of their wires, as a function of
     those wires' bits, so it is again XOR-form: one flip table over the 2^k
@@ -566,11 +565,10 @@ def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, Xo
 class FlipLayer:
     """An XOR layer given by its flip table: each basis index is XORed with ``flip`` at its control pattern.
 
-    The flip table is a ``PermutationGate`` value table already spread onto
-    the result wires' index bits, one table per row in a batch.  A layer
-    that differs in every batch (an oracle round) is built this way, with its
-    wires checked once by ``flip_layer``, instead of as a gate whose values
-    are validated and spread again.
+    The flip table is a value table already spread onto the result wires'
+    index bits: one table, or one per row of a batch.  It is the one XOR
+    layer whose values differ between rows; an oracle round is built this
+    way, with its wires checked once by ``flip_layer``.
     """
 
     control_qubits: tuple[int, ...]

@@ -1,7 +1,7 @@
 import pytest
 
 from djsim import enumerate_promise_functions, make_function
-from djsim.algorithms import run_algorithm3
+from djsim.algorithms import run_named
 
 # Worked reference tables, flat big-endian indexing f(x) = table[x], x = u.w.
 TWO_NODE_TABLE = [1, 0, 0, 0, 0, 1, 1, 1]  # n=3: f_0=(1,0,0,1), f_1=(0,0,1,1)
@@ -38,7 +38,7 @@ def alg3_t2_sweep():
     """
     rows = []
     for f in enumerate_promise_functions(4):
-        a = run_algorithm3(f, 2, adder_layout="interleaved")
-        b = run_algorithm3(f, 2, adder_layout="compact")
+        a = run_named("alg3", f, 2, adder_layout="interleaved")
+        b = run_named("alg3", f, 2, adder_layout="compact")
         rows.append((f.promise.value, a, b))
     return rows

@@ -16,15 +16,7 @@ from djsim import (
     make_function,
     random_balanced_table,
 )
-from djsim.algorithms import (
-    probability_oracle,
-    run_algorithm1,
-    run_algorithm2,
-    run_algorithm3,
-    run_dj,
-    run_erroneous_4node_xor,
-    run_named,
-)
+from djsim.algorithms import probability_oracle, run_named
 from djsim.analysis import (
     mean_simulated_misid,
     multinode_misid_probability,
@@ -87,7 +79,7 @@ class TestCriterion2DJBaseline:
         ok = True
         for n in (1, 2, 3, 4):
             for f in enumerate_promise_functions(n):
-                r = run_dj(f)
+                r = run_named("dj", f)
                 checked += 1
                 if (
                     r.verdict != f.promise.value
@@ -102,9 +94,9 @@ class TestCriterion2DJBaseline:
 class TestCriterion3Counterexample:
     def test_four_node_baseline_quarter_and_exact_recovery(self):
         f = make_function(4, XOR_KERNEL_TABLE)
-        r_bad = run_erroneous_4node_xor(f)
-        r2 = run_algorithm2(f, 2)
-        r3 = run_algorithm3(f, 2)
+        r_bad = run_named("err-4node", f)
+        r2 = run_named("alg2", f, 2)
+        r3 = run_named("alg3", f, 2)
         ok = (
             abs(r_bad.p_constant - 0.25) <= TOL_EXACT
             and abs(r2.p_balanced - 1.0) <= TOL_EXACT
@@ -130,7 +122,7 @@ class TestCriterion4HypergeometricOracle:
         for k in range(5):
             expected = per_node_success_prob(k, 4, 2)
             for ones in _tables_of_weight(4, k):
-                r = run_dj(make_function(2, ones))
+                r = run_named("dj", make_function(2, ones))
                 if abs(r.p_constant - expected) > TOL_EXACT:
                     ok = False
         report("4b", ok, "per-node all-zero probability matches simulation for every subfunction weight")
@@ -177,13 +169,13 @@ class TestCriterion6ResourceTable:
         # the circuit description, so the runs are checked against the
         # closed forms above, not against the table
         f = make_function(4, [0] * 16)
-        r1 = run_algorithm1(f)
+        r1 = run_named("alg1", f)
         ok &= (r1.q_used, r1.gate_count) == (4, 5)
         for t in (1, 2, 3):
-            r2 = run_algorithm2(f, t)
+            r2 = run_named("alg2", f, t)
             ok &= (r2.q_used, r2.gate_count) == (4 + 2**t + 3, 2 ** (t + 1) + 6)
         for t in (1, 2):
-            r3 = run_algorithm3(f, t)
+            r3 = run_named("alg3", f, t)
             ok &= (r3.q_used, r3.gate_count) == (4 + 3 * 2 ** (t - 1) + 2 * t + 2, 2 ** (t + 2) + 10)
         report("6", ok, "qubit totals, gate counts, and operator widths match the closed forms for t in {1,2,3}")
 
@@ -242,8 +234,8 @@ class TestCriterion8MidCircuitRestoration:
         worst = 1.0
         for f in random_promise_functions(200, 4, seed=81):
             for t in (1, 2):
-                worst = min(worst, run_algorithm2(f, t).ancilla_zero_prob)
-                worst = min(worst, run_algorithm3(f, t).ancilla_zero_prob)
+                worst = min(worst, run_named("alg2", f, t).ancilla_zero_prob)
+                worst = min(worst, run_named("alg3", f, t).ancilla_zero_prob)
         ok = worst >= 1.0 - TOL_EXACT
         report("8", ok, f"work registers all-zero after uncompute; worst probability {worst:.15f}")
 
@@ -253,10 +245,10 @@ class TestCriterion9ClosedFormOracle:
         ok = True
         for f in random_promise_functions(200, 4, seed=82):
             try:
-                probability_oracle(run_algorithm1(f), f, tol=TOL_ORACLE)
+                probability_oracle(run_named("alg1", f), f, tol=TOL_ORACLE)
                 for t in (1, 2):
-                    probability_oracle(run_algorithm2(f, t), f, tol=TOL_ORACLE)
-                    probability_oracle(run_algorithm3(f, t), f, tol=TOL_ORACLE)
+                    probability_oracle(run_named("alg2", f, t), f, tol=TOL_ORACLE)
+                    probability_oracle(run_named("alg3", f, t), f, tol=TOL_ORACLE)
             except AssertionError:
                 ok = False
         report("9", ok, "simulated p_constant matches the counting-statistic closed forms on 200 promise functions")

@@ -5,19 +5,7 @@ import pytest
 
 from djsim import Decomposition, Promise, enumerate_promise_functions, make_function, random_balanced_table
 from djsim import sim
-from djsim.algorithms import (
-    InvariantBreach,
-    _execute,
-    circuit,
-    probability_oracle,
-    run_algorithm1,
-    run_algorithm2,
-    run_algorithm3,
-    run_dj,
-    run_erroneous_4node_xor,
-    run_erroneous_multinode,
-    run_named,
-)
+from djsim.algorithms import InvariantBreach, _execute, circuit, probability_oracle, run_named
 from djsim.gates import build_A, build_Aprime, build_ccnot, build_cnot, build_oracle, build_Rprime, build_V
 from djsim.sim import apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
 
@@ -25,27 +13,27 @@ from djsim.sim import apply_block_rotation, apply_hadamard, apply_permutation, i
 class TestDJ:
     def test_all_zero_function(self):
         f = make_function(3, [0] * 8)
-        report = run_dj(f)
+        report = run_named("dj", f)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
         assert report.verdict == "constant" and report.verdict_exact
         assert report.q_used == 4
         assert report.gate_breakdown["oracle_calls"] == 1
 
     def test_balanced_function(self, two_node_example):
-        report = run_dj(two_node_example)
+        report = run_named("dj", two_node_example)
         assert report.p_constant == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "balanced" and report.verdict_exact
 
     def test_non_promise_quarter(self):
         f = make_function(2, [0, 0, 1, 0])
-        report = run_dj(f)
+        report = run_named("dj", f)
         assert report.p_constant == pytest.approx(0.25, abs=1e-12)
         assert not report.verdict_exact
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exhaustive_small(self, n):
         for f in enumerate_promise_functions(n):
-            report = run_dj(f)
+            report = run_named("dj", f)
             assert report.verdict == f.promise.value and report.verdict_exact
             assert report.q_used == n + 1
 
@@ -53,89 +41,89 @@ class TestDJ:
 class TestAlgorithm1:
     def test_exhaustive_n3(self):
         for f in enumerate_promise_functions(3):
-            report = run_algorithm1(f)
+            report = run_named("alg1", f)
             assert report.verdict == f.promise.value
             assert report.verdict_exact
             assert report.q_used == 3 and report.gate_count == 5
 
     def test_all_ones(self):
-        report = run_algorithm1(make_function(3, [1] * 8))
+        report = run_named("alg1", make_function(3, [1] * 8))
         decision = next(e for e in report.branch_log if e.get("stage") == "decision_qubit")
         assert decision["distribution"]["0"] == pytest.approx(1.0, abs=1e-12)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_example_balanced(self, two_node_example):
-        report = run_algorithm1(two_node_example)
+        report = run_named("alg1", two_node_example)
         assert report.p_constant == pytest.approx(0.0, abs=1e-12)
         assert report.p_balanced == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_two_bits(self):
         with pytest.raises(ValueError):
-            run_algorithm1(make_function(1, [0, 1]))
+            run_named("alg1", make_function(1, [0, 1]))
 
 
 class TestAlgorithm2:
     def test_all_zero_function(self):
-        report = run_algorithm2(make_function(4, [0] * 16), 2)
+        report = run_named("alg2", make_function(4, [0] * 16), 2)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
         assert report.q_used == 4 + 4 + 3
         assert report.gate_count == 2**3 + 6
 
     def test_worked_example_branch_probabilities(self, delta_example):
         # delta = (0,-2,2,0): decision qubit reads 1 with probability 7/8
-        report = run_algorithm2(delta_example, 2)
+        report = run_named("alg2", delta_example, 2)
         decision = next(e for e in report.branch_log if e.get("stage") == "decision_qubit")
         assert decision["distribution"]["1"] == pytest.approx(7 / 8, abs=1e-12)
         assert report.p_constant == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "balanced" and report.verdict_exact
 
     def test_ancilla_restoration(self, delta_example):
-        report = run_algorithm2(delta_example, 2)
+        report = run_named("alg2", delta_example, 2)
         assert report.ancilla_zero_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_split_bounds(self):
         with pytest.raises(ValueError):
-            run_algorithm2(make_function(3, [0] * 8), 3)
+            run_named("alg2", make_function(3, [0] * 8), 3)
 
     def test_sampled_exactness_n4(self):
         functions = itertools.islice(enumerate_promise_functions(4), 200)
         for f in functions:
             for t in (1, 2, 3):
-                report = run_algorithm2(f, t)
+                report = run_named("alg2", f, t)
                 assert report.verdict == f.promise.value and report.verdict_exact
 
 
 class TestAlgorithm3:
     def test_all_ones(self):
-        report = run_algorithm3(make_function(4, [1] * 16), 2)
+        report = run_named("alg3", make_function(4, [1] * 16), 2)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
         assert report.q_used == 4 + 6 + 4 + 2
         assert report.gate_count == 2**4 + 10
 
     def test_worked_example(self, pair_example):
-        report = run_algorithm3(pair_example, 2)
+        report = run_named("alg3", pair_example, 2)
         assert report.p_constant == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "balanced" and report.verdict_exact
 
     def test_ancilla_restoration(self, pair_example):
-        report = run_algorithm3(pair_example, 2)
+        report = run_named("alg3", pair_example, 2)
         assert report.ancilla_zero_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_adder_layouts_agree(self, pair_example):
-        a = run_algorithm3(pair_example, 2, adder_layout="interleaved")
-        b = run_algorithm3(pair_example, 2, adder_layout="compact")
+        a = run_named("alg3", pair_example, 2, adder_layout="interleaved")
+        b = run_named("alg3", pair_example, 2, adder_layout="compact")
         assert a.p_constant == b.p_constant
         assert a.p_balanced == b.p_balanced
 
     def test_unknown_layout_rejected(self, pair_example):
         with pytest.raises(ValueError):
-            run_algorithm3(pair_example, 2, adder_layout="sideways")
+            run_named("alg3", pair_example, 2, adder_layout="sideways")
 
     def test_sampled_exactness_n4(self):
         functions = itertools.islice(enumerate_promise_functions(4), 120)
         for f in functions:
             for t in (1, 2):
-                report = run_algorithm3(f, t)
+                report = run_named("alg3", f, t)
                 assert report.verdict == f.promise.value and report.verdict_exact
 
     def test_compiled_run_matches_literal_gate_sequence(self):
@@ -146,7 +134,7 @@ class TestAlgorithm3:
         cases += [make_function(4, [0] * 16), make_function(4, [1] * 16)]
         for t in (1, 2):
             for f in cases:
-                report = run_algorithm3(f, t)
+                report = run_named("alg3", f, t)
                 assert report.p_constant == pytest.approx(_literal_alg3_p_constant(f, t), abs=1e-15)
 
 
@@ -221,11 +209,11 @@ def test_index_caches_stay_within_the_cache_width():
 class TestErroneousMultinode:
     def test_counterexample_product_is_zero(self, xor_kernel_example):
         # subfunction weights (2,1,2,3): two balanced subfunctions zero the product
-        report = run_erroneous_multinode(xor_kernel_example, 2)
+        report = run_named("err-multi", xor_kernel_example, 2)
         assert report.p_constant == pytest.approx(0.0, abs=1e-12)
 
     def test_all_zero_function(self):
-        report = run_erroneous_multinode(make_function(4, [0] * 16), 2)
+        report = run_named("err-multi", make_function(4, [0] * 16), 2)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_function_with_constant_subfunctions_fails_certainly(self):
@@ -233,12 +221,12 @@ class TestErroneousMultinode:
         table = [bin(x & 3).count("1") % 2 for x in range(16)]
         f = make_function(4, table)
         assert f.promise is Promise.BALANCED
-        report = run_erroneous_multinode(f, 2)
+        report = run_named("err-multi", f, 2)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
         assert report.verdict == "constant"  # wrong with certainty
 
     def test_per_node_log(self, xor_kernel_example):
-        report = run_erroneous_multinode(xor_kernel_example, 2)
+        report = run_named("err-multi", xor_kernel_example, 2)
         nodes = [e for e in report.branch_log if e.get("stage") == "node_measurement"]
         assert [e["w"] for e in nodes] == ["00", "01", "10", "11"]
         assert report.q_used == 3  # per-node register width
@@ -246,38 +234,38 @@ class TestErroneousMultinode:
 
 class TestErroneous4NodeXor:
     def test_counterexample_quarter(self, xor_kernel_example):
-        report = run_erroneous_4node_xor(xor_kernel_example)
+        report = run_named("err-4node", xor_kernel_example)
         assert report.p_constant == pytest.approx(0.25, abs=1e-12)
         assert not report.verdict_exact
 
     def test_all_zero(self):
-        report = run_erroneous_4node_xor(make_function(4, [0] * 16))
+        report = run_named("err-4node", make_function(4, [0] * 16))
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_on_both_constants(self):
         for bit in (0, 1):
-            report = run_erroneous_4node_xor(make_function(4, [bit] * 16))
+            report = run_named("err-4node", make_function(4, [bit] * 16))
             assert report.p_constant == pytest.approx(1.0, abs=1e-12)
             assert report.verdict_exact
 
     def test_arity_bound(self):
         with pytest.raises(ValueError):
-            run_erroneous_4node_xor(make_function(2, [0, 1, 1, 0]))
+            run_named("err-4node", make_function(2, [0, 1, 1, 0]))
 
     def test_uses_reduced_register(self, xor_kernel_example):
-        report = run_erroneous_4node_xor(xor_kernel_example)
+        report = run_named("err-4node", xor_kernel_example)
         assert report.q_used == 3
         assert report.gate_count == 7
 
 
 class TestProbabilityOracle:
     def test_alg2_worked_example(self, delta_example):
-        report = run_algorithm2(delta_example, 2)
+        report = run_named("alg2", delta_example, 2)
         assert probability_oracle(report, delta_example) == pytest.approx(0.0, abs=1e-15)
 
     def test_alg1_all_ones(self):
         f = make_function(3, [1] * 8)
-        report = run_algorithm1(f)
+        report = run_named("alg1", f)
         assert probability_oracle(report, f) == pytest.approx(1.0, abs=1e-15)
 
     def test_random_promise_functions_agree(self):
@@ -285,22 +273,22 @@ class TestProbabilityOracle:
         cases = [random_balanced_table(4, rng) for _ in range(30)]
         cases += [make_function(4, [0] * 16), make_function(4, [1] * 16)]
         for f in cases:
-            probability_oracle(run_dj(f), f)
-            probability_oracle(run_algorithm1(f), f)
+            probability_oracle(run_named("dj", f), f)
+            probability_oracle(run_named("alg1", f), f)
             for t in (1, 2):
-                probability_oracle(run_algorithm2(f, t), f)
-                probability_oracle(run_algorithm3(f, t), f)
-                probability_oracle(run_erroneous_multinode(f, t), f)
-            probability_oracle(run_erroneous_4node_xor(f), f)
+                probability_oracle(run_named("alg2", f, t), f)
+                probability_oracle(run_named("alg3", f, t), f)
+                probability_oracle(run_named("err-multi", f, t), f)
+            probability_oracle(run_named("err-4node", f), f)
 
     def test_mismatch_raises(self, delta_example):
-        report = run_algorithm2(delta_example, 2)
+        report = run_named("alg2", delta_example, 2)
         report.p_constant = 0.5
         with pytest.raises(InvariantBreach):
             probability_oracle(report, delta_example)
 
     def test_t_consistency_enforced(self, delta_example):
-        report = run_algorithm2(delta_example, 2)
+        report = run_named("alg2", delta_example, 2)
         with pytest.raises(ValueError):
             probability_oracle(report, delta_example, t=1)
 
@@ -340,16 +328,16 @@ def test_distributed_verdicts_agree_with_single_node():
     cases = [random_balanced_table(4, rng) for _ in range(25)]
     cases += [make_function(4, [0] * 16), make_function(4, [1] * 16)]
     for f in cases:
-        expected = run_dj(f).verdict
-        assert run_algorithm1(f).verdict == expected
+        expected = run_named("dj", f).verdict
+        assert run_named("alg1", f).verdict == expected
         for t in (1, 2):
-            assert run_algorithm2(f, t).verdict == expected
-            assert run_algorithm3(f, t).verdict == expected
+            assert run_named("alg2", f, t).verdict == expected
+            assert run_named("alg3", f, t).verdict == expected
 
 
 def test_pairing_circuit_at_three_suffix_bits():
     # 24 qubits, held as a support state of at most 2^3 entries
-    report = run_algorithm3(make_function(4, [0] * 16), 3)
+    report = run_named("alg3", make_function(4, [0] * 16), 3)
     assert report.q_used == 4 + 12 + 8
     assert report.p_constant == pytest.approx(1.0, abs=1e-12)
     assert report.ancilla_zero_prob == pytest.approx(1.0, abs=1e-12)
@@ -359,5 +347,5 @@ def test_probabilities_always_complementary():
     rng = np.random.default_rng(29)
     for _ in range(10):
         f = random_balanced_table(3, rng)
-        for report in (run_dj(f), run_algorithm1(f), run_algorithm2(f, 1), run_algorithm3(f, 2)):
+        for report in (run_named("dj", f), run_named("alg1", f), run_named("alg2", f, 1), run_named("alg3", f, 2)):
             assert report.p_constant + report.p_balanced == pytest.approx(1.0, abs=1e-12)

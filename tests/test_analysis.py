@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from djsim import analysis, make_function, random_balanced_table
-from djsim.algorithms import InvariantBreach, run_dj, run_erroneous_multinode, run_named
+from djsim.algorithms import InvariantBreach, run_named
 from djsim.analysis import (
     mean_simulated_misid,
     multinode_misid_probability,
@@ -36,7 +36,7 @@ class TestPerNodeSuccess:
     def test_matches_simulated_single_node(self, k):
         # any subfunction of weight k on 2 inputs gives the same all-zero probability
         bits = [1] * k + [0] * (4 - k)
-        report = run_dj(make_function(2, bits))
+        report = run_named("dj", make_function(2, bits))
         assert per_node_success_prob(k, 4, 2) == pytest.approx(report.p_constant, abs=1e-12)
 
 
@@ -96,6 +96,17 @@ class TestMisidProbability:
     def test_two_node_specialization(self, n):
         assert two_node_misid_probability(n) == pytest.approx(multinode_misid_probability(n, 1), abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_two_node_is_its_sum_of_binomials_bit_for_bit(self, n):
+        # The sum with every binomial from math.comb, in the function's order of operations.
+        size, half = 1 << n, 1 << (n - 1)
+        scale, total = (4.0 / size) ** 2, 0.0
+        for k0 in range(half + 1):
+            k1 = half - k0
+            weight = math.comb(half, k0) * math.comb(half, k1) / math.comb(size, half)
+            total += weight * scale * (k0 - size / 4.0) ** 2 * scale * (k1 - size / 4.0) ** 2
+        assert two_node_misid_probability(n) == total
+
     def test_two_node_exact_third(self):
         assert two_node_misid_probability(2) == pytest.approx(1 / 3, abs=1e-15)
 
@@ -108,7 +119,7 @@ class TestMisidProbability:
         total, count = 0.0, 0
         for f in enumerate_promise_functions(n):
             if f.promise.value == "balanced":
-                total += run_erroneous_multinode(f, t).p_constant
+                total += run_named("err-multi", f, t).p_constant
                 count += 1
         assert mean_simulated_misid(n, t) == total / count
 
@@ -117,7 +128,7 @@ class TestMisidProbability:
 
     def test_two_node_matches_full_driver_mean_small(self):
         reports = [
-            run_erroneous_multinode(f, 1)
+            run_named("err-multi", f, 1)
             for f in enumerate_promise_functions(3)
             if f.promise.value == "balanced"
         ]

@@ -362,6 +362,26 @@ class TestRendering:
         assert cli.main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command,args,option",
+        [
+            pytest.param("classify", ["--gen", "zeros", "--n", "3"], "--jobs", id="classify --jobs"),
+            pytest.param("run", ["--gen", "zeros", "--n", "3", "--alg", "dj"], "--jobs", id="run --jobs"),
+            pytest.param("verify", ["--n", "2", "--alg", "dj"], "--seed", id="verify --seed"),
+            pytest.param("error-prob", ["--n", "3"], "--jobs", id="error-prob --jobs"),
+            pytest.param("error-prob", ["--n", "3"], "--seed", id="error-prob --seed"),
+            pytest.param("resources", ["--t", "2"], "--jobs", id="resources --jobs"),
+            pytest.param("resources", ["--t", "2"], "--seed", id="resources --seed"),
+        ],
+    )
+    def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, command, args, option):
+        assert cli.main([command, *args, "--deterministic"]) == 0
+        capsys.readouterr()
+        assert cli.main([command, *args, option, "1", "--deterministic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {option} 1\n"
+
 
 class TestGenerators:
     def test_random_balanced_generator_deterministic(self, capsys):

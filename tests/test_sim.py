@@ -271,6 +271,9 @@ class TestPermutation:
             xor_permutation_gate((0,), (1,), [0, 2])
         with pytest.raises(ValueError, match="one entry per control pattern"):
             xor_permutation_gate((0,), (1,), [0, 1, 1])
+        # One table per row of a batch is a flip layer's, not a gate's.
+        with pytest.raises(ValueError, match="one entry per control pattern"):
+            xor_permutation_gate((0,), (1,), [[0, 1], [1, 0]])
 
     def test_overlapping_registers_rejected(self):
         with pytest.raises(ValueError):
@@ -316,14 +319,18 @@ class TestFlipLayer:
         return out
 
     def test_layer_matches_the_gate_with_the_same_values(self):
+        # One layer over a batch of seven rows, against each row alone under a gate with that row's values.
         rng = np.random.default_rng(21)
         q, controls, results = 6, (4, 0), (5, 2, 1)
         values = rng.integers(0, 8, size=(7, 4))
-        gate = xor_permutation_gate(controls, results, values)
         layer = flip_layer(q, controls, results, sim._spread(values, q, results))
         rows = rng.normal(size=(7, 1 << q))
-        for by_gate, by_layer in zip(self.forms(rows), self.forms(rows)):
-            assert np.array_equal(self.dense(apply_permutation(by_gate, gate)), self.dense(apply_permutation(by_layer, layer)))
+        for form, by_layer in enumerate(self.forms(rows)):
+            by_gate = [
+                self.dense(apply_permutation(self.forms(row[None])[form], xor_permutation_gate(controls, results, row_values)))
+                for row, row_values in zip(rows, values)
+            ]
+            assert np.array_equal(self.dense(apply_permutation(by_layer, layer)), np.concatenate(by_gate))
 
     def test_layer_wires_are_checked(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -349,9 +356,9 @@ class TestFlipLayer:
         s = init_zero(4, support, batch=5, start=start)
         assert not s.amps.flags.writeable and s.amps.shape[0] == 5
         own = self.own_rows(start, 5)
-        gate = xor_permutation_gate((0, 1, 2), (3,), rng.integers(0, 2, size=(5, 8)))
+        layer = flip_layer(4, (0, 1, 2), (3,), sim._spread(rng.integers(0, 2, size=(5, 8)), 4, (3,)))
         for state in (s, own):
-            apply_permutation(state, gate)
+            apply_permutation(state, layer)
             apply_pauli_z(state, 3)
         assert np.array_equal(self.dense(s), self.dense(own))
         # Pauli-Z straight on the views: on the top wire a reshape of them stays a view.
