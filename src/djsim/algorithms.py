@@ -60,8 +60,8 @@ from .sim import (  # noqa: F401
     measure,
     outcome_distribution,
     probability_all_zero,
+    xor_layers,
     xor_permutation_gate,
-    xor_runs,
 )
 apply_composed = apply_permutation  # nothing calls it: see the comment above
 
@@ -116,9 +116,9 @@ class Circuit:
     work: tuple[range, ...] = ()
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
-    # Executor state: the compiled steps (a fixed step carries its XOR runs),
-    # and, made with them, the start row from ``_start``, or None when none
-    # is kept.
+    # Executor state: the compiled steps (each XOR step carries one
+    # ``FlipLayer``), and, made with them, the start row from ``_start``, or
+    # None when none is kept.
     steps: Optional[list] = field(default=None, repr=False)
     start: Optional[tuple[int, State]] = field(default=None, init=False, repr=False)
 
@@ -149,9 +149,10 @@ class Circuit:
 
         That is its 2^(n-t+1) entries; a lookup table over the control
         registers of one layer (all of its registers but the last), which is at
-        least as long as the table of any gate the layer builds; or the table
-        of a composed XOR run, which covers at most _XOR_RUN_WIRES wires of the
-        span of a maximal run of fixed layers with two or more gates.
+        least as long as the flip table of any lone gate the layer builds; or
+        the flip table of a composed XOR layer, which covers at most
+        _XOR_RUN_WIRES wires of the span of a maximal run of fixed layers with
+        two or more gates.
         """
         bits = [len(self.inputs) + 1]
         gates = low = high = 0
@@ -386,22 +387,23 @@ def validate_run_config(algorithm: str, n: int, t: Optional[int], adder_layout: 
 def _compile(c: Circuit) -> list:
     """The ops as executor steps, built once per circuit.
 
-    A maximal run of fixed layers is one step: (kind, key, its gates, their
-    ``xor_runs``).  Each run is one table over at most _XOR_RUN_WIRES wires
-    that rewrites only the indices, exact index arithmetic, so the state
-    matches gate-by-gate application bit for bit.  A run of one gate is that
-    gate, the only kind of run a dense circuit has.  An oracle round carries
-    the index bit of each queried subfunction's target, so a function's bits
+    A maximal run of fixed layers becomes ("xor", layer) steps, one per
+    ``FlipLayer`` of its gates' ``xor_layers``: each a table over at most
+    _XOR_RUN_WIRES wires that rewrites only the indices, exact index
+    arithmetic, so the state matches gate-by-gate application bit for bit.
+    A dense circuit's runs are lone gates.  An oracle round carries the
+    index bit of each queried subfunction's target, so a function's bits
     shifted there and XORed together are the round's flip table.
     """
     steps: list = []
+    gates: list = []  # the fixed gates since the last other op
     for op in c.ops:
         if op.kind == "fixed":
-            if steps and steps[-1][0] == "fixed":
-                steps[-1][2].extend(op.build())
-            else:
-                steps.append(("fixed", len(steps), op.build()))
-        elif op.kind == "oracle":
+            gates.extend(op.build())
+            continue
+        steps.extend(("xor", layer) for layer in xor_layers(c.q, gates))
+        gates = []
+        if op.kind == "oracle":
             targets = [op.target(w) for w in op.ws]
             shifts = np.array([c.q - 1 - wire for wire in targets])
             steps.append(("oracle", id(op), tuple(op.wires[0]), tuple(dict.fromkeys(targets)), np.array(op.ws), shifts))
@@ -411,7 +413,8 @@ def _compile(c: Circuit) -> list:
             steps.append(("hadamard", tuple(op.wires[0])))
         else:
             steps.append(("z", op.wires[0][0]))
-    return [(*step, xor_runs(step[2])) if step[0] == "fixed" else step for step in steps]
+    steps.extend(("xor", layer) for layer in xor_layers(c.q, gates))
+    return steps
 
 
 def _apply(s: State, step: tuple, rows: Optional[np.ndarray], layers: dict) -> None:
@@ -433,9 +436,8 @@ def _apply(s: State, step: tuple, rows: Optional[np.ndarray], layers: dict) -> N
             flip = np.bitwise_xor.reduce(bits << shifts, axis=-1)
             layer = layers[key] = flip_layer(s.q, controls, results, flip)
         apply_permutation(s, layer)
-    elif kind == "fixed":
-        for run in step[3]:
-            apply_permutation(s, run)
+    elif kind == "xor":
+        apply_permutation(s, step[1])
     elif kind == "rotation":
         apply_block_rotation(s, step[1])
     else:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import string
 import sys
 import time
@@ -113,6 +114,8 @@ def _resolve_function(args) -> BooleanFunction:
     if args.input and args.gen:
         raise UsageError("pass exactly one input source: --input or --gen")
     if args.input:
+        if args.n is not None:
+            raise UsageError("--n does not apply to --input: the file sets n")
         return load_truth_table(args.input)
     if args.gen:
         if args.n is None:
@@ -183,6 +186,8 @@ def _sampled_shot(report: RunReport, seed: int) -> dict:
 
 
 def cmd_classify(args) -> tuple[dict, int]:
+    if args.seed is not None and args.gen != "random":
+        raise UsageError("classify reads --seed only with --gen random")
     f = _resolve_function(args)
     t = args.t if args.t is not None else 1
     if not 1 <= t < f.n:
@@ -391,7 +396,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
-    print(render(payload, args.format, args.deterministic))
+    try:
+        print(render(payload, args.format, args.deterministic), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early: the rest of the output goes nowhere,
+        # including what is still buffered when the interpreter exits.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -22,8 +22,9 @@ Conventions:
   Hadamard layers, XOR gates, Pauli-Z and measurement.  The rotation and
   ``probability_all_zero`` take support states only.  Every XOR layer is
   applied through its ``xor_plan``: the bit fields of its controls and a
-  flip table of index bits.  A composed run of gates (``XorRun``) takes
-  support states only.
+  flip table of index bits.  Gates are descriptions that keep no plan:
+  ``xor_layers`` compiles a circuit's fixed gates into ``FlipLayer``s once,
+  and a layer composed of several gates takes support states only.
 * The support kernels serve the states the circuits make: compute into work
   registers, rotate one decision qubit, uncompute.  So a support Hadamard
   needs the entries of a row to agree on every wire it does not act on, and
@@ -43,7 +44,7 @@ Apply functions mutate the passed state in place and return it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
@@ -53,13 +54,12 @@ MAX_QUBITS = 26
 # A support state's basis indices are int64.
 MAX_SUPPORT_QUBITS = 62
 # The dense form's table of basis indices is cached up to this register
-# size; beyond it, it is rebuilt per use to bound memory.  No gate keeps a
-# 2^q-entry array.
+# size; beyond it, it is rebuilt per use to bound memory.  No XOR layer holds
+# a 2^q-entry array.
 _DEST_CACHE_MAX_Q = 20
 _PROB_FLOOR = 1e-15
 
 _INDEX_CACHE: dict[int, np.ndarray] = {}
-_COLUMN_CACHE: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
 def _indices(q: int) -> np.ndarray:
@@ -69,17 +69,6 @@ def _indices(q: int) -> np.ndarray:
         if q <= _DEST_CACHE_MAX_Q:
             _INDEX_CACHE[q] = idx
     return idx
-
-
-def _columns(q: int, wires: tuple[int, ...]) -> np.ndarray:
-    """Cached index bits of every bit pattern of a wire set (read-only); the inverse of _extract."""
-    key = (q, wires)
-    cols = _COLUMN_CACHE.get(key)
-    if cols is None:
-        cols = _spread(np.arange(1 << len(wires), dtype=np.int64), q, wires)
-        if len(wires) <= _DEST_CACHE_MAX_Q and len(_COLUMN_CACHE) < 512:
-            _COLUMN_CACHE[key] = cols
-    return cols
 
 
 @lru_cache(maxsize=1024)
@@ -244,7 +233,7 @@ class SupportState:
         patterns of the m wires.
         """
         m = len(qubits)
-        cols = _columns(self.q, qubits)
+        cols = _spread(np.arange(1 << m, dtype=np.int64), self.q, qubits)
         index, amps = self.index.reshape(-1, self.index.shape[-1]), self.amps.reshape(-1, self.amps.shape[-1])
         count = len(index)
         rest = index & ~int(cols[-1])
@@ -259,7 +248,7 @@ class SupportState:
         self.amps = _walsh_transform(block, m, tuple(range(m))).reshape(shape)
         return self
 
-    def permute(self, gate: Union["PermutationGate", "XorRun", "FlipLayer"]) -> "SupportState":
+    def permute(self, gate: Union["PermutationGate", "FlipLayer"]) -> "SupportState":
         fields, flip = gate.xor_plan(self.q)
         index = self.index
         flips = _lookup(flip, _gather(index[:1] if _shared_rows(index) else index, fields))
@@ -336,7 +325,7 @@ def _check_wires(q: int, wires: Sequence[int]) -> None:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Widest Walsh matrix built: 64 x 64, so a slice costs 64 multiply-adds per entry.
 _WALSH_SLICE = 6
-# Widest union of wires one composed XOR run covers: a 2^16-entry int64 table (512 KiB).
+# Widest union of wires one composed XOR layer covers: a 2^16-entry int64 table (512 KiB).
 _XOR_RUN_WIRES = 16
 
 
@@ -433,15 +422,14 @@ class PermutationGate:
 
     A value looked up from the control pattern is XORed into the disjoint
     result register, which is always a self-inverse bijection.  Every oracle
-    and arithmetic operator of the circuits has this form.  One gate acts
-    alike on every row of a batch; ``FlipLayer`` is the per-row XOR layer.
+    and arithmetic operator of the circuits has this form.  A gate is a
+    description: ``xor_layers`` compiles it into a ``FlipLayer``.
     """
 
     control_qubits: tuple[int, ...]
     result_qubits: tuple[int, ...]
     value_table: np.ndarray  # control pattern -> XOR value
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
 
     kind = "permutation"
 
@@ -460,11 +448,8 @@ class PermutationGate:
 
     def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
         """(bit fields of the controls, value table spread onto the result wires' index bits) on q qubits."""
-        plan = self._cache.get(q)
-        if plan is None:
-            _check_wires(q, self.targets)
-            plan = self._cache[q] = (_fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits))
-        return plan
+        _check_wires(q, self.targets)
+        return _fields(q, self.control_qubits), _spread(self.value_table, q, self.result_qubits)
 
 
 def xor_permutation_gate(
@@ -488,66 +473,39 @@ def xor_permutation_gate(
     return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table, name=name)
 
 
-def apply_permutation(state: State, gate: Union[PermutationGate, "XorRun", "FlipLayer"]) -> State:
-    """Move each basis index to index ^ flip[control pattern], by the gate's ``xor_plan``.
-
-    A dense state gathers each amplitude from where it comes from through
-    the same plan: a gate or a flip layer is its own inverse.  A composed
-    run is not, so a dense state raises TypeError on one.
-    """
-    if isinstance(state, SupportState):
-        return state.permute(gate)
-    if isinstance(gate, XorRun):
-        raise TypeError("a composed XOR run takes a support state (SupportState), not a StateVector")
-    fields, flip = gate.xor_plan(state.q)
-    idx = _indices(state.q)
-    state.amps = _lookup(state.amps, idx ^ _lookup(flip, _gather(idx, fields)))
-    return state
-
-
-def _support_only(state: State, kernel: str) -> SupportState:
-    if not isinstance(state, SupportState):
-        raise TypeError(f"{kernel} takes a support state (SupportState), not a {type(state).__name__}")
-    return state
-
-
 @dataclass(eq=False)
-class XorRun:
-    """Consecutive XOR gates applied as one.
+class FlipLayer:
+    """An XOR layer given by its flip table: each basis index is XORed with ``flip`` at its control pattern.
 
-    Their composition acts only on the union of their wires, as a function of
-    those wires' bits, so it is again XOR-form: one flip table over the 2^k
-    patterns of the k wires.  The table is built by applying each gate's own
-    ``xor_plan`` to the patterns spread onto index bits, pure integer
-    arithmetic, so the indices it gives are exactly those of gate-by-gate
-    application.
+    The flip table holds index bits: one table, or one per row of a batch.
+    An oracle round's layer has one per row, with its wires checked once by
+    ``flip_layer``.  A layer that ``xor_layers`` composes from several gates
+    flips wires it also reads (``composed``), so it is not its own inverse.
     """
 
-    gates: tuple[PermutationGate, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def targets(self) -> tuple[int, ...]:
-        return tuple(sorted({w for gate in self.gates for w in gate.targets}))
+    control_qubits: tuple[int, ...]
+    flip: np.ndarray
+    composed: bool = False
 
     def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
-        """(bit fields of the run's wires, composed flip of each of their patterns) on q qubits."""
-        plan = self._cache.get(q)
-        if plan is None:
-            _check_wires(q, self.targets)
-            before = _columns(q, self.targets)
-            after = before.copy()
-            for gate in self.gates:
-                fields, flip = gate.xor_plan(q)
-                after ^= flip[_gather(after, fields)]
-            plan = self._cache[q] = (_fields(q, self.targets), after ^ before)
-        return plan
+        return _fields(q, self.control_qubits), self.flip
 
 
-def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, XorRun]]:
-    """The gates cut greedily into maximal runs whose union of wires is at most _XOR_RUN_WIRES.
+def flip_layer(q: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...], flip: np.ndarray) -> FlipLayer:
+    """The layer index ^= flip[control pattern] on q qubits; ``flip`` may set only the result wires' bits."""
+    _check_wires(q, control_qubits + result_qubits)
+    return FlipLayer(control_qubits, flip)
 
-    A run of one gate is that gate.
+
+def xor_layers(q: int, gates: Sequence[PermutationGate]) -> list[FlipLayer]:
+    """The gates as XOR layers on q qubits, cut greedily into maximal runs whose union of wires is at most _XOR_RUN_WIRES.
+
+    A lone gate is its controls and its value table spread onto index bits.
+    A longer run acts only on the union of its wires, as a function of their
+    bits, so it is one flip table over their 2^k patterns.  The table is
+    built by applying each gate's ``xor_plan`` to the patterns spread onto
+    index bits, pure integer arithmetic, so the indices it gives are exactly
+    those of gate-by-gate application.
     """
     runs: list[list[PermutationGate]] = []
     wires: set[int] = set()
@@ -558,30 +516,43 @@ def xor_runs(gates: Sequence[PermutationGate]) -> list[Union[PermutationGate, Xo
         else:
             runs.append([gate])
             wires = set(gate.targets)
-    return [run[0] if len(run) == 1 else XorRun(tuple(run)) for run in runs]
+    layers = []
+    for run in runs:
+        plans = [gate.xor_plan(q) for gate in run]
+        if len(run) == 1:
+            layers.append(FlipLayer(run[0].control_qubits, plans[0][1]))
+            continue
+        union = tuple(sorted({w for gate in run for w in gate.targets}))
+        before = _spread(np.arange(1 << len(union), dtype=np.int64), q, union)
+        after = before.copy()
+        for fields, flip in plans:
+            after ^= flip[_gather(after, fields)]
+        layers.append(FlipLayer(union, after ^ before, composed=True))
+    return layers
 
 
-@dataclass(eq=False)
-class FlipLayer:
-    """An XOR layer given by its flip table: each basis index is XORed with ``flip`` at its control pattern.
+def apply_permutation(state: State, gate: Union[PermutationGate, FlipLayer]) -> State:
+    """Move each basis index to index ^ flip[control pattern], by the gate's ``xor_plan``.
 
-    The flip table is a value table already spread onto the result wires'
-    index bits: one table, or one per row of a batch.  It is the one XOR
-    layer whose values differ between rows; an oracle round is built this
-    way, with its wires checked once by ``flip_layer``.
+    A dense state gathers each amplitude from where it comes from through
+    the same plan: a gate, or a layer of one gate or of an oracle round, is
+    its own inverse.  A composed layer is not, so a dense state raises
+    TypeError on one.
     """
+    if isinstance(state, SupportState):
+        return state.permute(gate)
+    if isinstance(gate, FlipLayer) and gate.composed:
+        raise TypeError("a composed XOR layer takes a support state (SupportState), not a StateVector")
+    fields, flip = gate.xor_plan(state.q)
+    idx = _indices(state.q)
+    state.amps = _lookup(state.amps, idx ^ _lookup(flip, _gather(idx, fields)))
+    return state
 
-    control_qubits: tuple[int, ...]
-    flip: np.ndarray
 
-    def xor_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
-        return _fields(q, self.control_qubits), self.flip
-
-
-def flip_layer(q: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...], flip: np.ndarray) -> FlipLayer:
-    """The layer index ^= flip[control pattern] on q qubits; ``flip`` may set only the result wires' bits."""
-    _check_wires(q, control_qubits + result_qubits)
-    return FlipLayer(control_qubits, flip)
+def _support_only(state: State, kernel: str) -> SupportState:
+    if not isinstance(state, SupportState):
+        raise TypeError(f"{kernel} takes a support state (SupportState), not a {type(state).__name__}")
+    return state
 
 
 @dataclass(eq=False)
@@ -597,7 +568,6 @@ class RotationGate:
     target_qubit: int
     scale_exponent: int
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
 
     kind = "rotation"
 
@@ -610,12 +580,8 @@ class RotationGate:
 
     def support_plan(self, q: int) -> tuple[tuple[tuple[int, int, int], ...], int, np.ndarray, np.ndarray]:
         """The rotation on q qubits, with its wires checked: the controls' bit fields, the target index bit, cos, sin."""
-        plan = self._cache.get(q)
-        if plan is None:
-            _check_wires(q, self.control_qubits + (self.target_qubit,))
-            plan = (_fields(q, self.control_qubits), 1 << (q - 1 - self.target_qubit), self.cos_table, self.sin_table)
-            self._cache[q] = plan
-        return plan
+        _check_wires(q, self.control_qubits + (self.target_qubit,))
+        return _fields(q, self.control_qubits), 1 << (q - 1 - self.target_qubit), self.cos_table, self.sin_table
 
 
 def block_rotation_gate(
@@ -630,7 +596,7 @@ def block_rotation_gate(
 
 
 def apply_block_rotation(state: SupportState, gate: RotationGate) -> SupportState:
-    """The rotation on a support state; its plan checks the wires once per register size."""
+    """The rotation on a support state; its plan checks the wires."""
     return _support_only(state, "apply_block_rotation").rotate(gate)
 
 

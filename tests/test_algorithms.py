@@ -182,10 +182,10 @@ def _literal_alg3_p_constant(f, t):
     return p0 * measure(branch, u).probability(0)
 
 
-def x_gate(c):
-    """dj's one fixed gate, as the executor compiled it."""
-    (gate,) = next(step[2] for step in c.steps if step[0] == "fixed")
-    return gate
+def x_layer(c):
+    """dj's one fixed gate, as the executor compiled it: one XOR layer."""
+    (layer,) = [step[1] for step in c.steps if step[0] == "xor"]
+    return layer
 
 
 def test_index_caches_stay_within_the_cache_width():
@@ -197,11 +197,11 @@ def test_index_caches_stay_within_the_cache_width():
     _execute(wide, np.zeros((1, 1 << 20, 1), dtype=np.int64))
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
     assert wide.start is None
-    # At any width the gate keeps only its plan: a one-entry flip table.
+    # At any width the X gate's layer holds only a one-entry flip table.
     small = circuit("dj", 4)
     _execute(small, np.zeros((1, 16, 1), dtype=np.int64))
     for c in (wide, small):
-        assert [flip.size for _, flip in x_gate(c)._cache.values()] == [1]
+        assert x_layer(c).flip.size == 1 and not x_layer(c).composed
     # Below the width the circuit keeps its start row.
     assert small.start is not None and small.start[1].amps.shape == (1, 1 << small.q)
 

@@ -110,6 +110,31 @@ class TestClassify:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize(
+        "command,source,option",
+        [
+            pytest.param("classify", "input", "--n", id="classify --input --n"),
+            pytest.param("run", "input", "--n", id="run --input --n"),
+            pytest.param("classify", "input", "--seed", id="classify --input --seed"),
+            pytest.param("classify", "zeros", "--seed", id="classify --gen zeros --seed"),
+            pytest.param("classify", "ones", "--seed", id="classify --gen ones --seed"),
+        ],
+    )
+    def test_an_option_the_source_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, source, option):
+        if source == "input":
+            argv = [command, "--input", write_table(tmp_path, 3, [0, 1, 1, 0, 1, 0, 0, 1])]
+        else:
+            argv = [command, "--gen", source, "--n", "3"]
+        if command == "run":
+            argv += ["--alg", "dj"]
+        assert cli.main([*argv, "--deterministic"]) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, option, "7", "--deterministic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and option in captured.err
+
+
 class TestRun:
     def test_four_node_counterexample(self, tmp_path, capsys):
         path = write_table(tmp_path, 4, XOR_KERNEL_TABLE)
@@ -132,6 +157,16 @@ class TestRun:
         assert status == 0
         assert payload["p_balanced"] == 1.0
         assert payload["verdict"] == "balanced"
+
+    @pytest.mark.parametrize("source", ["input", "zeros", "random"])
+    def test_run_reads_seed_with_every_source(self, tmp_path, capsys, source):
+        # The sampled shot reads --seed, whatever the input source.
+        if source == "input":
+            argv = ["--input", write_table(tmp_path, 3, [0, 1, 1, 0, 1, 0, 0, 1])]
+        else:
+            argv = ["--gen", source, "--n", "3"]
+        status, payload = run_json(capsys, "run", *argv, "--alg", "dj", "--seed", "4")
+        assert status == 0 and payload["sampled_shot"]["seed"] == 4
 
     def test_sampled_shot_deterministic(self, tmp_path, capsys):
         path = write_table(tmp_path, 3, TWO_NODE_TABLE)
@@ -417,3 +452,19 @@ def test_main_calls_in_one_process_match_separate_processes(capsys):
     assert in_process == separate
     assert [status for status, _, _ in in_process] == [0, 1, 0]
     assert "invalid choice: 'nosuch'" in in_process[1][2]
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # The run prints more than a pipe holds, so its write meets the closed
+    # pipe: it must end with its own status and nothing on stderr.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-m", "djsim.cli", "run", "--gen", "random", "--n", "12", "--alg", "dj"]
+    whole = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert whole.returncode == 0 and len(whole.stdout) > 1 << 16
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

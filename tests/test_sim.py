@@ -20,8 +20,8 @@ from djsim.sim import (
     probability_all_zero,
     StateVector,
     SupportState,
-    XorRun,
     flip_layer,
+    xor_layers,
     xor_permutation_gate,
 )
 from tests.dense_reference import rotated
@@ -490,8 +490,15 @@ class TestPauliZ:
         assert np.array_equal(s.amps, before)
 
 
+def composed(q, gates):
+    """The gates as the one composed layer ``xor_layers`` makes of them."""
+    (layer,) = xor_layers(q, gates)
+    assert layer.composed and layer.control_qubits == tuple(sorted({w for g in gates for w in g.targets}))
+    return layer
+
+
 class TestComposition:
-    """Consecutive XOR gates composed into one ``XorRun``, a table over the union of their wires."""
+    """Consecutive XOR gates composed by ``xor_layers`` into one ``FlipLayer``, a table over the union of their wires."""
 
     def test_composed_matches_sequential(self):
         rng = np.random.default_rng(11)
@@ -502,7 +509,7 @@ class TestComposition:
         ]
         s1 = full_support(random_state(4, rng).amps)
         s2 = full_support(s1.amps)
-        apply_permutation(s1, XorRun(tuple(gates)))
+        apply_permutation(s1, composed(4, gates))
         for g in gates:
             apply_permutation(s2, g)
         assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, s2.amps)
@@ -521,7 +528,7 @@ class TestComposition:
             index = index[0]
         amps = rng.normal(size=index.shape)
         s1, s2 = SupportState(4, index.copy(), amps.copy()), SupportState(4, index.copy(), amps.copy())
-        apply_permutation(s1, XorRun(tuple(gates)))
+        apply_permutation(s1, composed(4, gates))
         for g in gates:
             apply_permutation(s2, g)
         assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, amps)
@@ -529,43 +536,53 @@ class TestComposition:
 
     def test_composed_run_on_a_dense_state_is_rejected(self):
         # A dense state gathers through the plan of the map, which is its own
-        # inverse for a gate but not for a run; the run is refused untouched.
-        run = XorRun((xor_permutation_gate((0,), (2,), [0, 1]), xor_permutation_gate((2,), (0,), [0, 1])))
-        s = random_state(3, np.random.default_rng(15))
-        before = s.amps.copy()
-        with pytest.raises(TypeError, match="composed XOR run takes a support state"):
-            apply_permutation(s, run)
-        assert np.array_equal(s.amps, before) and not run._cache
+        # inverse for a gate but not for a composed layer: were it applied,
+        # basis state |100> would go to |101>, not to the layer's |001>.  The
+        # layer is refused and the state left untouched.
+        layer = composed(3, [xor_permutation_gate((0,), (2,), [0, 1]), xor_permutation_gate((2,), (0,), [0, 1])])
+        s = basis_state(3, 0b100)
+        support = apply_permutation(basis_support(3, 0b100), layer)
+        assert support.index.tolist() == [0b001]
+        with pytest.raises(TypeError, match="composed XOR layer takes a support state"):
+            apply_permutation(s, layer)
+        assert np.array_equal(s.amps, basis_state(3, 0b100).amps)
 
     def test_empty_composition_is_identity(self):
+        # No gates make no layer; a gate and itself compose to a zero flip table.
+        assert xor_layers(3, []) == []
+        gate = xor_permutation_gate((0, 2), (1,), [0, 1, 1, 0])
+        layer = composed(3, [gate, gate])
+        assert not layer.flip.any()
         s = full_support(random_state(3, np.random.default_rng(12)).amps)
-        apply_permutation(s, XorRun(()))
+        apply_permutation(s, layer)
         assert np.array_equal(s.index, np.arange(8))
 
     def test_wrong_register_size_rejected(self):
         gate = xor_permutation_gate((0,), (2,), [0, 1])
         with pytest.raises(ValueError, match="out of range"):
-            apply_permutation(init_zero(2, support=True), XorRun((xor_permutation_gate((), (0,), [1]), gate)))
+            xor_layers(2, [xor_permutation_gate((), (0,), [1]), gate])
+        with pytest.raises(ValueError, match="out of range"):
+            xor_layers(2, [gate])
         with pytest.raises(ValueError, match="out of range"):
             apply_permutation(init_zero(2), gate)
 
 
 def test_large_register_skips_source_caching():
-    # Beyond the caching bound no gate or index cache keeps a 2^q-entry
-    # array: a gate keeps only its plan, and the indices are rebuilt per
-    # application.
+    # Beyond the caching bound no XOR layer or index cache keeps a 2^q-entry
+    # array: a layer holds only its flip table, and the indices are rebuilt
+    # per application.
     q = sim._DEST_CACHE_MAX_Q + 1
     gate = xor_permutation_gate((0,), (q - 1,), [0, 1])
-    run = XorRun((gate, xor_permutation_gate((q - 1,), (1,), [0, 1])))
+    (lone,) = xor_layers(q, [gate])
+    run = composed(q, [gate, xor_permutation_gate((q - 1,), (1,), [0, 1])])
     s = basis_state(q, 1 << (q - 1))
-    apply_permutation(s, gate)
+    apply_permutation(s, lone)
     assert s.amps[(1 << (q - 1)) | 1] == 1.0
     # On a support state, the run's first gate undoes the gate; its second reads wire q - 1 clear.
     support = basis_support(q, (1 << (q - 1)) | 1)
     apply_permutation(support, run)
     assert support.index.tolist() == [1 << (q - 1)]
-    flips = [flip for g in (gate, run) for _, flip in g._cache.values()]
-    assert flips and max(flip.size for flip in flips) < 1 << q
+    assert (lone.flip.size, run.flip.size) == (2, 8)
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
 
 
@@ -602,9 +619,9 @@ def test_measurement_record_floor_filters_dust():
 
 def test_every_kernel_keeps_the_state_real():
     # A silent promotion to complex would double the memory of every state.
-    # Only the support state takes a composed run and the rotation, of wire
+    # Only the support state takes a composed layer and the rotation, of wire
     # 3, which no other step sets.
-    run = XorRun((xor_permutation_gate((1, 2), (0,), [0, 1, 1, 0]), xor_permutation_gate((0,), (2,), [0, 1])))
+    run = composed(4, [xor_permutation_gate((1, 2), (0,), [0, 1, 1, 0]), xor_permutation_gate((0,), (2,), [0, 1])])
     for s in (init_zero(4), init_zero(4, support=True)):
         assert s.amps.dtype == np.float64
         steps = [

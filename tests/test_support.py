@@ -38,19 +38,18 @@ def assert_runs_agree(c, rows, reference):
 
 
 def one_reference_serves_both_layouts(n, t):
-    """The compact layout runs A' on A's wires: check that its composed XOR
-    runs flip what the interleaved ones flip, so one reference run serves
+    """The compact layout runs A' on A's wires: check that its compiled XOR
+    layers flip what the interleaved ones flip, so one reference run serves
     both layouts."""
     interleaved, compact = circuit("alg3", n, t, "interleaved"), circuit("alg3", n, t, "compact")
     zeros = np.zeros((1, 1 << (n - t), 1 << t), dtype=np.int64)
     _execute(interleaved, zeros)
     _execute(compact, zeros)
-    fixed = [[step[3] for step in c.steps if step[0] == "fixed"] for c in (interleaved, compact)]
-    assert [len(runs) for runs in fixed[0]] == [len(runs) for runs in fixed[1]]
-    for runs, others in zip(*fixed):
-        for run, other in zip(runs, others):
-            (fields, flip), (other_fields, other_flip) = run.xor_plan(interleaved.q), other.xor_plan(compact.q)
-            assert fields == other_fields and np.array_equal(flip, other_flip)
+    layers = [[step[1] for step in c.steps if step[0] == "xor"] for c in (interleaved, compact)]
+    assert len(layers[0]) == len(layers[1]) > 0
+    for layer, other in zip(*layers):
+        (fields, flip), (other_fields, other_flip) = layer.xor_plan(interleaved.q), other.xor_plan(compact.q)
+        assert fields == other_fields and np.array_equal(flip, other_flip)
     return interleaved, compact
 
 

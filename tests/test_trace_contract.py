@@ -38,8 +38,8 @@ def test_tracer_records_the_kernels_of_every_algorithm(monkeypatch):
 
 
 def test_tracer_records_the_support_runs_as_permutations(monkeypatch):
-    # The support engine applies each oracle round and each composed run of
-    # fixed gates through apply_permutation, the name the tracer wraps.
+    # The support engine applies each oracle round and each compiled XOR
+    # layer of fixed gates through apply_permutation, the name the tracer wraps.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     import tracer
@@ -48,7 +48,7 @@ def test_tracer_records_the_support_runs_as_permutations(monkeypatch):
     for name in ("alg2", "alg3"):
         c = algorithms.circuit(name, 4, 2)
         algorithms.run_named(name, f, 2)
-        expected = sum(len(step[3]) if step[0] == "fixed" else 1 for step in c.steps if step[0] in ("fixed", "oracle"))
+        expected = sum(step[0] in ("xor", "oracle") for step in c.steps)
         trace = tracer.Tracer()
         trace.install()
         try:

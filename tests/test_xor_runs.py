@@ -1,9 +1,10 @@
-"""Composed XOR runs: the support engine applies each run of fixed gates as one table.
+"""Composed XOR layers: the executor applies each run of fixed gates as one ``FlipLayer``.
 
-``_compile`` cuts each fixed step's gates into ``xor_runs``: maximal runs whose
-union of wires is at most ``_XOR_RUN_WIRES``.  A run's table must equal its
-gates applied one by one, and ``_execute`` with the runs must give the same
-bits as with the gates one by one.
+``_compile`` compiles each maximal run of fixed ops with ``xor_layers``:
+greedy runs of gates whose union of wires is at most ``_XOR_RUN_WIRES``, one
+("xor", layer) step each.  A layer's table must equal its gates applied one
+by one, and ``_execute`` with the layers must give the same bits as with the
+gates one by one.
 """
 
 import dataclasses
@@ -13,15 +14,49 @@ import pytest
 
 from djsim import enumerate_promise_functions
 from djsim.algorithms import ALGORITHM_NAMES, _compile, _execute, circuit, validate_run_config
-from djsim.sim import _XOR_RUN_WIRES, SupportState, XorRun, apply_permutation
+from djsim.sim import _XOR_RUN_WIRES, FlipLayer, SupportState, apply_permutation
 
 CIRCUITS = [("alg2", t, "interleaved") for t in (1, 2, 3, 4)] + [
     ("alg3", t, layout) for t in (1, 2, 3) for layout in ("interleaved", "compact")
 ]
 
 
-def fixed_steps(c):
-    return [step for step in _compile(c) if step[0] == "fixed"]
+def split(items, inside):
+    """The runs of consecutive items for which ``inside`` holds, cut at every other item (empty runs included)."""
+    runs = [[]]
+    for item in items:
+        if inside(item):
+            runs[-1].append(item)
+        else:
+            runs.append([])
+    return runs
+
+
+def fixed_runs(c):
+    """Each maximal run of fixed ops as (its gates, the layers of its compiled XOR steps), in circuit order."""
+    gates = [[g for op in ops for g in op.build()] for ops in split(c.ops, lambda op: op.kind == "fixed")]
+    layers = [[step[1] for step in steps] for steps in split(_compile(c), lambda step: step[0] == "xor")]
+    assert len(gates) == len(layers)
+    assert all(bool(g) == bool(ls) for g, ls in zip(gates, layers))
+    return [(g, ls) for g, ls in zip(gates, layers) if g]
+
+
+def chunks(gates, layers):
+    """The gates each layer applies: a lone gate's layer has its controls, a composed one covers its gates' wires."""
+    out, rest = [], list(gates)
+    for layer in layers:
+        assert isinstance(layer, FlipLayer) and rest
+        if not layer.composed:
+            assert layer.control_qubits == rest[0].control_qubits
+            out.append([rest.pop(0)])
+            continue
+        wires = set(layer.control_qubits)
+        chunk = []
+        while rest and set(rest[0].targets) <= wires:
+            chunk.append(rest.pop(0))
+        out.append(chunk)
+    assert not rest
+    return out
 
 
 def sequential(gates, wires):
@@ -52,46 +87,50 @@ def on_index_bits(pats, wires, q):
 @pytest.mark.parametrize("alg,t,layout", CIRCUITS)
 def test_each_run_table_equals_its_gates_one_by_one(alg, t, layout):
     c = circuit(alg, t + 1, t, layout)
-    runs_per_step = []
-    for _, _, gates, runs in fixed_steps(c):
-        # The runs cut the step's gates in order, greedily: the next gate would overflow the cap.
-        flat = [g for run in runs for g in (run.gates if isinstance(run, XorRun) else (run,))]
-        assert flat == gates
-        for run, after in zip(runs, runs[1:]):
-            first = after.gates[0] if isinstance(after, XorRun) else after
-            assert len(set(run.targets) | set(first.targets)) > _XOR_RUN_WIRES
-        for run in runs:
-            if not isinstance(run, XorRun):
+    layers_per_run = []
+    for gates, layers in fixed_runs(c):
+        # The layers cut the run's gates in order, greedily: the next gate would overflow the cap.
+        cut = chunks(gates, layers)
+        for chunk, after in zip(cut, cut[1:]):
+            assert len({w for g in chunk + after[:1] for w in g.targets}) > _XOR_RUN_WIRES
+        for chunk, layer in zip(cut, layers):
+            if not layer.composed:
+                (gate,) = chunk
+                assert np.array_equal(layer.flip, on_index_bits(gate.value_table, gate.result_qubits, c.q))
                 continue
-            wires = run.targets
-            assert len(run.gates) > 1 and len(wires) <= _XOR_RUN_WIRES
-            assert wires == tuple(sorted({w for g in run.gates for w in g.targets}))
-            fields, flip = run.xor_plan(c.q)
+            wires = layer.control_qubits
+            assert len(chunk) > 1 and len(wires) <= _XOR_RUN_WIRES
+            assert wires == tuple(sorted({w for g in chunk for w in g.targets}))
             before = on_index_bits(np.arange(1 << len(wires), dtype=np.int64), wires, c.q)
-            assert np.array_equal(flip, on_index_bits(sequential(run.gates, wires), wires, c.q) ^ before)
-            # Applied to support entries, with other wires set, the run moves every index as its gates do.
+            assert np.array_equal(layer.flip, on_index_bits(sequential(chunk, wires), wires, c.q) ^ before)
+            # Applied to support entries, with other wires set, the layer moves every index as its gates do.
             rng = np.random.default_rng(len(wires))
             others = rng.integers(0, 1 << c.q, size=len(before)) & ~int(np.bitwise_or.reduce(before))
             index = np.stack([before | others, np.roll(before, 7) | others])
-            by_run = apply_permutation(SupportState(c.q, index.copy(), np.ones(index.shape)), run)
+            by_layer = apply_permutation(SupportState(c.q, index.copy(), np.ones(index.shape)), layer)
             by_gates = SupportState(c.q, index.copy(), np.ones(index.shape))
-            for gate in run.gates:
+            for gate in chunk:
                 apply_permutation(by_gates, gate)
-            assert np.array_equal(by_run.index, by_gates.index)
-        runs_per_step.append(len(runs))
+            assert np.array_equal(by_layer.index, by_gates.index)
+        layers_per_run.append(len(layers))
     if alg == "alg2":
-        # U alone: a run of one gate is that gate.
-        assert runs_per_step == [1, 1]
+        # U alone: a run of one gate is that gate's layer.
+        assert layers_per_run == [1, 1] and not any(layer.composed for _, ls in fixed_runs(c) for layer in ls)
     elif t == 3:
-        # 22 wires of fixed gates: the cap splits each step.
-        assert runs_per_step == [2, 2]
+        # 22 wires of fixed gates: the cap splits each run.
+        assert layers_per_run == [2, 2]
     else:
-        assert runs_per_step == [1, 1]
+        assert layers_per_run == [1, 1]
 
 
 def gate_by_gate(c):
-    """The circuit with each fixed step applied as its ``op.build()`` gates, one apply_permutation each."""
-    steps = [(*step[:3], list(step[2])) if step[0] == "fixed" else step for step in _compile(c)]
+    """The circuit with each fixed op applied as its ``op.build()`` gates, one apply_permutation each."""
+    steps, compiled = [], iter([step for step in _compile(c) if step[0] != "xor"])
+    for op in c.ops:
+        if op.kind == "fixed":
+            steps.extend(("xor", gate) for gate in op.build())
+        else:
+            steps.append(next(compiled))
     return dataclasses.replace(c, steps=steps)
 
 
@@ -107,6 +146,8 @@ def family_rows(n, t):
 def test_execute_with_runs_equals_gates_one_by_one(alg, t, layout):
     c = circuit(alg, 4, t, layout)
     reference = gate_by_gate(c)
+    if alg == "alg3":  # its layers compose gates
+        assert sum(step[0] == "xor" for step in reference.steps) > sum(step[0] == "xor" for step in _compile(c))
     rows = family_rows(4, t)
     p, _, anc = _execute(c, rows)
     p_ref, _, anc_ref = _execute(reference, rows)
@@ -130,18 +171,19 @@ def test_table_bits_cover_every_composed_table():
                         # Rejected before anything was built.
                         assert circuit(alg, n, t, layout).steps is None
                         continue
-                    for _, _, gates, runs in fixed_steps(c):
-                        for run in runs:
-                            fields, flip = run.xor_plan(c.q)
-                            assert flip.size <= 1 << c.table_bits
-                            if isinstance(run, XorRun):
-                                assert flip.size == 1 << len(run.targets)
-                                checked += 1
+                    for step in _compile(c):
+                        if step[0] != "xor":
+                            continue
+                        layer = step[1]
+                        assert layer.flip.size <= 1 << c.table_bits
+                        if layer.composed:
+                            assert layer.flip.size == 1 << len(layer.control_qubits)
+                            checked += 1
     assert checked > 50
 
 
 def test_no_dense_circuit_composes_a_run():
-    # A dense state refuses a composed run (TypeError), so ``run`` and
+    # A dense state refuses a composed layer (TypeError), so ``run`` and
     # ``verify`` depend on every description that runs dense compiling none.
     dense = set()
     for n in range(1, 9):
@@ -154,7 +196,8 @@ def test_no_dense_circuit_composes_a_run():
                         continue
                     if c.support:
                         continue
-                    runs = [run for step in fixed_steps(c) for run in step[3]]
-                    assert not any(isinstance(run, XorRun) for run in runs), (alg, n, t)
+                    layers = [step[1] for step in _compile(c) if step[0] == "xor"]
+                    assert all(isinstance(layer, FlipLayer) for layer in layers)
+                    assert not any(layer.composed for layer in layers), (alg, n, t)
                     dense.add(c)
     assert len(dense) == 8 + 7 + 6 + 28  # dj, alg1, err-4node, err-multi at n <= 8
