@@ -50,6 +50,7 @@ from .sim import (  # noqa: F401
     _XOR_RUN_WIRES,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
+    Outcomes,
     State,
     apply_block_rotation,
     apply_hadamard,
@@ -58,7 +59,6 @@ from .sim import (  # noqa: F401
     flip_layer,
     init_zero,
     measure,
-    outcome_distribution,
     probability_all_zero,
     xor_layers,
     xor_permutation_gate,
@@ -486,13 +486,14 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     starts from the circuit's start row, kept when a row holds at most
     2^_DEST_CACHE_MAX_Q entries; the first oracle round gathers from it.  The
     state is a support state when ``c.support`` holds, else dense.  The
-    readout follows ``Circuit``'s plan in every row: each measurement builds
-    every row's outcome distribution, and the log takes row 0's.  A support
-    run meets the two preconditions of the support kernels: the decision
-    wire reads 0 in every entry before the rotation, and after the uncompute
-    the entries of a row differ only on the input wires, which the readout
-    Hadamard acts on; a description that breaks either raises a ValueError.
-    A run reaches the simulator kernels only through this module's names.
+    readout follows ``Circuit``'s plan in every row: each measurement gives
+    every row's outcome probabilities, and the log keeps row 0's as arrays
+    (``sim.Outcomes``).  A support run meets the two preconditions of the
+    support kernels: the decision wire reads 0 in every entry before the
+    rotation, and after the uncompute the entries of a row differ only on
+    the input wires, which the readout Hadamard acts on; a description that
+    breaks either raises a ValueError.  A run reaches the simulator kernels
+    only through this module's names.
     """
     count = len(rows)
     s = _evolve(c, rows)
@@ -504,7 +505,7 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     inputs = tuple(c.inputs)
 
     def input_register(rec) -> dict:
-        return {"stage": "input_register", "qubits": list(inputs), "distribution": outcome_distribution(rec.probs[0])}
+        return {"stage": "input_register", "qubits": list(inputs), "distribution": Outcomes.of(rec.probs[0])}
 
     if c.decision is None:
         rec = measure(s, inputs)
@@ -513,7 +514,7 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
         return p, log, anc
     rec = measure(s, (c.decision,))
     p_zero = rec.probability(0)
-    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": outcome_distribution(rec.probs[0])})
+    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": Outcomes.of(rec.probs[0])})
     live = p_zero > _PROB_FLOOR
     if not live.any():
         return np.zeros(count), log, anc

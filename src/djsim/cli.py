@@ -25,6 +25,7 @@ import numpy as np
 from . import analysis, boolfn
 from .algorithms import ALGORITHM_NAMES, InvariantBreach, RunReport, probability_oracle, run_named
 from .boolfn import BooleanFunction, Decomposition, Verdict, compute_stats, corollary_witness, make_function
+from .sim import Outcomes
 
 EXACT_ALGORITHMS = ("dj", "alg1", "alg2", "alg3")
 PROB_TOL = 1e-12
@@ -60,14 +61,15 @@ def render_probability(p: float) -> tuple[float, bool]:
 
 
 def _clean(value: Any) -> Any:
-    """Round every float in a payload for stable rendering."""
+    """Round every float in a payload for stable rendering; a branch log's outcome arrays become {bit string: probability}."""
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, float):
-        snapped, _ = render_probability(value) if 0.0 <= value <= 1.0 else (round_sig(value), False)
-        return snapped
+        return render_probability(value)[0] if 0.0 <= value <= 1.0 else round_sig(value)
+    if isinstance(value, Outcomes):
+        return _clean(value.distribution())
     return value
 
 
@@ -111,6 +113,8 @@ def load_truth_table(path: str) -> BooleanFunction:
 
 
 def _resolve_function(args) -> BooleanFunction:
+    if args.seed is not None and args.seed < 0:  # numpy's generators take none
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.input and args.gen:
         raise UsageError("pass exactly one input source: --input or --gen")
     if args.input:
@@ -127,8 +131,7 @@ def _resolve_function(args) -> BooleanFunction:
             return make_function(n, bytes(1 << n))
         if args.gen == "ones":
             return make_function(n, bytes([1]) * (1 << n))
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        return boolfn.random_balanced_table(n, rng)
+        return boolfn.random_balanced_table(n, np.random.default_rng(args.seed or 0))
     raise UsageError("an input source is required: --input FILE or --gen SPEC")
 
 
@@ -156,13 +159,6 @@ def _report_payload(report: RunReport) -> dict:
     return payload
 
 
-def _sample_from_distribution(distribution: dict[str, float], rng: np.random.Generator) -> str:
-    outcomes = sorted(distribution)
-    probs = np.array([distribution[o] for o in outcomes], dtype=np.float64)
-    probs /= probs.sum()
-    return outcomes[int(rng.choice(len(outcomes), p=probs))]
-
-
 def _sampled_shot(report: RunReport, seed: int) -> dict:
     """One simulated shot drawn from the recorded exact branch distributions.
 
@@ -176,7 +172,8 @@ def _sampled_shot(report: RunReport, seed: int) -> dict:
     for entry in report.branch_log:
         if "distribution" not in entry:
             continue
-        z = _sample_from_distribution(entry["distribution"], rng)
+        kept = entry["distribution"]
+        z = kept.key(int(kept.outcomes[rng.choice(len(kept.outcomes), p=kept.probs / kept.probs.sum())]))
         outcomes[f"node_{entry['w']}" if "w" in entry else entry["stage"]] = z
         if "1" in z:
             verdict = "balanced"

@@ -37,6 +37,8 @@ Conventions:
   start=)``); the first kernel to change them gives them arrays of their
   own.  Sums over a row's entries run in entry order, so a row's
   probabilities are bit-identical whatever other rows share its batch.
+* A measurement's outcome probabilities stay arrays (``Outcomes`` keeps one
+  state's); only a reader that prints makes bit strings, by ``Outcomes.key``.
 
 Apply functions mutate the passed state in place and return it.
 """
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -145,12 +147,6 @@ def _in_any_row(mask: np.ndarray) -> np.ndarray:
     if mask.ndim == 1:
         return mask
     return mask[0] if len(mask) == 1 else mask.any(axis=0)
-
-
-def _drop_zero_columns(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the entries whose amplitude is exactly zero in every row."""
-    keep = _in_any_row(amps != 0.0)
-    return index.compress(keep, axis=-1), amps.compress(keep, axis=-1)
 
 
 def decode_signed(pattern: int, width: int) -> int:
@@ -271,7 +267,8 @@ class SupportState:
         pat = _gather(idx, fields)
         index = np.concatenate((idx, idx | tmask), axis=-1)
         amps = np.concatenate((cos[pat] * amps, sin[pat] * amps), axis=-1)
-        self.index, self.amps = _drop_zero_columns(index, amps)
+        keep = _in_any_row(amps != 0.0)  # drop the entries that are exactly zero in every row
+        self.index, self.amps = index.compress(keep, axis=-1), amps.compress(keep, axis=-1)
         return self
 
     def probability_all_zero(self, qubits: tuple[int, ...]) -> Union[float, np.ndarray]:
@@ -600,23 +597,30 @@ def apply_block_rotation(state: SupportState, gate: RotationGate) -> SupportStat
     return _support_only(state, "apply_block_rotation").rotate(gate)
 
 
-# Outcome key strings are cached for registers of up to this many measured wires (256 keys).
-_KEYED_OUTCOME_BITS = 8
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """One state's measured outcomes above the probability floor: the register's width, indices (ascending), probabilities."""
 
+    width: int
+    outcomes: np.ndarray
+    probs: np.ndarray
 
-@lru_cache(maxsize=_KEYED_OUTCOME_BITS + 1)
-def _outcome_keys(k: int) -> tuple[str, ...]:
-    return tuple(format(o, f"0{k}b") for o in range(1 << k))
+    @classmethod
+    def of(cls, probs: np.ndarray) -> "Outcomes":
+        kept = np.flatnonzero(probs > _PROB_FLOOR)
+        return cls(len(probs).bit_length() - 1, kept, probs[kept])
 
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Outcomes) and self.width == other.width
+        return same and np.array_equal(self.outcomes, other.outcomes) and np.array_equal(self.probs, other.probs)
 
-def outcome_distribution(probs: np.ndarray) -> dict[str, float]:
-    """One state's outcome probabilities above the floor, keyed by the outcome's bit string."""
-    k = len(probs).bit_length() - 1
-    hits = np.flatnonzero(probs > _PROB_FLOOR)
-    if k > _KEYED_OUTCOME_BITS:
-        return {format(int(o), f"0{k}b"): float(probs[o]) for o in hits}
-    keys, values = _outcome_keys(k), probs.tolist()
-    return {keys[o]: values[o] for o in hits.tolist()}
+    @property
+    def key(self) -> Callable[[int], str]:
+        """Formats an outcome as its bit string, first measured wire first: the one place an outcome becomes a string."""
+        return f"{{:0{self.width}b}}".format
+
+    def distribution(self) -> dict[str, float]:
+        return dict(zip(map(self.key, self.outcomes.tolist()), self.probs.tolist()))
 
 
 class MeasurementRecord:
@@ -637,18 +641,16 @@ class MeasurementRecord:
         state = self._state
         return _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
 
-    def _outcome(self, outcome: Union[int, str]) -> np.ndarray:
-        if isinstance(outcome, str):
-            outcome = int(outcome, 2)
-        return self.probs[..., outcome]
+    def _outcome(self, outcome: Union[int, str]) -> int:
+        return int(outcome, 2) if isinstance(outcome, str) else outcome
 
     @property
     def distribution(self) -> dict[str, float]:
         """The outcome distribution of an unbatched state."""
-        return outcome_distribution(self.probs)
+        return Outcomes.of(self.probs).distribution()
 
     def probability(self, outcome: Union[int, str]) -> Union[float, np.ndarray]:
-        p = self._outcome(outcome)
+        p = self.probs[..., self._outcome(outcome)]
         return float(p) if p.ndim == 0 else p
 
     def collapse(self, outcome: Union[int, str]) -> State:
@@ -657,9 +659,8 @@ class MeasurementRecord:
         In a batch, a row where the outcome is negligible collapses to zero
         amplitudes; a ValueError is raised when it is negligible in every row.
         """
-        if isinstance(outcome, str):
-            outcome = int(outcome, 2)
-        p = self._outcome(outcome)
+        outcome = self._outcome(outcome)
+        p = self.probs[..., outcome]
         live = p > _PROB_FLOOR
         if not live.any():
             raise ValueError(f"cannot collapse onto outcome {outcome}: probability {p} is negligible")

@@ -49,7 +49,7 @@ class TestAlgorithm1:
     def test_all_ones(self):
         report = run_named("alg1", make_function(3, [1] * 8))
         decision = next(e for e in report.branch_log if e.get("stage") == "decision_qubit")
-        assert decision["distribution"]["0"] == pytest.approx(1.0, abs=1e-12)
+        assert decision["distribution"].distribution()["0"] == pytest.approx(1.0, abs=1e-12)
         assert report.p_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_example_balanced(self, two_node_example):
@@ -73,7 +73,7 @@ class TestAlgorithm2:
         # delta = (0,-2,2,0): decision qubit reads 1 with probability 7/8
         report = run_named("alg2", delta_example, 2)
         decision = next(e for e in report.branch_log if e.get("stage") == "decision_qubit")
-        assert decision["distribution"]["1"] == pytest.approx(7 / 8, abs=1e-12)
+        assert decision["distribution"].distribution()["1"] == pytest.approx(7 / 8, abs=1e-12)
         assert report.p_constant == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "balanced" and report.verdict_exact
 

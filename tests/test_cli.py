@@ -429,6 +429,21 @@ class TestGenerators:
         _, payload = run_json(capsys, "classify", "--gen", "ones", "--n", "2")
         assert payload["promise"] == "constant"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "--gen", "random", "--n", "3", "--seed", "-1", "--alg", "dj"], id="run --gen random"),
+            pytest.param(["classify", "--gen", "random", "--n", "3", "--seed", "-5"], id="classify --gen random"),
+            pytest.param(["run", "--gen", "zeros", "--n", "3", "--seed", "-2", "--alg", "dj"], id="run sampled shot"),
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        # numpy's generators raise on a negative seed; the CLI says so before drawing.
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and "--seed" in captured.err
+
 
 def test_main_calls_in_one_process_match_separate_processes(capsys):
     # main() reuses one parser per process: a call after a usage error must
