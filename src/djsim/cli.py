@@ -67,7 +67,8 @@ def _clean(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, float):
-        return render_probability(value)[0] if 0.0 <= value <= 1.0 else round_sig(value)
+        snapped, _ = render_probability(value) if 0.0 <= value <= 1.0 else (round_sig(value), False)
+        return snapped
     if isinstance(value, Outcomes):
         return _clean(value.distribution())
     return value
@@ -131,7 +132,8 @@ def _resolve_function(args) -> BooleanFunction:
             return make_function(n, bytes(1 << n))
         if args.gen == "ones":
             return make_function(n, bytes([1]) * (1 << n))
-        return boolfn.random_balanced_table(n, np.random.default_rng(args.seed or 0))
+        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        return boolfn.random_balanced_table(n, rng)
     raise UsageError("an input source is required: --input FILE or --gen SPEC")
 
 

@@ -149,6 +149,12 @@ def _in_any_row(mask: np.ndarray) -> np.ndarray:
     return mask[0] if len(mask) == 1 else mask.any(axis=0)
 
 
+def _drop_zero_columns(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the entries whose amplitude is exactly zero in every row."""
+    keep = _in_any_row(amps != 0.0)
+    return index.compress(keep, axis=-1), amps.compress(keep, axis=-1)
+
+
 def decode_signed(pattern: int, width: int) -> int:
     """Two's complement decode of a register bit pattern."""
     return pattern - (1 << width) if pattern >= 1 << (width - 1) else pattern
@@ -267,8 +273,7 @@ class SupportState:
         pat = _gather(idx, fields)
         index = np.concatenate((idx, idx | tmask), axis=-1)
         amps = np.concatenate((cos[pat] * amps, sin[pat] * amps), axis=-1)
-        keep = _in_any_row(amps != 0.0)  # drop the entries that are exactly zero in every row
-        self.index, self.amps = index.compress(keep, axis=-1), amps.compress(keep, axis=-1)
+        self.index, self.amps = _drop_zero_columns(index, amps)
         return self
 
     def probability_all_zero(self, qubits: tuple[int, ...]) -> Union[float, np.ndarray]:
@@ -614,6 +619,9 @@ class Outcomes:
         same = isinstance(other, Outcomes) and self.width == other.width
         return same and np.array_equal(self.outcomes, other.outcomes) and np.array_equal(self.probs, other.probs)
 
+    def __repr__(self) -> str:  # exact and whole, where NumPy's repr rounds to 8 digits and elides long arrays
+        return f"Outcomes({self.width}, {self.outcomes.tolist()!r}, {self.probs.tolist()!r})"
+
     @property
     def key(self) -> Callable[[int], str]:
         """Formats an outcome as its bit string, first measured wire first: the one place an outcome becomes a string."""
@@ -641,8 +649,10 @@ class MeasurementRecord:
         state = self._state
         return _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
 
-    def _outcome(self, outcome: Union[int, str]) -> int:
-        return int(outcome, 2) if isinstance(outcome, str) else outcome
+    def _outcome(self, outcome: Union[int, str]) -> np.ndarray:
+        if isinstance(outcome, str):
+            outcome = int(outcome, 2)
+        return self.probs[..., outcome]
 
     @property
     def distribution(self) -> dict[str, float]:
@@ -650,7 +660,7 @@ class MeasurementRecord:
         return Outcomes.of(self.probs).distribution()
 
     def probability(self, outcome: Union[int, str]) -> Union[float, np.ndarray]:
-        p = self.probs[..., self._outcome(outcome)]
+        p = self._outcome(outcome)
         return float(p) if p.ndim == 0 else p
 
     def collapse(self, outcome: Union[int, str]) -> State:
@@ -659,8 +669,9 @@ class MeasurementRecord:
         In a batch, a row where the outcome is negligible collapses to zero
         amplitudes; a ValueError is raised when it is negligible in every row.
         """
-        outcome = self._outcome(outcome)
-        p = self.probs[..., outcome]
+        if isinstance(outcome, str):
+            outcome = int(outcome, 2)
+        p = self._outcome(outcome)
         live = p > _PROB_FLOOR
         if not live.any():
             raise ValueError(f"cannot collapse onto outcome {outcome}: probability {p} is negligible")

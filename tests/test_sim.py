@@ -449,6 +449,19 @@ class TestMeasurement:
             branch = rec.collapse(outcome)
             assert abs(branch.norm() - 1.0) < 1e-12
 
+    def test_outcomes_repr_is_exact_and_whole(self):
+        # Reports are compared by their repr: it must keep every digit and
+        # every entry, where NumPy's array repr keeps 8 digits and elides
+        # arrays past 1,000 entries.
+        probs = np.full(1 << 11, 1.0 / (1 << 11))
+        last_ulp = probs.copy()
+        last_ulp[1500] = np.nextafter(last_ulp[1500], 1.0)
+        a, b = sim.Outcomes.of(probs), sim.Outcomes.of(last_ulp)
+        assert a != b and repr(a) != repr(b)
+        assert a == sim.Outcomes.of(probs.copy()) and repr(a) == repr(sim.Outcomes.of(probs.copy()))
+        assert "..." not in repr(a)
+        assert repr(sim.Outcomes.of(np.array([0.25, 0.0, 0.75, 0.0]))) == "Outcomes(2, [0, 2], [0.25, 0.75])"
+
     def test_collapse_on_negligible_outcome_rejected(self):
         rec = measure(init_zero(2), (0,))
         with pytest.raises(ValueError):
