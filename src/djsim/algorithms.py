@@ -6,10 +6,10 @@ entry.  ``_execute`` runs any description, enumerating both measurement
 branches analytically, so reported probabilities carry no sampling noise and
 exactness can be asserted at 1e-12.  A description with work registers runs
 on a support state (``Circuit.support``), the others on a dense one.
-``pattern_table`` runs a circuit once per pattern of one row of the truth
-table, which is all a sweep over the promise family needs.  Qubit counts,
-gate breakdowns and ``analysis.resource_table`` are read from the
-description.
+``pattern_table`` runs a circuit narrowed to one input wire once per pattern
+of one row of the truth table, at a cost that does not grow with n, which
+is all a sweep over the promise family needs.  Qubit counts, gate
+breakdowns and ``analysis.resource_table`` are read from the description.
 
 Gate accounting: each Hadamard layer, oracle call, named arithmetic or
 rotation operator, and Pauli/CNOT/CCNOT counts as one gate; circuits that
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -579,6 +579,38 @@ def _check_row_patterns(c: Circuit) -> None:
         raise ValueError("a circuit that measures its input register must end with the readout Hadamard on it")
 
 
+def _narrowed(c: Circuit) -> Circuit:
+    """c with its input register cut to its first wire and every later wire moved down to follow it; c if nothing is cut.
+
+    The ops keep c's own gates, rewired: in each branch u they act on the other wires as c does.
+    """
+    cut = len(c.inputs) - 1
+    if not cut:
+        return c
+
+    def wire(w: int) -> int:
+        return w - cut if w >= c.inputs.stop else min(w, c.inputs.start)
+
+    def wires(r: range) -> range:
+        return range(wire(r.start), wire(r[-1]) + 1, r.step)
+
+    def gate(g):
+        controls = tuple(map(wire, g.control_qubits))
+        if g.kind == "rotation":
+            return replace(g, control_qubits=controls, target_qubit=wire(g.target_qubit))
+        return replace(g, control_qubits=controls, result_qubits=tuple(map(wire, g.result_qubits)))
+
+    def op(o: Op) -> Op:
+        build = o.build and (lambda: [gate(g) for g in o.build()])
+        target = o.target and (lambda w: wire(o.target(w)))
+        return replace(o, wires=tuple(map(wires, o.wires)), build=build, target=target)
+
+    ops = {o: op(o) for o in c.ops}  # an op applied twice stays one, so the uncompute reuses its oracle table
+    decision = None if c.decision is None else wire(c.decision)
+    inputs = range(c.inputs.start, c.inputs.start + 1)
+    return Circuit(c.t, c.q - cut, tuple(map(ops.get, c.ops)), inputs, decision, tuple(map(wires, c.work)), c.runs)
+
+
 # Row patterns per batched run of the pattern table: t=4 has 2^16 of them.
 _TABLE_BATCH = 1 << 12
 
@@ -587,39 +619,39 @@ def pattern_table(c: Circuit) -> np.ndarray:
     """ψ(r) of every row pattern r, per node: a (nodes, 2^(2^T), K) float array, T = ``c.t or 0``.
 
     A run on f is (1/√U) Σ_u |u>|ψ(r_u)> before its readout (U = 2^|inputs|,
-    r_u row u of f's (U, 2^T) table), so each circuit runs once, one batch
-    row per pattern p whose every row is p, read big-endian as ``boolfn``
-    packs a table.  ψ(p) is read where the inputs are 0, times √U, over the
-    K basis states of the other wires with the decision qubit at 0, before
-    the readout Hadamard: then f's p_constant is the product over nodes of
-    ‖Σ_u ψ(r_u) / U‖².  A circuit with ``runs`` > 1 has one node per run,
-    node w reading column w of each pattern.  A description the static
-    check rejects raises ValueError before any state is built.
+    r_u row u of f's (U, 2^T) table), so ψ does not depend on n: c narrowed
+    to one input wire runs once, one batch row per pattern p read big-endian
+    as ``boolfn`` packs a table, and ψ(p) is read where that wire is 0, times
+    √2, over the K basis states of the other wires with the decision qubit at
+    0, before the readout Hadamard.  So every table costs what it costs at
+    n = T + 1, and f's p_constant is the product over nodes of
+    ‖Σ_u ψ(r_u) / U‖².  With ``runs`` > 1, node w reads bit w of each
+    pattern, from one run on the one-bit patterns 0 and 1.  A description
+    the static check rejects raises ValueError before any state is built.
     """
     _check_row_patterns(c)
+    one = _narrowed(c)
     width = 1 << (c.t or 0)
-    rows = 1 << len(c.inputs)
-    stop = -1 if c.decision is None else None  # the readout Hadamard is the last step, or the executor's
     patterns = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
-    read = tuple(c.inputs) + (() if c.decision is None else (c.decision,))
-    mask = sum(1 << (c.q - 1 - w) for w in read)
+    singles = patterns if c.runs == 1 else np.arange(2)[:, None]
+    stop = -1 if one.decision is None else None  # the readout Hadamard is the last step, or the executor's
+    read = tuple(one.inputs) + (() if one.decision is None else (one.decision,))
+    mask = sum(1 << (one.q - 1 - w) for w in read)
     pieces = []
-    for node in range(c.runs):
-        columns = patterns if c.runs == 1 else patterns[:, node : node + 1]
-        for lo in range(0, len(patterns), _TABLE_BATCH):
-            block = columns[lo : lo + _TABLE_BATCH]
-            s = _evolve(c, np.broadcast_to(block[:, None], (len(block), rows, block.shape[1])), stop)
-            index = np.broadcast_to(s.index if c.support else sim._indices(c.q), s.amps.shape)
-            at_zero = (index & mask) == 0
-            row = np.broadcast_to(np.arange(lo, lo + len(block))[:, None], at_zero.shape)
-            pieces.append((node, row[at_zero], index[at_zero], s.amps[at_zero]))
+    for lo in range(0, len(singles), _TABLE_BATCH):
+        block = singles[lo : lo + _TABLE_BATCH]
+        s = _evolve(one, np.broadcast_to(block[:, None], (len(block), 2, block.shape[1])), stop)
+        index = np.broadcast_to(s.index if one.support else sim._indices(one.q), s.amps.shape)
+        at_zero = (index & mask) == 0
+        row = np.broadcast_to(np.arange(lo, lo + len(block))[:, None], at_zero.shape)
+        pieces.append((row[at_zero], index[at_zero], s.amps[at_zero]))
     # A set, not np.unique or np.sort: they import numpy.ma or load sort
     # kernels, 10 ms and 0.3 MiB of a fresh process, for a handful of keys.
-    keys = np.array(sorted(set(np.concatenate([piece[2] for piece in pieces]).tolist())), dtype=np.int64)
-    table = np.zeros((c.runs, len(patterns), len(keys)))
-    for node, row, key, amps in pieces:
-        table[node, row, np.searchsorted(keys, key)] = amps * math.sqrt(rows)
-    return table
+    keys = np.array(sorted(set(np.concatenate([piece[1] for piece in pieces]).tolist())), dtype=np.int64)
+    psi = np.zeros((len(singles), len(keys)))
+    for row, key, amps in pieces:
+        psi[row, np.searchsorted(keys, key)] = amps * math.sqrt(2)
+    return psi[None] if c.runs == 1 else psi[patterns.T]
 
 
 @dataclass

@@ -284,8 +284,8 @@ def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray
     record carries what ``run_named`` reports for that function, bit for
     bit.  The ``first`` chunk of a sweep also runs one batch spread over
     it, so that every sweep, even one that flags nothing, compares the
-    table with the circuit.  A run that disagrees with the table beyond
-    EXACTNESS_TOL raises InvariantBreach.
+    table, read from c narrowed to one input wire, with c's own runs.  A run
+    that disagrees with the table beyond EXACTNESS_TOL raises InvariantBreach.
     """
     c = circuit(algorithm, n, t)
     p_table = _table_probabilities(c, packed)
@@ -318,12 +318,12 @@ def _chunk_failures(algorithm: str, n: int, t: Optional[int], packed: np.ndarray
 
 
 def _sweep_chunk(args: tuple[str, int, Optional[int], range]) -> tuple[int, list[dict]]:
-    """(functions checked, failure records) of one chunk; any error in its check stops the sweep as InvariantBreach."""
+    """(functions checked, failure records) of one chunk; any error in its check but MemoryError stops the sweep as InvariantBreach."""
     algorithm, n, t, chunk = args
     packed = packed_promise_range(n, chunk.start, chunk.stop)
     try:
         return len(packed), _chunk_failures(algorithm, n, t, packed, not chunk.start)
-    except InvariantBreach:  # the table is wrong, and with it every verdict it gave
+    except (InvariantBreach, MemoryError):  # a wrong table, with every verdict it gave; or records past the host's memory
         raise
     except Exception as exc:  # verify_sweep has rejected every bad configuration: this is a fault of the program
         raise InvariantBreach(f"the {algorithm} check of positions {chunk.start}-{chunk.stop - 1} raised {exc!r}") from exc

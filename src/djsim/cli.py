@@ -258,6 +258,9 @@ def cmd_verify(args) -> tuple[dict, int]:
         summary = analysis.verify_sweep(args.n, args.t, args.alg, jobs=args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError as exc:
+        t = analysis.circuit(args.alg, args.n, args.t).t
+        raise UsageError(f"the failure records of {args.alg} at n={args.n}, t={t} did not fit in memory") from exc
     payload = {"command": "verify", **summary.to_record(include_wall_time=not args.deterministic)}
     payload["failures"] = _clean(payload["failures"])
     if "wall_time_s" in payload:

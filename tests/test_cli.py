@@ -285,6 +285,25 @@ class TestVerify:
         assert proc.stderr.startswith("invariant breach: the alg2 check of positions 0-8191 raised RuntimeError('synthetic chunk failure')")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_running_out_of_memory_is_a_usage_error_not_a_breach(self, jobs):
+        # The failure records of a large inexact sweep can outgrow the host:
+        # that is no fault of the program, so exit 1 with one line, from a
+        # worker process too.
+        script = (
+            "import sys\n"
+            "from djsim import analysis, cli\n"
+            "def full(*args):\n"
+            "    raise MemoryError\n"
+            "analysis._chunk_failures = full\n"
+            f"sys.exit(cli.main(['verify', '--n', '4', '--alg', 'err-4node', '--jobs', '{jobs}']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: the failure records of err-4node at n=4, t=2 did not fit in memory\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         assert cli.main(["verify", "--n", "2", "--alg", "dj", "--jobs", jobs]) == 1

@@ -4,12 +4,15 @@ Before its readout every circuit holds (1/√U) Σ_u |u>|ψ(r_u)>, where r_u is
 row u of the function's table; ``algorithms.pattern_table`` runs each circuit
 once per row pattern to read ψ, and ``analysis._table_probabilities`` sums it
 over a packed table's rows.  These tests pin those probabilities to the
-batched circuit run of every function, check the static test that guards the
-table, and show that a sweep whose table and runs disagree stops with an
-invariant breach.
+batched circuit run of every function, hold the table, read from each circuit
+narrowed to one input wire, against the same read at the circuit's own n,
+check the static test that guards the table, and show that a sweep whose table
+and runs disagree stops with an invariant breach.
 """
 
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,3 +166,74 @@ def test_a_table_that_disagrees_with_the_runs_stops_the_sweep(monkeypatch, capsy
     assert cli.main(["verify", "--n", "3", "--t", "1", "--alg", "err-multi", "--jobs", str(jobs)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("invariant breach: the err-multi pattern table disagrees")
+
+
+def reference_table(c):
+    """ψ read from c at its own n: one batch row per pattern whose every row is p, ψ(p) where the inputs are 0, times √U."""
+    width, rows = 1 << (c.t or 0), 1 << len(c.inputs)
+    patterns = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    read = tuple(c.inputs) + (() if c.decision is None else (c.decision,))
+    mask, stop = sum(1 << (c.q - 1 - w) for w in read), -1 if c.decision is None else None
+    pieces = []
+    for node in range(c.runs):
+        columns = patterns if c.runs == 1 else patterns[:, node : node + 1]
+        for lo in range(0, len(patterns), 1 << 12):
+            block = columns[lo : lo + (1 << 12)]
+            s = algorithms._evolve(c, np.broadcast_to(block[:, None], (len(block), rows, block.shape[1])), stop)
+            index = np.broadcast_to(s.index if c.support else sim._indices(c.q), s.amps.shape)
+            at_zero = (index & mask) == 0
+            row = np.broadcast_to(np.arange(lo, lo + len(block))[:, None], at_zero.shape)
+            pieces.append((node, row[at_zero], index[at_zero], s.amps[at_zero]))
+    keys = np.unique(np.concatenate([piece[2] for piece in pieces]))
+    table = np.zeros((c.runs, len(patterns), len(keys)))
+    for node, row, key, amps in pieces:
+        table[node, row, np.searchsorted(keys, key)] = amps * math.sqrt(rows)
+    return table
+
+
+LAYOUTS = [(alg, t, layout) for alg, t in LEGAL for layout in (("interleaved", "compact") if alg == "alg3" else ("interleaved",))]
+
+
+@pytest.mark.parametrize("alg,t,layout", LAYOUTS, ids=str)
+def test_the_narrowed_table_matches_the_table_at_the_circuits_own_n(alg, t, layout):
+    checked = 0
+    for n in range(1, 9 if t != 4 else 7):
+        try:
+            c = circuit(alg, n, t, layout)
+        except ValueError:
+            continue
+        table, reference = pattern_table(c), reference_table(c)
+        assert table.shape == reference.shape
+        assert np.abs(table - reference).max() <= 1e-15, n
+        checked += 1
+    assert checked
+
+
+def test_the_table_is_read_from_the_circuits_own_gates():
+    # R' one scale exponent off: no circuit() call makes this description.
+    c = circuit("alg3", 6, 2)
+
+    def perturbed(op):
+        if op.kind != "rotation":
+            return op
+        return replace(op, build=lambda: [replace(g, scale_exponent=g.scale_exponent + 1) for g in op.build()])
+
+    off = Circuit(c.t, c.q, tuple(map(perturbed, c.ops)), c.inputs, c.decision, c.work, c.runs)
+    table, reference = pattern_table(off), reference_table(off)
+    assert table.shape == reference.shape and np.abs(table - reference).max() <= 1e-15
+    assert np.abs(table - pattern_table(c)).max() > 0.1
+
+
+def test_the_tables_states_do_not_grow_with_n(monkeypatch):
+    real, entries = algorithms._evolve, []
+
+    def recording(*args, **kwargs):
+        s = real(*args, **kwargs)
+        entries.append(s.amps.shape[-1])
+        return s
+
+    monkeypatch.setattr(algorithms, "_evolve", recording)
+    pattern_table(circuit("alg3", 3, 2))
+    at_three, entries[:] = max(entries), []
+    pattern_table(circuit("alg3", 20, 2))
+    assert max(entries) == at_three
