@@ -448,9 +448,10 @@ def _start(c: Circuit, support: bool) -> tuple[int, State]:
     """(the number of steps before the first oracle round, the one-row state they leave on the given form).
 
     Those steps do not depend on the function, so each batch starts from
-    this row instead of running them.  Its arrays are read-only.  Its state
-    comes from ``sim.init_zero``, not this module's name: making it is
-    set-up of the circuit, not one of its runs.
+    copies of this row instead of running them.  Every batch shares the row,
+    so its arrays are read-only.  Its state comes from ``sim.init_zero``,
+    not this module's name: making it is set-up of the circuit, not one of
+    its runs.
     """
     skip = next(i for i, step in enumerate(c.steps) if step[0] == "oracle")
     s = sim.init_zero(c.q, support, batch=1)
@@ -483,17 +484,16 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     ``rows`` holds one oracle table per function, shape (functions, control
     patterns, subfunctions), int64 of 0/1; the state has one row per
     function, and only the oracle layers differ between rows.  Every row
-    starts from the circuit's start row, kept when a row holds at most
-    2^_DEST_CACHE_MAX_Q entries; the first oracle round gathers from it.  The
-    state is a support state when ``c.support`` holds, else dense.  The
-    readout follows ``Circuit``'s plan in every row: each measurement gives
-    every row's outcome probabilities, and the log keeps row 0's as arrays
-    (``sim.Outcomes``).  A support run meets the two preconditions of the
-    support kernels: the decision wire reads 0 in every entry before the
-    rotation, and after the uncompute the entries of a row differ only on
-    the input wires, which the readout Hadamard acts on; a description that
-    breaks either raises a ValueError.  A run reaches the simulator kernels
-    only through this module's names.
+    starts as a copy of the circuit's start row, kept when a row holds at
+    most 2^_DEST_CACHE_MAX_Q entries.  The state is a support state when
+    ``c.support`` holds, else dense.  The readout follows ``Circuit``'s plan
+    in every row: each measurement gives every row's outcome probabilities,
+    and the log keeps row 0's as arrays (``sim.Outcomes``).  A support run
+    meets the two preconditions of the support kernels: the decision wire
+    reads 0 in every entry before the rotation, and after the uncompute the
+    entries of a row differ only on the input wires, which the readout
+    Hadamard acts on; a description that breaks either raises a ValueError.
+    A run reaches the simulator kernels only through this module's names.
     """
     count = len(rows)
     s = _evolve(c, rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -335,12 +336,14 @@ def _chunks_per_message(chunks: int, jobs: int) -> int:
 
 
 def _sweep_results(chunks: Iterator[tuple], jobs: int, count: int) -> Iterator[tuple[int, list[dict]]]:
-    """Check the ``count`` chunks in this process, or across at most ``jobs`` worker processes, one per chunk at most.
+    """Check the ``count`` chunks in this process, or across at most ``jobs`` worker processes, one per chunk and per usable CPU at most.
 
     Results come back in chunk order either way, so the failure list, and
     with it ``--deterministic`` output, does not depend on ``jobs``.
     """
     workers = min(jobs, count)
+    if workers > 1:
+        workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers <= 1:
         yield from map(_sweep_chunk, chunks)
         return

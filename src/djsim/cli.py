@@ -367,7 +367,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="exhaustive sweep over all promise functions")
     add_common(p_verify)
     p_verify.add_argument("--alg", choices=ALGORITHM_NAMES, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per usable CPU (default: 1)")
 
     p_err = sub.add_parser("error-prob", help="closed-form misidentification probabilities")
     add_common(p_err)

@@ -33,9 +33,8 @@ Conventions:
 * A state may be a batch: a leading axis of rows, each row one independent
   state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
   every row; a flip layer (``FlipLayer``) may carry one flip table per row.
-  The rows may start as read-only views of one start row (``init_zero(...,
-  start=)``); the first kernel to change them gives them arrays of their
-  own.  Sums over a row's entries run in entry order, so a row's
+  The rows may start as copies of one start row (``init_zero(...,
+  start=)``).  Sums over a row's entries run in entry order, so a row's
   probabilities are bit-identical whatever other rows share its batch.
 * A measurement's outcome probabilities stay arrays (``Outcomes`` keeps one
   state's); only a reader that prints makes bit strings, by ``Outcomes.key``.
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -115,18 +114,13 @@ def _spread(values: np.ndarray, q: int, wires: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _shared_rows(a: np.ndarray) -> bool:
-    """Whether the rows of a batch are views of one row, as ``init_zero(..., start=)`` makes them."""
-    return a.ndim > 1 and a.strides[0] == 0
-
-
 def _lookup(table: np.ndarray, key: np.ndarray) -> np.ndarray:
     """``table[..., key]``, row by row when both carry a batch axis (one table per row)."""
     if table.ndim == 1:
         return table[key]
     if key.ndim == 1:
         return table.take(key, axis=-1)
-    if len(table) == 1 or _shared_rows(table):
+    if len(table) == 1:
         return table[0][key]
     return table.ravel()[key + np.arange(0, table.size, table.shape[1])[:, None]]
 
@@ -146,13 +140,15 @@ def _in_any_row(mask: np.ndarray) -> np.ndarray:
     """The entries where ``mask`` holds in at least one row."""
     if mask.ndim == 1:
         return mask
-    return mask[0] if len(mask) == 1 else mask.any(axis=0)
+    return mask[0] if len(mask) == 1 else np.ascontiguousarray(mask.T).any(axis=1)
 
 
 def _drop_zero_columns(index: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop the entries whose amplitude is exactly zero in every row."""
     keep = _in_any_row(amps != 0.0)
-    return index.compress(keep, axis=-1), amps.compress(keep, axis=-1)
+    if keep.all():
+        return index, amps
+    return index[..., keep], amps[..., keep]
 
 
 def decode_signed(pattern: int, width: int) -> int:
@@ -222,10 +218,10 @@ class SupportState:
     def select(self, keep: np.ndarray, norm: np.ndarray) -> "SupportState":
         """Entries kept in no row are dropped; the others are zeroed in the rows that do not keep them."""
         entries = _in_any_row(keep)
-        amps = self.amps.compress(entries, axis=-1)
+        amps = self.amps[..., entries]
         if keep.ndim > 1 and len(keep) > 1:
-            amps = np.where(keep.compress(entries, axis=-1), amps, 0.0)
-        return SupportState(self.q, self.index.compress(entries, axis=-1), amps / norm)
+            amps = np.where(keep[..., entries], amps, 0.0)
+        return SupportState(self.q, self.index[..., entries], amps / norm)
 
     def hadamard(self, qubits: tuple[int, ...]) -> "SupportState":
         """Walsh transform of the listed wires over each row's entries.
@@ -252,12 +248,7 @@ class SupportState:
 
     def permute(self, gate: Union["PermutationGate", "FlipLayer"]) -> "SupportState":
         fields, flip = gate.xor_plan(self.q)
-        index = self.index
-        flips = _lookup(flip, _gather(index[:1] if _shared_rows(index) else index, fields))
-        if index.flags.writeable:
-            index ^= flips
-        else:  # the rows of a start state: the result is new rows
-            self.index = index ^ flips
+        self.index ^= _lookup(flip, _gather(self.index, fields))
         return self
 
     def rotate(self, gate: "RotationGate") -> "SupportState":
@@ -293,10 +284,8 @@ def init_zero(q: int, support: bool = False, batch: Optional[int] = None, start:
     """All-zeros computational basis state |0...0>, dense or as a support state.
 
     With ``batch`` the state has that many rows, each |0...0>.  With ``start``
-    as well, a one-row state of the same width and form, each row is that
-    row instead: read-only views of it, which the first kernel to change
-    them replaces with rows of their own.  So a prefix of gates shared by
-    every row runs once, and a gather from it fills the whole batch.
+    as well, a one-row state of the same width and form, each row is a copy
+    of that row instead.  So a prefix of gates shared by every row runs once.
     """
     top = MAX_SUPPORT_QUBITS if support else MAX_QUBITS
     if not 1 <= q <= top:
@@ -304,10 +293,9 @@ def init_zero(q: int, support: bool = False, batch: Optional[int] = None, start:
     if start is not None:
         if batch is None or start.q != q or isinstance(start, SupportState) != support or start.amps.shape[:-1] != (1,):
             raise ValueError("a start state is one row of a batch of the same width and form")
-        shape = (batch, start.amps.shape[-1])
         if support:
-            return SupportState(q, np.broadcast_to(start.index, shape), np.broadcast_to(start.amps, shape))
-        return StateVector(q, np.broadcast_to(start.amps, shape))
+            return SupportState(q, np.repeat(start.index, batch, axis=0), np.repeat(start.amps, batch, axis=0))
+        return StateVector(q, np.repeat(start.amps, batch, axis=0))
     lead = () if batch is None else (batch,)
     if support:
         return SupportState(q, np.zeros(lead + (1,), dtype=np.int64), np.ones(lead + (1,)))
@@ -411,8 +399,6 @@ def apply_pauli_z(state: State, qubit: int) -> State:
         return state
     post = 1 << (state.q - qubit - 1)
     amps = state.amps.reshape(-1, 2, post)  # a copy when the amplitudes are not C-ordered
-    if not amps.flags.writeable:  # the rows of a start state
-        amps = amps.copy()
     amps[:, 1, :] *= -1.0
     state.amps = amps.reshape(state.amps.shape)
     return state
@@ -635,19 +621,14 @@ class MeasurementRecord:
     """Exact outcome distribution of a partial measurement, with branch access.
 
     ``probs`` holds the outcome probabilities, shape (2^k,) or, for a batch,
-    (rows, 2^k), built on first use; ``probability`` returns a float or one
-    value per row.
+    (rows, 2^k); ``probability`` returns a float or one value per row.
     """
 
     def __init__(self, state: State, qubits: Sequence[int]):
         _check_wires(state.q, qubits)
         self.measured_qubits = tuple(qubits)
         self._state = state
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        state = self._state
-        return _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
+        self.probs = _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
 
     def _outcome(self, outcome: Union[int, str]) -> np.ndarray:
         if isinstance(outcome, str):

@@ -227,8 +227,11 @@ class TestVerifySweep:
         assert serial.failures == parallel.failures
 
     def test_no_more_workers_than_chunks(self, monkeypatch):
-        # The pool records the size asked for and checks the chunks here: no process starts.
+        # The pool records the size asked for and checks the chunks here: no
+        # process starts.  The usable CPUs are patched, so no case depends on
+        # the host.
         import multiprocessing
+        import os
 
         sizes = []
 
@@ -246,15 +249,24 @@ class TestVerifySweep:
                 return map(fn, items)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", None, raising=False)  # a serial sweep never asks
         one_chunk = verify_sweep(2, None, "dj", jobs=8)
         assert sizes == [] and one_chunk.functions_checked == 8
         serial = verify_sweep(3, 1, "err-multi", jobs=1)
         monkeypatch.setattr(analysis, "_SWEEP_CHUNK", 30)  # 72 functions: three chunks
-        for jobs, workers in ((8, 3), (2, 2)):
+        for jobs, cpus, workers in ((8, 4, 3), (2, 4, 2), (8, 2, 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             parallel = verify_sweep(3, 1, "err-multi", jobs=jobs)
             assert sizes[-1] == workers
             assert parallel.functions_checked == 72 and parallel.failures == serial.failures
-        assert sizes == [3, 2]
+        assert sizes == [3, 2, 2]
+        # One usable CPU: the sweep runs here.  Without sched_getaffinity, os.cpu_count bounds the pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify_sweep(3, 1, "err-multi", jobs=8).failures == serial.failures
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert verify_sweep(3, 1, "err-multi", jobs=100000).failures == serial.failures
+        assert sizes == [3, 2, 2, 2]
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
     def test_every_worker_gets_a_message(self, jobs):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from djsim import algorithms, analysis, cli, count_promise_functions, enumerate_promise_functions, make_function
-from djsim.algorithms import _apply, _execute, _run, _start, circuit, run_named
+from djsim.algorithms import _apply, _evolve, _execute, _run, _start, circuit, run_named
 from djsim.analysis import verify_sweep
 from djsim.boolfn import packed_promise_range, packed_promise_tables
 from djsim.sim import StateVector, init_zero
@@ -116,6 +116,26 @@ def test_start_row_is_the_prefix_run_on_the_batch(alg, t, support):
         kept_skip, kept = c.start
         assert kept_skip == skip
         assert all(np.array_equal(getattr(kept, name), getattr(start, name)) for name in names)
+
+
+@pytest.mark.parametrize("alg,t", [("dj", None), ("alg2", 2)], ids=["dense", "support"])
+def test_rows_own_their_arrays(alg, t):
+    # The batch as the steps before the first oracle round leave it: copies of the start row.
+    c = circuit(alg, 4, t)
+    rows = np.zeros((3, 1 << (4 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64)
+    _evolve(c, rows)
+    skip, start = c.start
+    s = _evolve(c, rows, skip)
+    names = ("index", "amps") if c.support else ("amps",)
+    kept = {name: getattr(start, name).copy() for name in names}
+    for name in names:
+        array = getattr(s, name)
+        assert array.shape[0] == 3 and array.flags.writeable and array.flags.c_contiguous
+        assert not np.shares_memory(array, getattr(start, name))
+        assert not any(np.shares_memory(array[i], array[j]) for i in range(3) for j in range(i))
+        array[0] += 1
+        assert np.array_equal(array[1:], np.repeat(kept[name], 2, axis=0))
+        assert np.array_equal(getattr(start, name), kept[name])
 
 
 @pytest.mark.parametrize("alg,t", [("dj", None), ("alg1", None), ("err-multi", 2), ("err-4node", None)])
