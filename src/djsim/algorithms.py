@@ -336,7 +336,8 @@ def _describe(algorithm: str, n: int, t: Optional[int], adder_layout: str) -> Ci
 def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str = "interleaved") -> Circuit:
     """The cached description of one algorithm at arity n and split size t.
 
-    Raises ValueError for a configuration that has no circuit.  Allocates
+    Raises ValueError for a configuration that has no circuit, and for an
+    unknown ``adder_layout`` whatever the algorithm.  Allocates
     nothing that grows with 2^n or 2^t, so widths far beyond the simulator
     can be described.  ``dj`` takes no t; ``alg1`` and ``err-4node`` fix it.
     """
@@ -359,10 +360,10 @@ def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str =
             raise ValueError(f"{algorithm} requires a split size t")
         if not 1 <= t < n:
             raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
+    if adder_layout not in ("interleaved", "compact"):
+        raise ValueError(f"adder_layout must be 'interleaved' or 'compact', got {adder_layout!r}")
     if algorithm != "alg3":
         adder_layout = "interleaved"
-    elif adder_layout not in ("interleaved", "compact"):
-        raise ValueError(f"adder_layout must be 'interleaved' or 'compact', got {adder_layout!r}")
     return _describe(algorithm, n, t, adder_layout)
 
 
@@ -454,7 +455,7 @@ def _start(c: Circuit, support: bool) -> tuple[int, State]:
     its runs.
     """
     skip = next(i for i, step in enumerate(c.steps) if step[0] == "oracle")
-    s = sim.init_zero(c.q, support, batch=1)
+    s = sim.init_zero(c.q, support)
     for step in c.steps[:skip]:
         _apply(s, step, None, {})
     for array in (s.amps, s.index) if support else (s.amps,):
@@ -677,7 +678,7 @@ def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder
     """Run the algorithm named by the CLI selector (one of ``ALGORITHM_NAMES``) on f.
 
     ``t`` is the split size: dj takes none, alg1 and err-4node fix it.
-    ``adder_layout`` "compact" renames alg3's adder A to A'.
+    ``adder_layout`` "compact" renames alg3's adder A to A'; every algorithm checks the name.
     """
     c = validate_run_config(algorithm, f.n, t, adder_layout)
     rows = f.as_array().reshape(1, -1, 1 << (c.t or 0)).astype(np.int64)

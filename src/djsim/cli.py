@@ -233,11 +233,13 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_run(args) -> tuple[dict, int]:
+    if args.adder is not None and args.alg != "alg3":
+        raise UsageError("run reads --adder only with --alg alg3")
     f = _resolve_function(args)
     if args.alg is None:
         raise UsageError("--alg is required for run")
     try:
-        report = run_named(args.alg, f, args.t, adder_layout=args.adder)
+        report = run_named(args.alg, f, args.t, adder_layout=args.adder or "interleaved")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     probability_oracle(report, f)  # invariant gate: closed form must match the simulation
@@ -361,8 +363,8 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run one algorithm on one function")
     add_common(p_run, with_input=True)
     p_run.add_argument("--alg", choices=ALGORITHM_NAMES, default=None)
-    p_run.add_argument("--adder", choices=("interleaved", "compact"), default="interleaved",
-                       help="adder layout variant for alg3")
+    p_run.add_argument("--adder", choices=("interleaved", "compact"), default=None,
+                       help="adder layout variant for alg3 (default: interleaved)")
 
     p_verify = sub.add_parser("verify", help="exhaustive sweep over all promise functions")
     add_common(p_verify)

@@ -15,13 +15,12 @@ and doubly padded placements alike.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .boolfn import BooleanFunction, Decomposition, _popcounts
-from .sim import PermutationGate, RotationGate, block_rotation_gate, encode_signed, xor_permutation_gate
+from .sim import PermutationGate, RotationGate, block_rotation_gate, xor_permutation_gate
 
 
 def build_oracle(
@@ -52,21 +51,17 @@ def build_oracle(
     return xor_permutation_gate(controls, (target,), np.frombuffer(table, dtype=np.uint8), name=name)
 
 
-@lru_cache(maxsize=256)
 def build_U(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...]) -> PermutationGate:
     """Sum-difference operator: result ^= twos(2^t - 2 * sum(control bits)) over t+2 bits."""
     if len(control_qubits) != 1 << t:
         raise ValueError(f"U expects 2^{t} = {1 << t} control wires, got {len(control_qubits)}")
     if len(result_qubits) != t + 2:
         raise ValueError(f"U expects a {t + 2}-wire result register, got {len(result_qubits)}")
-    width = t + 2
-    pats = np.arange(1 << len(control_qubits))
-    sums = _popcounts(pats)
-    values = [(encode_signed((1 << t) - 2 * int(s), width)) for s in sums]
+    sums = _popcounts(np.arange(1 << len(control_qubits)))
+    values = ((1 << t) - 2 * sums) & ((1 << (t + 2)) - 1)
     return xor_permutation_gate(control_qubits, result_qubits, values, name="U")
 
 
-@lru_cache(maxsize=256)
 def build_A(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...]) -> PermutationGate:
     """Population-count adder: result ^= sum(control bits) over t bits.
 
@@ -76,7 +71,6 @@ def build_A(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, .
     return _build_adder(t, control_qubits, result_qubits, name="A")
 
 
-@lru_cache(maxsize=256)
 def build_Aprime(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...]) -> PermutationGate:
     """Compacted adder variant: same action as A with the controls packed together.
 
@@ -96,7 +90,6 @@ def _build_adder(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[i
     return xor_permutation_gate(control_qubits, result_qubits, values, name=name)
 
 
-@lru_cache(maxsize=256)
 def build_V(
     t: int,
     a_qubits: tuple[int, ...],
@@ -112,16 +105,12 @@ def build_V(
         raise ValueError(f"V expects two {t}-wire operand registers, got {len(a_qubits)} and {len(b_qubits)}")
     if len(result_qubits) != t + 1:
         raise ValueError(f"V expects a {t + 1}-wire result register, got {len(result_qubits)}")
-    width = t + 1
-    mask = (1 << t) - 1
     pats = np.arange(1 << (2 * t))
-    a = pats >> t
-    b = pats & mask
-    values = [encode_signed((1 << (t - 1)) - int(av) - 2 * int(bv), width) for av, bv in zip(a, b)]
+    a, b = pats >> t, pats & ((1 << t) - 1)
+    values = ((1 << (t - 1)) - a - 2 * b) & ((1 << (t + 1)) - 1)
     return xor_permutation_gate(tuple(a_qubits) + tuple(b_qubits), result_qubits, values, name="V")
 
 
-@lru_cache(maxsize=256)
 def build_R(t: int, control_qubits: tuple[int, ...], target: int) -> RotationGate:
     """Rotation reading a signed t+2 bit register d: cos(theta) = clamp(d / 2^t, -1, 1)."""
     if len(control_qubits) != t + 2:
@@ -129,7 +118,6 @@ def build_R(t: int, control_qubits: tuple[int, ...], target: int) -> RotationGat
     return block_rotation_gate(control_qubits, target, scale_exponent=t, name="R")
 
 
-@lru_cache(maxsize=256)
 def build_Rprime(t: int, control_qubits: tuple[int, ...], target: int) -> RotationGate:
     """Rotation reading a signed t+1 bit register d: cos(theta) = clamp(d / 2^(t-1), -1, 1)."""
     if len(control_qubits) != t + 1:
@@ -137,17 +125,14 @@ def build_Rprime(t: int, control_qubits: tuple[int, ...], target: int) -> Rotati
     return block_rotation_gate(control_qubits, target, scale_exponent=t - 1, name="R'")
 
 
-@lru_cache(maxsize=256)
 def build_x(target: int) -> PermutationGate:
     """Bit flip of a single qubit."""
     return xor_permutation_gate((), (target,), [1], name="X")
 
 
-@lru_cache(maxsize=256)
 def build_cnot(control: int, target: int) -> PermutationGate:
     return xor_permutation_gate((control,), (target,), [0, 1], name="CNOT")
 
 
-@lru_cache(maxsize=256)
 def build_ccnot(control_a: int, control_b: int, target: int) -> PermutationGate:
     return xor_permutation_gate((control_a, control_b), (target,), [0, 0, 0, 1], name="CCNOT")

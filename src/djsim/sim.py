@@ -30,14 +30,16 @@ Conventions:
   needs the entries of a row to agree on every wire it does not act on, and
   the rotation needs its target wire to read 0 in every entry; each raises a
   ValueError otherwise.  The indices within a row are distinct.
-* A state may be a batch: a leading axis of rows, each row one independent
-  state of the same circuit (``init_zero(..., batch=F)``).  Kernels act on
-  every row; a flip layer (``FlipLayer``) may carry one flip table per row.
+* A state is a batch: a leading axis of rows, each row one independent
+  state of the same circuit (``init_zero(..., batch=F)``; ``init_zero(q)`` is
+  a batch of one).  Kernels act on every row and keep the shape (rows,
+  entries); a flip layer (``FlipLayer``) may carry one flip table per row.
   The rows may start as copies of one start row (``init_zero(...,
   start=)``).  Sums over a row's entries run in entry order, so a row's
   probabilities are bit-identical whatever other rows share its batch.
-* A measurement's outcome probabilities stay arrays (``Outcomes`` keeps one
-  state's); only a reader that prints makes bit strings, by ``Outcomes.key``.
+* A measurement's outcome probabilities stay arrays, one value per row
+  (``Outcomes`` keeps one row's); only a reader that prints makes bit
+  strings, by ``Outcomes.key``.
 
 Apply functions mutate the passed state in place and return it.
 """
@@ -126,9 +128,7 @@ def _lookup(table: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 def _outcome_totals(pat: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the weights summed by k-bit pattern in entry order: shape (..., 2^k)."""
-    if weights.ndim == 1:
-        return np.bincount(pat, weights=weights, minlength=1 << k)
+    """Per row, the weights summed by k-bit pattern in entry order: shape (rows, 2^k)."""
     count = len(weights)
     if count == 1:
         return np.bincount(pat.reshape(-1), weights=weights.reshape(-1), minlength=1 << k)[None]
@@ -138,8 +138,6 @@ def _outcome_totals(pat: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
 
 def _in_any_row(mask: np.ndarray) -> np.ndarray:
     """The entries where ``mask`` holds in at least one row."""
-    if mask.ndim == 1:
-        return mask
     return mask[0] if len(mask) == 1 else np.ascontiguousarray(mask.T).any(axis=1)
 
 
@@ -162,16 +160,13 @@ def encode_signed(value: int, width: int) -> int:
 
 
 class StateVector:
-    """Real float64 amplitude array over q qubits, unit norm; shape (2^q,) or (rows, 2^q)."""
+    """Real float64 amplitudes over q qubits, one unit-norm row per state: shape (rows, 2^q)."""
 
     __slots__ = ("q", "amps")
 
     def __init__(self, q: int, amps: np.ndarray):
         self.q = q
         self.amps = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def probabilities(self) -> np.ndarray:
         return self.amps * self.amps
@@ -193,8 +188,8 @@ class SupportState:
     permutation rewrites only the indices and the rotation at most doubles
     the entries.  Memory therefore scales with the entries, not with 2^q.
 
-    ``index`` and ``amps`` have shape (entries,) or (rows, entries): a batch
-    stays rectangular.  The indices within a row are distinct.  An exact zero
+    ``index`` and ``amps`` have shape (rows, entries): a batch stays
+    rectangular.  The indices within a row are distinct.  An exact zero
     is dropped only where it is zero in every row, so a row may hold zero
     amplitudes; they change no value.
     """
@@ -206,9 +201,6 @@ class SupportState:
         self.index = index
         self.amps = amps
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def probabilities(self) -> np.ndarray:
         return self.amps * self.amps
 
@@ -218,10 +210,10 @@ class SupportState:
     def select(self, keep: np.ndarray, norm: np.ndarray) -> "SupportState":
         """Entries kept in no row are dropped; the others are zeroed in the rows that do not keep them."""
         entries = _in_any_row(keep)
-        amps = self.amps[..., entries]
-        if keep.ndim > 1 and len(keep) > 1:
-            amps = np.where(keep[..., entries], amps, 0.0)
-        return SupportState(self.q, self.index[..., entries], amps / norm)
+        amps = self.amps[:, entries]
+        if len(keep) > 1:
+            amps = np.where(keep[:, entries], amps, 0.0)
+        return SupportState(self.q, self.index[:, entries], amps / norm)
 
     def hadamard(self, qubits: tuple[int, ...]) -> "SupportState":
         """Walsh transform of the listed wires over each row's entries.
@@ -232,18 +224,16 @@ class SupportState:
         """
         m = len(qubits)
         cols = _spread(np.arange(1 << m, dtype=np.int64), self.q, qubits)
-        index, amps = self.index.reshape(-1, self.index.shape[-1]), self.amps.reshape(-1, self.amps.shape[-1])
-        count = len(index)
-        rest = index & ~int(cols[-1])
+        count = len(self.index)
+        rest = self.index & ~int(cols[-1])
         if np.count_nonzero(rest != rest[:, :1]):
             raise ValueError("a support Hadamard needs the entries of a row to agree on the wires it does not act on")
-        cells = _extract(index, self.q, qubits)
+        cells = _extract(self.index, self.q, qubits)
         if count > 1:
             cells = cells + (np.arange(count)[:, None] << m)
-        block = np.bincount(cells.ravel(), weights=amps.ravel(), minlength=count << m)
-        shape = self.index.shape[:-1] + (-1,)
-        self.index = (rest[:, :1] | cols).reshape(shape)
-        self.amps = _walsh_transform(block, m, tuple(range(m))).reshape(shape)
+        block = np.bincount(cells.ravel(), weights=self.amps.ravel(), minlength=count << m)
+        self.index = rest[:, :1] | cols
+        self.amps = _walsh_transform(block, m, tuple(range(m))).reshape(count, -1)
         return self
 
     def permute(self, gate: Union["PermutationGate", "FlipLayer"]) -> "SupportState":
@@ -267,40 +257,38 @@ class SupportState:
         self.index, self.amps = _drop_zero_columns(index, amps)
         return self
 
-    def probability_all_zero(self, qubits: tuple[int, ...]) -> Union[float, np.ndarray]:
+    def probability_all_zero(self, qubits: tuple[int, ...]) -> np.ndarray:
         mask = 0
         for w in qubits:
             mask |= 1 << (self.q - 1 - w)
         a = np.where(self.index & mask, 0.0, self.amps)
         # Summed in entry order: zero entries anywhere leave a row's sum bit-identical.
-        p = np.add.accumulate(a * a, axis=-1)[..., -1]
-        return float(p) if p.ndim == 0 else p
+        return np.add.accumulate(a * a, axis=-1)[:, -1]
 
 
 State = Union[StateVector, SupportState]
 
 
-def init_zero(q: int, support: bool = False, batch: Optional[int] = None, start: Optional[State] = None) -> State:
-    """All-zeros computational basis state |0...0>, dense or as a support state.
+def init_zero(q: int, support: bool = False, batch: int = 1, start: Optional[State] = None) -> State:
+    """A batch of ``batch`` rows, each the all-zeros basis state |0...0>, dense or as a support state.
 
-    With ``batch`` the state has that many rows, each |0...0>.  With ``start``
-    as well, a one-row state of the same width and form, each row is a copy
-    of that row instead.  So a prefix of gates shared by every row runs once.
+    With ``start``, a one-row state of the same width and form, each row is a
+    copy of that row instead.  So a prefix of gates shared by every row runs
+    once.
     """
     top = MAX_SUPPORT_QUBITS if support else MAX_QUBITS
     if not 1 <= q <= top:
         raise ValueError(f"qubit count must be in [1, {top}], got {q}")
     if start is not None:
-        if batch is None or start.q != q or isinstance(start, SupportState) != support or start.amps.shape[:-1] != (1,):
+        if start.q != q or isinstance(start, SupportState) != support or start.amps.shape[:-1] != (1,):
             raise ValueError("a start state is one row of a batch of the same width and form")
         if support:
             return SupportState(q, np.repeat(start.index, batch, axis=0), np.repeat(start.amps, batch, axis=0))
         return StateVector(q, np.repeat(start.amps, batch, axis=0))
-    lead = () if batch is None else (batch,)
     if support:
-        return SupportState(q, np.zeros(lead + (1,), dtype=np.int64), np.ones(lead + (1,)))
-    amps = np.zeros(lead + (1 << q,), dtype=np.float64)
-    amps[..., 0] = 1.0
+        return SupportState(q, np.zeros((batch, 1), dtype=np.int64), np.ones((batch, 1)))
+    amps = np.zeros((batch, 1 << q), dtype=np.float64)
+    amps[:, 0] = 1.0
     return StateVector(q, amps)
 
 
@@ -620,29 +608,22 @@ class Outcomes:
 class MeasurementRecord:
     """Exact outcome distribution of a partial measurement, with branch access.
 
-    ``probs`` holds the outcome probabilities, shape (2^k,) or, for a batch,
-    (rows, 2^k); ``probability`` returns a float or one value per row.
+    ``probs`` holds the outcome probabilities of each row, shape (rows, 2^k);
+    ``probability`` returns one value per row.  The measured wires' patterns
+    are kept for ``collapse``.
     """
 
     def __init__(self, state: State, qubits: Sequence[int]):
         _check_wires(state.q, qubits)
         self.measured_qubits = tuple(qubits)
         self._state = state
-        self.probs = _outcome_totals(state.patterns(self.measured_qubits), state.probabilities(), len(self.measured_qubits))
+        self._patterns = state.patterns(self.measured_qubits)
+        self.probs = _outcome_totals(self._patterns, state.probabilities(), len(self.measured_qubits))
 
-    def _outcome(self, outcome: Union[int, str]) -> np.ndarray:
+    def probability(self, outcome: Union[int, str]) -> np.ndarray:
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
-        return self.probs[..., outcome]
-
-    @property
-    def distribution(self) -> dict[str, float]:
-        """The outcome distribution of an unbatched state."""
-        return Outcomes.of(self.probs).distribution()
-
-    def probability(self, outcome: Union[int, str]) -> Union[float, np.ndarray]:
-        p = self._outcome(outcome)
-        return float(p) if p.ndim == 0 else p
+        return self.probs[:, outcome]
 
     def collapse(self, outcome: Union[int, str]) -> State:
         """Renormalized post-measurement state for the given outcome.
@@ -652,12 +633,12 @@ class MeasurementRecord:
         """
         if isinstance(outcome, str):
             outcome = int(outcome, 2)
-        p = self._outcome(outcome)
+        p = self.probability(outcome)
         live = p > _PROB_FLOOR
         if not live.any():
             raise ValueError(f"cannot collapse onto outcome {outcome}: probability {p} is negligible")
-        norm = np.sqrt(p, out=np.full_like(p, np.inf), where=live)[..., None]
-        return self._state.select(self._state.patterns(self.measured_qubits) == outcome, norm)
+        norm = np.sqrt(p, out=np.full_like(p, np.inf), where=live)[:, None]
+        return self._state.select(self._patterns == outcome, norm)
 
 
 def measure(state: State, qubits: Sequence[int]) -> MeasurementRecord:
@@ -665,10 +646,9 @@ def measure(state: State, qubits: Sequence[int]) -> MeasurementRecord:
     return MeasurementRecord(state, qubits)
 
 
-def probability_all_zero(state: SupportState, qubits: Sequence[int]) -> Union[float, np.ndarray]:
-    """Marginal probability that every listed qubit reads 0 in a support state; one value per row of a batch."""
+def probability_all_zero(state: SupportState, qubits: Sequence[int]) -> np.ndarray:
+    """Marginal probability that every listed qubit reads 0 in a support state, one value per row."""
     _support_only(state, "probability_all_zero")
     _check_wires(state.q, qubits)
     qubits = tuple(qubits)
-    p = state.probability_all_zero(qubits) if qubits else np.ones(state.amps.shape[:-1])
-    return float(p) if np.ndim(p) == 0 else p
+    return state.probability_all_zero(qubits) if qubits else np.ones(len(state.amps))

@@ -209,13 +209,13 @@ class TestCriterion7OperatorUnitarity:
             batch /= np.linalg.norm(batch, axis=1, keepdims=True)
             for row in batch:
                 s = init_zero(q)
-                s.amps = row.copy()
+                s.amps = row[None].copy()
                 if gate.kind == "rotation":
                     # On any state of the register: the tests' dense rotation, from the gate's tables.
                     s.amps = rotated(gate, s.amps)
                 else:
                     apply_permutation(s, gate)
-                worst = max(worst, abs(s.norm() - 1.0))
+                worst = max(worst, abs(np.linalg.norm(s.amps[0]) - 1.0))
             if gate.kind == "permutation":
                 table = gate.action_table()
                 if not np.array_equal(table[table], np.arange(len(table))):

@@ -138,6 +138,33 @@ class TestAlgorithm3:
                 assert report.p_constant == pytest.approx(_literal_alg3_p_constant(f, t), abs=1e-15)
 
 
+@pytest.mark.parametrize("algorithm, t", [("dj", None), ("alg1", 1), ("alg2", 1), ("err-multi", 1), ("err-4node", 2)])
+def test_an_unknown_adder_layout_is_rejected_for_every_algorithm(algorithm, t):
+    # Checked before the algorithms without an adder set it aside.
+    f = make_function(3, [0] * 8)
+    with pytest.raises(ValueError, match="adder_layout"):
+        run_named(algorithm, f, t, adder_layout="sideways")
+    assert run_named(algorithm, f, t, adder_layout="compact").verdict == "constant"
+
+
+@pytest.mark.parametrize("algorithm, t", [("alg1", None), ("alg3", 2)])
+def test_a_decision_readout_reads_the_measured_patterns_once_per_measurement(monkeypatch, algorithm, t):
+    # The decision qubit and the input register are measured once each; the
+    # collapse between them reuses the decision's patterns.
+    calls = []
+    for form in (sim.StateVector, sim.SupportState):
+        original = form.patterns
+
+        def counted(self, wires, original=original):
+            calls.append(wires)
+            return original(self, wires)
+
+        monkeypatch.setattr(form, "patterns", counted)
+    report = run_named(algorithm, make_function(4, [0] * 16), t)
+    assert report.verdict == "constant" and report.branch_log[-1].get("conditioned_on") == {"decision_qubit": 0}
+    assert len(calls) == 2
+
+
 def _literal_alg3_p_constant(f, t):
     d = Decomposition(f, t)
     n = f.n
@@ -174,12 +201,12 @@ def _literal_alg3_p_constant(f, t):
         apply_permutation(s, gate)
 
     rec = measure(s, (decision,))
-    p0 = rec.probability(0)
+    (p0,) = rec.probability(0)
     if p0 < 1e-15:
         return 0.0
     branch = rec.collapse(0)
     apply_hadamard(branch, u)
-    return p0 * measure(branch, u).probability(0)
+    return p0 * measure(branch, u).probability(0)[0]
 
 
 def x_layer(c):

@@ -175,6 +175,16 @@ class TestRun:
         assert first["sampled_shot"] == second["sampled_shot"]
         assert first["sampled_shot"]["verdict"] == "balanced"
 
+    @pytest.mark.parametrize("alg", [["--alg", "dj"], ["--alg", "alg2", "--t", "1"], []], ids=["dj", "alg2", "no-alg"])
+    def test_adder_without_alg3_is_a_usage_error(self, capsys, alg):
+        argv = ["run", "--gen", "zeros", "--n", "3", *alg]
+        assert cli.main([*argv, "--adder", "compact", "--deterministic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and "--adder" in captured.err
+        # alg3 reads it.
+        assert cli.main(["run", "--gen", "zeros", "--n", "3", "--alg", "alg3", "--t", "2", "--adder", "compact"]) == 0
+        capsys.readouterr()
+
     def test_invalid_combo(self, capsys):
         assert cli.main(["run", "--gen", "zeros", "--n", "4", "--alg", "alg2"]) == 1
         capsys.readouterr()

@@ -14,21 +14,21 @@ from djsim.gates import (
     build_V,
     build_x,
 )
-from djsim.sim import apply_permutation, init_zero
+from djsim.sim import apply_permutation, encode_signed, init_zero
 from tests.dense_reference import destination, pattern_of, rotated
 
 
 def random_state(q, rng):
     s = init_zero(q)
-    amps = rng.normal(size=1 << q)
+    amps = rng.normal(size=(1, 1 << q))
     s.amps = amps / np.linalg.norm(amps)
     return s
 
 
 def basis_state(q, index):
     s = init_zero(q)
-    s.amps[0] = 0.0
-    s.amps[index] = 1.0
+    s.amps[0, 0] = 0.0
+    s.amps[0, index] = 1.0
     return s
 
 
@@ -46,7 +46,7 @@ class TestOracle:
         gate = build_oracle(d, 0, (0, 1), 2)
         s = basis_state(3, 0b000)
         apply_permutation(s, gate)
-        assert s.amps[0b001] == 1.0
+        assert s.amps[0, 0b001] == 1.0
 
     def test_self_inverse(self, delta_example):
         d = Decomposition(delta_example, 2)
@@ -63,7 +63,7 @@ class TestOracle:
         gate = build_oracle(f, None, (0, 1), 2)
         s = basis_state(3, 0b010)
         apply_permutation(s, gate)
-        assert s.amps[0b010] == 1.0
+        assert s.amps[0, 0b010] == 1.0
 
     def test_control_count_enforced(self, delta_example):
         d = Decomposition(delta_example, 2)
@@ -86,13 +86,13 @@ class TestU:
         gate = build_U(1, (0, 1), (2, 3, 4))
         s = basis_state(5, 0)
         apply_permutation(s, gate)
-        assert s.amps[0b00010] == 1.0
+        assert s.amps[0, 0b00010] == 1.0
 
     def test_full_controls_write_minus_two(self):
         gate = build_U(1, (0, 1), (2, 3, 4))
         s = basis_state(5, 0b11000)
         apply_permutation(s, gate)
-        assert s.amps[0b11110] == 1.0  # -2 encodes as 110
+        assert s.amps[0, 0b11110] == 1.0  # -2 encodes as 110
 
     def test_self_inverse_on_random_states(self):
         gate = build_U(1, (0, 1), (2, 3, 4))
@@ -111,18 +111,29 @@ class TestU:
             build_U(2, (0, 1), (2, 3, 4, 5))
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_u_and_v_value_tables_match_the_per_entry_encoding(t):
+    # The tables are numpy expressions; the reference encodes each entry on its own, in Python integers.
+    nodes = 1 << t
+    u = build_U(t, tuple(range(nodes)), tuple(range(nodes, nodes + t + 2)))
+    assert u.value_table.tolist() == [encode_signed(nodes - 2 * bin(p).count("1"), t + 2) for p in range(1 << nodes)]
+    v = build_V(t, tuple(range(t)), tuple(range(t, 2 * t)), tuple(range(2 * t, 3 * t + 1)))
+    want = [encode_signed((1 << (t - 1)) - (p >> t) - 2 * (p & (nodes - 1)), t + 1) for p in range(1 << (2 * t))]
+    assert v.value_table.tolist() == want
+
+
 class TestAdders:
     def test_sum_of_two_set_controls(self):
         gate = build_A(2, (0, 1), (2, 3))
         s = basis_state(4, 0b1100)
         apply_permutation(s, gate)
-        assert s.amps[0b1110] == 1.0  # sum 2 -> bits 10
+        assert s.amps[0, 0b1110] == 1.0  # sum 2 -> bits 10
 
     def test_interleaved_controls(self):
         gate = build_A(2, (0, 3), (4, 5))
         s = basis_state(6, 0b100100)
         apply_permutation(s, gate)
-        assert s.amps[0b100110] == 1.0
+        assert s.amps[0, 0b100110] == 1.0
 
     def test_compact_variant_same_action(self):
         a = build_A(2, (0, 1), (2, 3))
@@ -141,7 +152,7 @@ class TestV:
         gate = build_V(2, (0, 1), (2, 3), (4, 5, 6))
         s = basis_state(7, 0)
         apply_permutation(s, gate)
-        assert s.amps[0b0000010] == 1.0
+        assert s.amps[0, 0b0000010] == 1.0
 
     def test_wraparound_stays_bijective(self):
         # a=3, b=3 gives 2-3-6 = -7, encoded mod 8
@@ -149,7 +160,7 @@ class TestV:
         s = basis_state(7, 0b1111000)
         apply_permutation(s, gate)
         expected = 0b1111000 | ((-7) & 0b111)
-        assert s.amps[expected] == 1.0
+        assert s.amps[0, expected] == 1.0
 
     def test_layout_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -161,14 +172,14 @@ class TestRotations:
 
     def test_full_scale_pattern_fixes_target(self):
         gate = build_R(1, (0, 1, 2), 3)
-        amps = rotated(gate, basis_state(4, 0b0100).amps)  # register holds +2 = 2^t
+        amps = rotated(gate, basis_state(4, 0b0100).amps[0])  # register holds +2 = 2^t
         assert abs(amps[0b0100] - 1.0) < 1e-15
 
     def test_rprime_scale(self):
         gate = build_Rprime(2, (0, 1, 2), 3)
         assert gate.scale_exponent == 1
         # pattern 010 = +2 = 2^{t-1}: cos=1
-        amps = rotated(gate, basis_state(4, 0b0100).amps)
+        amps = rotated(gate, basis_state(4, 0b0100).amps[0])
         assert abs(amps[0b0100] - 1.0) < 1e-15
 
     def test_width_enforced(self):
@@ -204,7 +215,7 @@ class TestUncomputeIdentity:
         clear = pattern_of(np.arange(1 << q), reg, q) == 0
         for a_pattern in range(nodes):
             for e in (0, 1):
-                amps = permuted(rotated(op_r, permuted(basis_state(q, (a_pattern << (t + 3)) | e).amps, op_u)), op_u)
+                amps = permuted(rotated(op_r, permuted(basis_state(q, (a_pattern << (t + 3)) | e).amps[0], op_u)), op_u)
                 assert np.sum(amps[clear] ** 2) == pytest.approx(1.0, abs=1e-12)
                 delta = (nodes - 2 * bin(a_pattern).count("1")) & ((1 << (t + 2)) - 1)
                 c, s = op_r.cos_table[delta], op_r.sin_table[delta]
@@ -218,14 +229,14 @@ class TestSmallGates:
     def test_x(self):
         s = init_zero(1)
         apply_permutation(s, build_x(0))
-        assert s.amps[1] == 1.0
+        assert s.amps[0, 1] == 1.0
 
     def test_cnot_and_ccnot(self):
         s = basis_state(3, 0b110)
         apply_permutation(s, build_ccnot(0, 1, 2))
-        assert s.amps[0b111] == 1.0
+        assert s.amps[0, 0b111] == 1.0
         apply_permutation(s, build_cnot(0, 1))
-        assert s.amps[0b101] == 1.0
+        assert s.amps[0, 0b101] == 1.0
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -248,7 +259,7 @@ def test_all_gates_preserve_norm_on_random_states(t):
                 s.amps = rotated(gate, s.amps)
             else:
                 apply_permutation(s, gate)
-            assert abs(s.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(s.amps, axis=1) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

@@ -28,7 +28,7 @@ from tests.dense_reference import rotated
 
 
 def random_state(q, rng):
-    amps = rng.normal(size=1 << q)
+    amps = rng.normal(size=(1, 1 << q))
     s = init_zero(q)
     s.amps = amps / np.linalg.norm(amps)
     return s
@@ -36,20 +36,32 @@ def random_state(q, rng):
 
 def basis_state(q, index):
     s = init_zero(q)
-    s.amps[0] = 0.0
-    s.amps[index] = 1.0
+    s.amps[0, 0] = 0.0
+    s.amps[0, index] = 1.0
     return s
 
 
 def full_support(amps):
-    """A support state holding every one of the 2^q amplitudes, zeros included."""
-    q = int(len(amps)).bit_length() - 1
-    return SupportState(q, np.arange(len(amps), dtype=np.int64), np.array(amps, dtype=np.float64))
+    """A one-row support state holding every one of the 2^q amplitudes of ``amps``, zeros included."""
+    amps = np.array(amps, dtype=np.float64).reshape(1, -1)
+    q = amps.shape[1].bit_length() - 1
+    return SupportState(q, np.arange(amps.shape[1], dtype=np.int64)[None], amps)
 
 
 def basis_support(q, index):
-    """The basis state as a one-entry support state."""
-    return SupportState(q, np.array([index], dtype=np.int64), np.ones(1))
+    """The basis state as a one-row, one-entry support state."""
+    return SupportState(q, np.array([[index]], dtype=np.int64), np.ones((1, 1)))
+
+
+def norms(s):
+    """The norm of each row."""
+    return np.linalg.norm(s.amps, axis=1)
+
+
+def distribution(rec):
+    """The outcome distribution of a one-row measurement, keyed by bit string."""
+    (row,) = rec.probs
+    return sim.Outcomes.of(row).distribution()
 
 
 def off_mask(q, wires):
@@ -82,9 +94,9 @@ def random_circuit(rng):
 
 
 def full_amps(s):
-    """All 2^q amplitudes of a support state."""
+    """All 2^q amplitudes of a one-row support state."""
     out = np.zeros(1 << s.q)
-    np.add.at(out, s.index, s.amps)
+    np.add.at(out, s.index[0], s.amps[0])
     return out
 
 
@@ -102,12 +114,12 @@ def per_wire_hadamard(amps, q, wires):
 class TestInitZero:
     def test_single_qubit(self):
         s = init_zero(1)
-        assert np.array_equal(s.amps, [1, 0])
+        assert np.array_equal(s.amps, [[1, 0]])
 
     def test_three_qubits(self):
         s = init_zero(3)
-        assert s.amps[0] == 1.0
-        assert abs(s.norm() - 1.0) < 1e-15
+        assert s.amps[0, 0] == 1.0
+        assert abs(norms(s) - 1.0).max() < 1e-15
 
     @pytest.mark.parametrize("q", [0, 27])
     def test_out_of_range(self, q):
@@ -138,21 +150,22 @@ class TestHadamard:
         those that agree with the first nonzero one off the Hadamard's wires, the states it takes."""
         q = int(amps.size).bit_length() - 1
         dense = init_zero(q)
-        dense.amps = amps.copy()
+        dense.amps = amps[None].copy()
         index = np.flatnonzero(amps)
         off = off_mask(q, wires)
         index = index[(index & off) == (index[0] & off)]
         held = np.zeros_like(amps)
         held[index] = amps[index]
-        return (dense, amps), (SupportState(q, index, amps[index]), held)
+        return (dense, amps), (SupportState(q, index[None], amps[index][None]), held)
 
     @staticmethod
     def dense_amps(s):
+        """The 2^q amplitudes of a one-row state."""
         if isinstance(s, SupportState):
             full = np.zeros(1 << s.q)
-            full[s.index] = s.amps
+            full[s.index[0]] = s.amps[0]
             return full
-        return s.amps
+        return s.amps[0]
 
     @pytest.mark.parametrize(
         "q, wires",
@@ -254,7 +267,7 @@ class TestPermutation:
         s = basis_state(2, 0b10)
         gate = xor_permutation_gate((0,), (1,), [0, 1], name="CNOT")
         apply_permutation(s, gate)
-        assert s.amps[0b11] == 1.0
+        assert s.amps[0, 0b11] == 1.0
 
     def test_xor_constant_involution(self):
         gate = xor_permutation_gate((), (0, 1), [3])
@@ -291,13 +304,13 @@ class TestPermutation:
                 bits[w] = int(b)
             s = basis_state(5, index)
             apply_permutation(s, gate)
-            assert s.amps[int("".join(map(str, bits)), 2)] == 1.0
+            assert s.amps[0, int("".join(map(str, bits)), 2)] == 1.0
 
     def test_non_contiguous_wires(self):
         gate = xor_permutation_gate((0, 2), (1,), [0, 0, 0, 1])  # Toffoli on scattered wires
         s = basis_state(3, 0b101)
         apply_permutation(s, gate)
-        assert s.amps[0b111] == 1.0
+        assert s.amps[0, 0b111] == 1.0
 
 
 class TestFlipLayer:
@@ -380,8 +393,79 @@ class TestFlipLayer:
             init_zero(3, support=True, batch=2, start=start)
         with pytest.raises(ValueError, match="start"):
             init_zero(3, batch=2, start=init_zero(3, batch=2))
-        with pytest.raises(ValueError, match="start"):
-            init_zero(3, start=start)
+        # With no batch given, the state is one row: a copy of the start.
+        one = init_zero(3, start=start)
+        assert np.array_equal(one.amps, start.amps) and not np.shares_memory(one.amps, start.amps)
+
+
+class TestOneShape:
+    """Every state is a batch of rows: each kernel keeps the shape (rows, entries), and each reading gives one value per row."""
+
+    # One oracle table a row, each with a 0, so outcome 0 of wire 3 is live in every row on its own.
+    FLIPS = np.array([[0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+
+    @staticmethod
+    def readings(s, flips):
+        """A circuit of the paper's shape on s, one flip table a row, checking the shape after every kernel: its readings.
+
+        Inputs 0 and 1, work wires 2 and 3, decision wire 4.  The rotation,
+        the composed layer and ``probability_all_zero`` take support states
+        only, so a dense state measures wire 3 instead of the decision.
+        """
+        q, rows = 5, len(flips)
+
+        def shaped(state):
+            assert state.amps.ndim == 2 and len(state.amps) == rows
+            if isinstance(state, SupportState):
+                assert state.index.shape == state.amps.shape
+            else:
+                assert state.amps.shape == (rows, 1 << q)
+            return state
+
+        def read(p):
+            assert p.shape == (rows,)
+            return p
+
+        oracle = flip_layer(q, (0, 1), (2,), sim._spread(flips, q, (2,)))
+        gates = [xor_permutation_gate((2,), (3,), [0, 1]), xor_permutation_gate((0, 2), (3,), [0, 0, 0, 1])]
+        shaped(apply_hadamard(s, (0, 1)))
+        shaped(apply_permutation(s, oracle))
+        out = []
+        if isinstance(s, SupportState):
+            shaped(apply_permutation(s, composed(q, gates)))
+            out.append(read(probability_all_zero(s, (2, 3))))
+            shaped(apply_block_rotation(s, block_rotation_gate((2, 3), 4, scale_exponent=1)))
+            shaped(apply_pauli_z(s, 4))
+            shaped(apply_permutation(s, composed(q, gates[::-1])))
+            shaped(apply_permutation(s, oracle))
+            out.append(read(probability_all_zero(s, (2, 3))))
+            wire = 4
+        else:
+            for gate in gates:
+                shaped(apply_permutation(s, gate))
+            shaped(apply_pauli_z(s, 2))
+            wire = 3
+        rec = measure(s, (wire,))
+        assert rec.probs.shape == (rows, 2)
+        out += [read(rec.probability(0)), rec.probs]
+        branch = shaped(apply_hadamard(shaped(rec.collapse(0)), (0, 1)))
+        rec = measure(branch, (0, 1))
+        assert rec.probs.shape == (rows, 4)
+        return out + [read(rec.probability(0)), rec.probs]
+
+    @pytest.mark.parametrize("support", [False, True], ids=["dense", "support"])
+    def test_a_row_reads_the_same_alone_and_in_a_batch(self, support):
+        one = init_zero(5, support)
+        assert one.amps.shape == ((1, 1) if support else (1, 32))
+        if support:
+            assert one.index.shape == (1, 1)
+        batch = self.readings(init_zero(5, support, batch=3), self.FLIPS)
+        for r in range(3):
+            alone = self.readings(init_zero(5, support), self.FLIPS[r : r + 1])
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[r], want[0]), r
+        # The rows differ, so a reading that mixed them up would show.
+        assert len({b"".join(p[r].tobytes() for p in batch) for r in range(3)}) == 3
 
 
 class TestBlockRotation:
@@ -418,8 +502,8 @@ class TestBlockRotation:
         for _ in range(25):
             amps = rng.normal(size=8)
             amps /= np.linalg.norm(amps)
-            s = apply_block_rotation(SupportState(4, np.arange(8, dtype=np.int64), amps.copy()), gate)
-            assert abs(s.norm() - 1.0) < 1e-12
+            s = apply_block_rotation(SupportState(4, np.arange(8, dtype=np.int64)[None], amps[None].copy()), gate)
+            assert abs(norms(s) - 1.0).max() < 1e-12
             assert np.allclose(full_amps(s), rotated(gate, np.concatenate((amps, np.zeros(8)))), rtol=0.0, atol=1e-15)
 
     def test_target_inside_controls_rejected(self):
@@ -438,20 +522,20 @@ class TestMeasurement:
     def test_plus_state_distribution(self):
         s = apply_hadamard(init_zero(1), (0,))
         rec = measure(s, (0,))
-        assert rec.distribution == pytest.approx({"0": 0.5, "1": 0.5})
+        assert distribution(rec) == pytest.approx({"0": 0.5, "1": 0.5})
 
     def test_all_zero_state(self):
         rec = measure(init_zero(2), (0, 1))
-        assert rec.distribution == {"00": 1.0}
+        assert distribution(rec) == {"00": 1.0}
 
     def test_distribution_sums_to_one_and_collapse_normalizes(self):
         rng = np.random.default_rng(8)
         s = random_state(4, rng)
         rec = measure(s, (1, 3))
-        assert abs(sum(rec.distribution.values()) - 1.0) < 1e-12
-        for outcome in rec.distribution:
+        assert abs(sum(distribution(rec).values()) - 1.0) < 1e-12
+        for outcome in distribution(rec):
             branch = rec.collapse(outcome)
-            assert abs(branch.norm() - 1.0) < 1e-12
+            assert abs(norms(branch) - 1.0).max() < 1e-12
 
     def test_outcomes_repr_is_exact_and_whole(self):
         # Reports are compared by their repr: it must keep every digit and
@@ -483,7 +567,7 @@ class TestMeasurement:
             for r, row in enumerate(rows):
                 alone = np.bincount(pattern, weights=row * row, minlength=1 << len(wires))
                 assert zero[r] == alone[0]
-                assert measure(StateVector(7, row), wires).probability(0) == alone[0]
+                assert measure(StateVector(7, row[None]), wires).probability(0).tolist() == [alone[0]]
 
     def test_probability_all_zero_matches_measure(self):
         rng = np.random.default_rng(9)
@@ -531,7 +615,7 @@ class TestComposition:
             apply_permutation(s2, g)
         assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.amps, s2.amps)
 
-    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
     def test_composed_run_on_a_batch_matches_sequential(self, rows):
         # Rows of different entries, so each row's indices move on their own.
         rng = np.random.default_rng(14)
@@ -540,9 +624,7 @@ class TestComposition:
             xor_permutation_gate((1, 3), (0,), [0, 1, 1, 0]),
             xor_permutation_gate((0, 2), (1, 3), [3, 0, 2, 1]),
         ]
-        index = np.stack([rng.permutation(16)[:6] for _ in range(rows or 1)])
-        if rows is None:
-            index = index[0]
+        index = np.stack([rng.permutation(16)[:6] for _ in range(rows)])
         amps = rng.normal(size=index.shape)
         s1, s2 = SupportState(4, index.copy(), amps.copy()), SupportState(4, index.copy(), amps.copy())
         apply_permutation(s1, composed(4, gates))
@@ -559,7 +641,7 @@ class TestComposition:
         layer = composed(3, [xor_permutation_gate((0,), (2,), [0, 1]), xor_permutation_gate((2,), (0,), [0, 1])])
         s = basis_state(3, 0b100)
         support = apply_permutation(basis_support(3, 0b100), layer)
-        assert support.index.tolist() == [0b001]
+        assert support.index.tolist() == [[0b001]]
         with pytest.raises(TypeError, match="composed XOR layer takes a support state"):
             apply_permutation(s, layer)
         assert np.array_equal(s.amps, basis_state(3, 0b100).amps)
@@ -572,7 +654,7 @@ class TestComposition:
         assert not layer.flip.any()
         s = full_support(random_state(3, np.random.default_rng(12)).amps)
         apply_permutation(s, layer)
-        assert np.array_equal(s.index, np.arange(8))
+        assert np.array_equal(s.index, [np.arange(8)])
 
     def test_wrong_register_size_rejected(self):
         gate = xor_permutation_gate((0,), (2,), [0, 1])
@@ -594,11 +676,11 @@ def test_large_register_skips_source_caching():
     run = composed(q, [gate, xor_permutation_gate((q - 1,), (1,), [0, 1])])
     s = basis_state(q, 1 << (q - 1))
     apply_permutation(s, lone)
-    assert s.amps[(1 << (q - 1)) | 1] == 1.0
+    assert s.amps[0, (1 << (q - 1)) | 1] == 1.0
     # On a support state, the run's first gate undoes the gate; its second reads wire q - 1 clear.
     support = basis_support(q, (1 << (q - 1)) | 1)
     apply_permutation(support, run)
-    assert support.index.tolist() == [1 << (q - 1)]
+    assert support.index.tolist() == [[1 << (q - 1)]]
     assert (lone.flip.size, run.flip.size) == (2, 8)
     assert max(sim._INDEX_CACHE, default=0) <= sim._DEST_CACHE_MAX_Q
 
@@ -617,21 +699,21 @@ def test_norm_preserved_by_random_gate_sequences():
         apply_pauli_z(s, decision)
         for gate in reversed(gates):
             apply_permutation(s, gate)
-        assert abs(s.norm() - 1.0) < 1e-12
-        assert probability_all_zero(s, work) == pytest.approx(1.0, abs=1e-12)
+        assert abs(norms(s) - 1.0).max() < 1e-12
+        assert probability_all_zero(s, work) == pytest.approx([1.0], abs=1e-12)
         rec = measure(s, (decision,))
-        for outcome in rec.distribution:
-            assert abs(apply_hadamard(rec.collapse(outcome), inputs).norm() - 1.0) < 1e-12
+        for outcome in distribution(rec):
+            assert abs(norms(apply_hadamard(rec.collapse(outcome), inputs)) - 1.0).max() < 1e-12
 
 
 def test_measurement_record_floor_filters_dust():
     # probability 1e-18 sits below the 1e-15 listing floor
     s = init_zero(2)
-    s.amps = np.array([1.0, 1e-9, 0.0, 0.0])
+    s.amps = np.array([[1.0, 1e-9, 0.0, 0.0]])
     s.amps /= np.linalg.norm(s.amps)
     rec = measure(s, (0, 1))
-    assert "01" not in rec.distribution
-    assert rec.distribution["00"] == pytest.approx(1.0, abs=1e-12)
+    assert "01" not in distribution(rec)
+    assert distribution(rec)["00"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_every_kernel_keeps_the_state_real():
@@ -653,7 +735,7 @@ def test_every_kernel_keeps_the_state_real():
         for step in steps:
             assert step().amps.dtype == np.float64
         rec = measure(s, (0,))
-        for outcome in rec.distribution:
+        for outcome in distribution(rec):
             assert rec.collapse(outcome).amps.dtype == np.float64
 
 
@@ -666,16 +748,15 @@ class TestSupportState:
 
     @staticmethod
     def assert_same(support, dense):
-        assert len(set(support.index.tolist())) == support.index.size
-        full = np.zeros(1 << support.q)
-        full[support.index] = support.amps
-        assert np.allclose(full, dense.amps, rtol=0.0, atol=1e-12)
+        assert len(set(support.index[0].tolist())) == support.index.size
+        assert np.allclose(full_amps(support), dense.amps[0], rtol=0.0, atol=1e-12)
 
     @staticmethod
     def assert_same_records(rec, ref):
-        assert rec.distribution.keys() == ref.distribution.keys()
-        for outcome, p in ref.distribution.items():
-            assert rec.distribution[outcome] == pytest.approx(p, abs=1e-12)
+        got, want = distribution(rec), distribution(ref)
+        assert got.keys() == want.keys()
+        for outcome, p in want.items():
+            assert got[outcome] == pytest.approx(p, abs=1e-12)
 
     def test_kernels_match_the_dense_kernels(self):
         rng = np.random.default_rng(41)
@@ -693,26 +774,26 @@ class TestSupportState:
             wires = tuple(int(w) for w in rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False))
             rec, ref = measure(support, wires), measure(dense, wires)
             self.assert_same_records(rec, ref)
-            for outcome in ref.distribution:
+            for outcome in distribution(ref):
                 self.assert_same(rec.collapse(outcome), ref.collapse(outcome))
             clean = np.all([(np.arange(1 << q) >> (q - 1 - w)) & 1 == 0 for w in work], axis=0)
-            assert probability_all_zero(support, work) == pytest.approx(np.sum(dense.amps[clean] ** 2), abs=1e-12)
+            assert probability_all_zero(support, work) == pytest.approx([np.sum(dense.amps[0, clean] ** 2)], abs=1e-12)
             for gate in reversed(gates):
                 self.assert_same(apply_permutation(support, gate), apply_permutation(dense, gate))
-            assert probability_all_zero(support, work) == pytest.approx(np.sum(dense.amps[clean] ** 2), abs=1e-12)
+            assert probability_all_zero(support, work) == pytest.approx([np.sum(dense.amps[0, clean] ** 2)], abs=1e-12)
             # The readout: each branch of the decision, then the inputs after a Hadamard.
             rec, ref = measure(support, (decision,)), measure(dense, (decision,))
             self.assert_same_records(rec, ref)
-            for outcome in ref.distribution:
+            for outcome in distribution(ref):
                 branch, ref_branch = apply_hadamard(rec.collapse(outcome), inputs), apply_hadamard(ref.collapse(outcome), inputs)
                 self.assert_same(branch, ref_branch)
                 self.assert_same_records(measure(branch, inputs), measure(ref_branch, inputs))
 
     def test_hadamard_needs_the_entries_to_agree_off_its_wires(self):
-        # Wire 2 is the index's lowest bit: one row, and one row of a batch, where it differs between entries.
+        # Wire 2 is the index's lowest bit: a batch of one, and one row of a batch, where it differs between entries.
         amps = np.full(2, np.sqrt(0.5))
         with pytest.raises(ValueError, match="agree on the wires it does not act on"):
-            apply_hadamard(SupportState(3, np.array([0b000, 0b011]), amps.copy()), (0, 1))
+            apply_hadamard(SupportState(3, np.array([[0b000, 0b011]]), amps[None].copy()), (0, 1))
         with pytest.raises(ValueError, match="agree on the wires it does not act on"):
             apply_hadamard(SupportState(3, np.array([[0b000, 0b010], [0b001, 0b100]]), np.stack((amps, amps))), (0, 1))
         # Rows that each agree, at patterns of their own, are transformed.
@@ -723,7 +804,7 @@ class TestSupportState:
         gate = block_rotation_gate((0, 1), 2, scale_exponent=1)
         amps = np.full(2, np.sqrt(0.5))
         with pytest.raises(ValueError, match="target wire to read 0 in every entry"):
-            apply_block_rotation(SupportState(3, np.array([0b000, 0b011]), amps.copy()), gate)
+            apply_block_rotation(SupportState(3, np.array([[0b000, 0b011]]), amps[None].copy()), gate)
         with pytest.raises(ValueError, match="target wire to read 0 in every entry"):
             apply_block_rotation(SupportState(3, np.array([[0b000, 0b010], [0b100, 0b111]]), np.stack((amps, amps))), gate)
         # With the target clear, each entry and its partner.
@@ -734,7 +815,7 @@ class TestSupportState:
         # cos = 0 on control pattern 0: the amplitude moves to the partner and
         # the exact zero left behind is not kept
         s = apply_block_rotation(init_zero(3, support=True), block_rotation_gate((0, 1), 2, scale_exponent=0))
-        assert s.index.tolist() == [1] and s.amps.tolist() == [1.0]
+        assert s.index.tolist() == [[1]] and s.amps.tolist() == [[1.0]]
 
     def test_dense_state_rejected_by_the_support_only_kernels(self):
         s = init_zero(3)
@@ -752,4 +833,4 @@ class TestSupportState:
     def test_wide_register_holds_only_its_entries(self):
         s = apply_hadamard(init_zero(62, support=True), (0, 1, 61))
         assert s.index.size == 8 and s.amps.nbytes == 64
-        assert probability_all_zero(s, (61,)) == pytest.approx(0.5, abs=1e-15)
+        assert probability_all_zero(s, (61,)) == pytest.approx([0.5], abs=1e-15)
