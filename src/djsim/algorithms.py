@@ -11,10 +11,9 @@ of one row of the truth table, at a cost that does not grow with n, which
 is all a sweep over the promise family needs.  Qubit counts, gate
 breakdowns and ``analysis.resource_table`` are read from the description.
 
-Gate accounting: each Hadamard layer, oracle call, named arithmetic or
-rotation operator, and Pauli/CNOT/CCNOT counts as one gate; circuits that
-allocate dedicated work registers (the two multi-node algorithms) count the
-preparation of that workspace as one additional operation.
+Gate accounting: the ops count one gate per Hadamard layer (the readout's
+too), oracle call, named operator and Pauli/CNOT/CCNOT; circuits with work
+registers (alg2, alg3) count their preparation as one more operation.
 """
 
 from __future__ import annotations
@@ -100,12 +99,12 @@ class Op:
 class Circuit:
     """One algorithm at (n, t) as data, lazy in 2^n and 2^t so any width can be described.
 
-    Readout: with ``decision`` None the input register is measured; otherwise
-    the decision qubit, then on outcome 0 the input register after a
-    Hadamard.  ``work`` registers must read zero after the uncompute.  With
-    ``runs`` > 1 the circuit runs once per subfunction on its own register.
-    ``node_entry`` builds the static node-assignment log entry, afresh for
-    each report.
+    Readout: the decision qubit, if any, is measured, and on its outcome 0
+    the last op, a Hadamard on the input register, runs before the input
+    register is measured.  ``work`` registers must read zero after the
+    uncompute.  With ``runs`` > 1 the circuit runs once per subfunction on
+    its own register.  ``node_entry`` builds the static node-assignment log
+    entry, afresh for each report.
     """
 
     t: Optional[int]
@@ -178,8 +177,6 @@ class Circuit:
         counts = Counter()
         for op in self.ops:
             counts[op.category] += op.count
-        if self.decision is not None:
-            counts["hadamard_layers"] += 1  # the readout's input-register Hadamard
         if self.work:
             counts["workspace_prep"] += 1
         return {category: count * self.runs for category, count in counts.items()}
@@ -220,17 +217,19 @@ def _dj(n: int) -> Circuit:
 def _shared_target(n: int, t: int, nodes: Callable[[range], dict]) -> Circuit:
     """alg1 (t=1) and err-4node (t=2): each half of the subfunctions queries one shared target, Pauli-Z between."""
     u, target, half = range(n - t), n - t, 1 << (t - 1)
+    h = _hadamard(u)
     ops = (
-        _hadamard(u),
+        h,
         _oracle_round(u, range(half), lambda w: target),
         Op("z", "pauli_z", 1, (range(target, target + 1),), name="Z"),
         _oracle_round(u, range(half, 2 * half), lambda w: target),
+        h,
     )
     return Circuit(t, target + 1, ops, u, decision=target, node_entry=lambda: {"nodes": nodes(u), "shared_target_wire": target})
 
 
 def _mirrored(t: int, compute: list[Op], rotation: Op, work: tuple[range, ...], arithmetic: range) -> Circuit:
-    """alg2 and alg3: compute (starting with the oracle round), rotate, uncompute.
+    """alg2 and alg3: compute (starting with the oracle round), rotate, uncompute, read out.
 
     The uncompute is the compute list reversed: each operator must see the
     operand registers it originally read still intact.
@@ -249,7 +248,8 @@ def _mirrored(t: int, compute: list[Op], rotation: Op, work: tuple[range, ...], 
             },
         }
 
-    ops = (_hadamard(u), *compute, rotation, *reversed(compute))
+    h = _hadamard(u)
+    ops = (h, *compute, rotation, *reversed(compute), h)
     return Circuit(t, decision + 1, ops, u, decision=decision, work=work, node_entry=entry)
 
 
@@ -360,6 +360,8 @@ def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str =
             raise ValueError(f"{algorithm} requires a split size t")
         if not 1 <= t < n:
             raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
+    if n > 1 << 62 or (t or 0) > 62:
+        raise ValueError(f"n and 2^t must be at most 2^62, past which their wire ranges cannot be counted; got n={n}, t={t}")
     if adder_layout not in ("interleaved", "compact"):
         raise ValueError(f"adder_layout must be 'interleaved' or 'compact', got {adder_layout!r}")
     if algorithm != "alg3":
@@ -394,8 +396,12 @@ def _compile(c: Circuit) -> list:
     arithmetic, so the state matches gate-by-gate application bit for bit.
     A dense circuit's runs are lone gates.  An oracle round carries the
     index bit of each queried subfunction's target, so a function's bits
-    shifted there and XORed together are the round's flip table.
+    shifted there and XORed together are the round's flip table.  Raises
+    ValueError, naming the op, unless the last op is the readout Hadamard.
     """
+    i, last = len(c.ops) - 1, c.ops[-1]
+    if last.kind != "hadamard" or not set(c.inputs) <= set(last.wires[0]):
+        raise ValueError(f"op {i} ({last.kind} {last.name or last.category}) is last; the readout must be a Hadamard on all inputs")
     steps: list = []
     gates: list = []  # the fixed gates since the last other op
     for op in c.ops:
@@ -463,8 +469,8 @@ def _start(c: Circuit, support: bool) -> tuple[int, State]:
     return skip, s
 
 
-def _evolve(c: Circuit, rows: np.ndarray, stop: Optional[int] = None) -> State:
-    """The batch's state after the compiled steps (those before ``stop``), one row per oracle table of ``rows``.
+def _evolve(c: Circuit, rows: np.ndarray) -> State:
+    """The batch's state before the readout Hadamard, the last step, one row per oracle table of ``rows``.
 
     The steps, and with them the start row, are compiled on first use.
     """
@@ -474,7 +480,7 @@ def _evolve(c: Circuit, rows: np.ndarray, stop: Optional[int] = None) -> State:
     skip, start = c.start or (0, None)
     s = init_zero(c.q, c.support, batch=len(rows), start=start)
     layers: dict = {}
-    for step in c.steps[skip:stop]:
+    for step in c.steps[skip:-1]:
         _apply(s, step, rows, layers)
     return s
 
@@ -487,47 +493,38 @@ def _execute(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[n
     function, and only the oracle layers differ between rows.  Every row
     starts as a copy of the circuit's start row, kept when a row holds at
     most 2^_DEST_CACHE_MAX_Q entries.  The state is a support state when
-    ``c.support`` holds, else dense.  The readout follows ``Circuit``'s plan
-    in every row: each measurement gives every row's outcome probabilities,
-    and the log keeps row 0's as arrays (``sim.Outcomes``).  A support run
-    meets the two preconditions of the support kernels: the decision wire
-    reads 0 in every entry before the rotation, and after the uncompute the
-    entries of a row differ only on the input wires, which the readout
-    Hadamard acts on; a description that breaks either raises a ValueError.
-    A run reaches the simulator kernels only through this module's names.
+    ``c.support`` holds, else dense.  Every run reads out by ``Circuit``'s
+    one plan: each measurement gives every row's outcome probabilities, and
+    the log keeps row 0's as arrays (``sim.Outcomes``).  A support run meets
+    the support kernels' two preconditions: the decision wire reads 0 in
+    every entry before the rotation, and after the uncompute a row's entries
+    differ only on the input wires, which the readout Hadamard, the last
+    step, acts on; a description that breaks either raises ValueError.  A
+    run reaches the simulator kernels only through this module's names.
     """
-    count = len(rows)
     s = _evolve(c, rows)
     log: list = []
     anc = None
     if c.work:
         anc = probability_all_zero(s, c.work_wires)
         log.append({"stage": "work_registers_after_uncompute", "qubits": list(c.work_wires), "p_all_zero": float(anc[0])})
-    inputs = tuple(c.inputs)
-
-    def input_register(rec) -> dict:
-        return {"stage": "input_register", "qubits": list(inputs), "distribution": Outcomes.of(rec.probs[0])}
-
-    if c.decision is None:
-        rec = measure(s, inputs)
-        p = rec.probability(0)
-        log.append(input_register(rec))
-        return p, log, anc
-    rec = measure(s, (c.decision,))
-    p_zero = rec.probability(0)
-    log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": Outcomes.of(rec.probs[0])})
-    live = p_zero > _PROB_FLOOR
-    if not live.any():
-        return np.zeros(count), log, anc
-    # A row where outcome 0 is negligible collapses to zeros, so its product
-    # is 0.  The record goes first, and with it the state before the collapse.
-    s, rec = rec.collapse(0), None
-    apply_hadamard(s, inputs)
-    rec = measure(s, inputs)
-    p = rec.probability(0)
-    if live[0]:
-        log.append({**input_register(rec), "conditioned_on": {"decision_qubit": 0}})
-    return p_zero * p, log, anc
+    p_zero, first, condition = 1.0, True, {}
+    if c.decision is not None:
+        rec = measure(s, (c.decision,))
+        p_zero = rec.probability(0)
+        log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": Outcomes.of(rec.probs[0])})
+        live = p_zero > _PROB_FLOOR
+        if not live.any():
+            return np.zeros(len(rows)), log, anc
+        # A row where outcome 0 is negligible collapses to zeros, so its product
+        # is 0.  The record goes first, and with it the state before the collapse.
+        s, rec = rec.collapse(0), None
+        first, condition = live[0], {"conditioned_on": {"decision_qubit": 0}}
+    apply_hadamard(s, c.steps[-1][1])
+    rec = measure(s, tuple(c.inputs))
+    if first:
+        log.append({"stage": "input_register", "qubits": list(c.inputs), "distribution": Outcomes.of(rec.probs[0]), **condition})
+    return p_zero * rec.probability(0), log, anc
 
 
 def _run(c: Circuit, rows: np.ndarray) -> tuple[np.ndarray, list, Optional[np.ndarray]]:
@@ -553,12 +550,12 @@ def _check_row_patterns(c: Circuit) -> None:
 
     That holds when the first op on the input register is a Hadamard on all
     of it, and after it the input wires are only the controls of oracle
-    rounds that read the whole register, until the readout Hadamard: the
-    last op when ``decision`` is None, else the executor's.  Then row u of
-    the function's table alone steers the other wires in branch u.
+    rounds that read the whole register, until the last op, the readout
+    Hadamard, which ``_compile`` checks.  Then row u of the function's table
+    alone steers the other wires in branch u.
     """
     inputs = set(c.inputs)
-    readout = len(c.ops) - 1 if c.decision is None else None
+    readout = len(c.ops) - 1
     opened = False
     for i, op in enumerate(c.ops):
         what = f"op {i} ({op.kind} {op.name or op.category})"
@@ -576,8 +573,6 @@ def _check_row_patterns(c: Circuit) -> None:
             wires = {op.target(w) for w in op.ws}
         if wires & inputs:
             raise ValueError(f"{what} acts on input wire {min(wires & inputs)}; only oracle rounds may read the inputs")
-    if readout is not None and (readout < 0 or c.ops[readout].kind != "hadamard"):
-        raise ValueError("a circuit that measures its input register must end with the readout Hadamard on it")
 
 
 def _narrowed(c: Circuit) -> Circuit:
@@ -612,8 +607,15 @@ def _narrowed(c: Circuit) -> Circuit:
     return Circuit(c.t, c.q - cut, tuple(map(ops.get, c.ops)), inputs, decision, tuple(map(wires, c.work)), c.runs)
 
 
-# Row patterns per batched run of the pattern table: t=4 has 2^16 of them.
-_TABLE_BATCH = 1 << 12
+# State entries per batched circuit run, as many rows as fit: at n = 4, 512
+# functions for dj (2^5 entries a row), 2,048 for alg2 and alg3 (support rows
+# of 2^(n-t+1) entries), and 4,096 row patterns of any pattern-table run.
+_SWEEP_ENTRIES = 1 << 14
+
+
+def _chunk_rows(c: Circuit) -> int:
+    """Rows per batched run of c: rows of 2^c.row_bits entries filling _SWEEP_ENTRIES."""
+    return max(1, _SWEEP_ENTRIES >> c.row_bits)
 
 
 def pattern_table(c: Circuit) -> np.ndarray:
@@ -635,13 +637,12 @@ def pattern_table(c: Circuit) -> np.ndarray:
     width = 1 << (c.t or 0)
     patterns = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
     singles = patterns if c.runs == 1 else np.arange(2)[:, None]
-    stop = -1 if one.decision is None else None  # the readout Hadamard is the last step, or the executor's
     read = tuple(one.inputs) + (() if one.decision is None else (one.decision,))
     mask = sum(1 << (one.q - 1 - w) for w in read)
-    pieces = []
-    for lo in range(0, len(singles), _TABLE_BATCH):
-        block = singles[lo : lo + _TABLE_BATCH]
-        s = _evolve(one, np.broadcast_to(block[:, None], (len(block), 2, block.shape[1])), stop)
+    pieces, size = [], _chunk_rows(one)
+    for lo in range(0, len(singles), size):
+        block = singles[lo : lo + size]
+        s = _evolve(one, np.broadcast_to(block[:, None], (len(block), 2, block.shape[1])))
         index = np.broadcast_to(s.index if one.support else sim._indices(one.q), s.amps.shape)
         at_zero = (index & mask) == 0
         row = np.broadcast_to(np.arange(lo, lo + len(block))[:, None], at_zero.shape)

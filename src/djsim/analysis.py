@@ -14,7 +14,8 @@ import numpy as np
 # run_named and enumerate_promise_functions are unused here; they stay
 # importable from this module because perfbench/tracer.py wraps them on this
 # module by name.
-from .algorithms import EXACTNESS_TOL, Circuit, InvariantBreach, _run, circuit, pattern_table, run_named, validate_run_config  # noqa: F401
+from .algorithms import EXACTNESS_TOL, Circuit, InvariantBreach, _chunk_rows, _run, circuit, pattern_table, validate_run_config
+from .algorithms import run_named  # noqa: F401
 from .boolfn import (  # noqa: F401
     check_enumerable,
     count_promise_functions,
@@ -24,11 +25,6 @@ from .boolfn import (  # noqa: F401
     unpack_tables,
 )
 
-# State entries per batched circuit run: a run holds as many promise
-# functions as rows of this many entries fit.  At n = 4 that is 512
-# functions for dj (2^5 entries a row), 1,024 for alg1 and 2,048 for alg2
-# and alg3 (support rows of 2^(n-t+1) entries).
-_SWEEP_ENTRIES = 1 << 14
 # Promise functions per chunk of a verify sweep, checked from the pattern
 # table.  At n = 4 this cuts the 12,872 functions into two chunks, so two
 # workers get one each; at n = 5 a chunk of 2^12 spent about a third more
@@ -207,11 +203,6 @@ class VerificationSummary:
         if include_wall_time:
             record["wall_time_s"] = self.wall_time
         return record
-
-
-def _chunk_rows(c: Circuit) -> int:
-    """Promise functions per batched run of c: rows of 2^c.row_bits entries filling _SWEEP_ENTRIES."""
-    return max(1, _SWEEP_ENTRIES >> c.row_bits)
 
 
 def _sweep_chunks(n: int, size: int) -> Iterator[range]:

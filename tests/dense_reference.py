@@ -2,7 +2,8 @@
 
 It reads only what a description says: ``Circuit.ops`` and each op's
 ``build()``, the gates' ``action_table`` (permutations) and
-``cos_table``/``sin_table`` (rotations), and the readout plan.  It calls no
+``cos_table``/``sin_table`` (rotations), and the readout plan, whose
+Hadamard is the description's last op.  It calls no
 kernel or helper of ``djsim.sim``, so a fault there cannot pass an agreement
 check by being on both sides of it.  Its rotation (``rotated``) also serves
 the gate-level checks: it takes any state of the register, where the support
@@ -95,7 +96,10 @@ def distribution(probs: np.ndarray) -> dict[str, float]:
 
 
 class Reference:
-    """One circuit's dense run: its index tables, built once, then applied to chunks of functions."""
+    """One circuit's dense run: its index tables, built once, then applied to chunks of functions.
+
+    The steps are those of every op but the last, the readout Hadamard.
+    """
 
     def __init__(self, c):
         self.c = c
@@ -103,7 +107,9 @@ class Reference:
         self.index = np.arange(1 << q, dtype=np.int64)
         self.steps: list = []
         gates: list = []
-        for op in c.ops:
+        *body, self.readout = c.ops
+        assert self.readout.kind == "hadamard", self.readout
+        for op in body:
             if op.kind == "fixed":
                 gates.extend(op.build())
                 continue
@@ -172,28 +178,27 @@ class Reference:
             anc = self.marginal(amps, wires)[:, 0]
             for log, p in zip(logs, anc):
                 log.append({"stage": "work_registers_after_uncompute", "qubits": wires, "p_all_zero": float(p)})
-        inputs = list(c.inputs)
-
-        def read_inputs(amps: np.ndarray, live: np.ndarray, extra: dict) -> np.ndarray:
-            probs = self.marginal(amps, inputs)
-            for r in np.flatnonzero(live):
-                logs[r].append({"stage": "input_register", "qubits": inputs, "distribution": distribution(probs[r]), **extra})
-            return probs[:, 0]
-
-        if c.decision is None:
-            return read_inputs(amps, np.ones(count, dtype=bool), {}), anc, logs
-        decision = self.marginal(amps, [c.decision])
-        for r, log in enumerate(logs):
-            log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": distribution(decision[r])})
-        p_zero = decision[:, 0]
-        live = p_zero > PROB_FLOOR
-        # Collapse onto decision 0; a function where it is negligible collapses to zeros.
-        view = amps.reshape(count, 1 << c.decision, 2, -1)
-        view[:, :, 0] /= np.sqrt(np.where(live, p_zero, np.inf))[:, None, None]
-        view[:, :, 1] = 0.0
-        for w in inputs:
+        # One readout for every circuit: the decision qubit, if any, collapsed
+        # onto 0; then the readout Hadamard and the input register.
+        p_zero, live, extra = np.ones(count), np.ones(count, dtype=bool), {}
+        if c.decision is not None:
+            decision = self.marginal(amps, [c.decision])
+            for r, log in enumerate(logs):
+                log.append({"stage": "decision_qubit", "qubits": [c.decision], "distribution": distribution(decision[r])})
+            p_zero = decision[:, 0]
+            live = p_zero > PROB_FLOOR
+            # A function where decision 0 is negligible collapses to zeros.
+            view = amps.reshape(count, 1 << c.decision, 2, -1)
+            view[:, :, 0] /= np.sqrt(np.where(live, p_zero, np.inf))[:, None, None]
+            view[:, :, 1] = 0.0
+            extra = {"conditioned_on": {"decision_qubit": 0}}
+        for w in self.readout.wires[0]:
             amps = self.hadamard(amps, w)
-        return p_zero * read_inputs(amps, live, {"conditioned_on": {"decision_qubit": 0}}), anc, logs
+        inputs = list(c.inputs)
+        probs = self.marginal(amps, inputs)
+        for r in np.flatnonzero(live):
+            logs[r].append({"stage": "input_register", "qubits": inputs, "distribution": distribution(probs[r]), **extra})
+        return p_zero * probs[:, 0], anc, logs
 
 
 @lru_cache(maxsize=5)

@@ -1,11 +1,15 @@
 import itertools
+import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from djsim import Decomposition, Promise, enumerate_promise_functions, make_function, random_balanced_table
 from djsim import sim
-from djsim.algorithms import InvariantBreach, _execute, circuit, probability_oracle, run_named
+from djsim import algorithms
+from djsim.algorithms import ALGORITHM_NAMES, Circuit, InvariantBreach, _execute, circuit, pattern_table, probability_oracle, run_named
 from djsim.gates import build_A, build_Aprime, build_ccnot, build_cnot, build_oracle, build_Rprime, build_V
 from djsim.sim import apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
 
@@ -163,6 +167,60 @@ def test_a_decision_readout_reads_the_measured_patterns_once_per_measurement(mon
     report = run_named(algorithm, make_function(4, [0] * 16), t)
     assert report.verdict == "constant" and report.branch_log[-1].get("conditioned_on") == {"decision_qubit": 0}
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+def test_every_description_ends_with_its_readout_and_counts_its_ops(algorithm):
+    # The readout Hadamard is an op like any other: the breakdown is the ops'
+    # counts per category, times the runs, plus the workspace preparation.
+    checked = 0
+    for n, t, layout in itertools.product((3, 4, 6, 12), (None, 1, 2, 3, 4), ("interleaved", "compact")):
+        try:
+            c = circuit(algorithm, n, t, layout)
+        except ValueError:
+            continue
+        readout = c.ops[-1]
+        assert readout.kind == "hadamard" and set(c.inputs) <= set(readout.wires[0]), (n, t, layout)
+        counts = Counter()
+        for op in c.ops:
+            counts[op.category] += op.count
+        expected = {category: count * c.runs for category, count in counts.items()}
+        if c.work:
+            expected["workspace_prep"] = c.runs
+        assert c.gate_breakdown == expected, (n, t, layout)
+        checked += 1
+    assert checked >= 8
+
+
+def _without_readout(algorithm, t, last):
+    """The algorithm at n=4 with ``last`` in place of its readout Hadamard, or with no last op when ``last`` is None."""
+    c = circuit(algorithm, 4, t)
+    ops = c.ops[:-1] + (() if last is None else (last,))
+    return replace(c, ops=ops, steps=None)
+
+
+@pytest.mark.parametrize(
+    "algorithm,t,last,named",
+    [
+        ("alg1", None, None, "op 3 (oracle oracle_calls)"),
+        ("alg2", 2, None, "op 5 (oracle oracle_calls)"),
+        ("dj", None, algorithms._hadamard(range(1, 5)), "op 3 (hadamard hadamard_layers)"),
+        ("err-4node", None, algorithms._hadamard(range(1)), "op 4 (hadamard hadamard_layers)"),
+    ],
+    ids=["alg1-dropped", "alg2-dropped", "dj-off-the-inputs", "err-4node-part-of-the-inputs"],
+)
+def test_a_description_not_ending_with_its_readout_is_refused(algorithm, t, last, named, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was allocated")
+
+    monkeypatch.setattr(algorithms, "init_zero", refuse)
+    monkeypatch.setattr(sim, "init_zero", refuse)
+    c = _without_readout(algorithm, t, last)
+    rows = np.zeros((1, 1 << (4 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64)
+    with pytest.raises(ValueError, match="^" + re.escape(named)):
+        _execute(c, rows)
+    with pytest.raises(ValueError, match="^" + re.escape(named)):
+        pattern_table(_without_readout(algorithm, t, last))
 
 
 def _literal_alg3_p_constant(f, t):

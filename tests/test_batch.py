@@ -120,12 +120,15 @@ def test_start_row_is_the_prefix_run_on_the_batch(alg, t, support):
 
 @pytest.mark.parametrize("alg,t", [("dj", None), ("alg2", 2)], ids=["dense", "support"])
 def test_rows_own_their_arrays(alg, t):
-    # The batch as the steps before the first oracle round leave it: copies of the start row.
+    # The batch as the steps before the first oracle round leave it, copies of
+    # the start row: a description cut to those steps and its readout.
     c = circuit(alg, 4, t)
     rows = np.zeros((3, 1 << (4 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64)
     _evolve(c, rows)
     skip, start = c.start
-    s = _evolve(c, rows, skip)
+    cut = dataclasses.replace(c, steps=c.steps[:skip] + c.steps[-1:])
+    cut.start = c.start
+    s = _evolve(cut, rows)
     names = ("index", "amps") if c.support else ("amps",)
     kept = {name: getattr(start, name).copy() for name in names}
     for name in names:
@@ -234,8 +237,8 @@ def test_alg3_cut_before_its_uncompute_raises_at_its_readout():
     input register: the entries of a row then differ off the input wires, so
     the readout Hadamard refuses them, on one row and in a batch."""
     full = circuit("alg3", 4, 2)
-    cut = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1], steps=None)
-    assert cut.ops[-1].kind == "rotation"
+    cut = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1] + full.ops[-1:], steps=None)
+    assert cut.ops[-2].kind == "rotation"
     tables = mixed_tables(4, 10, seed=5)
     rows = batch_rows(cut, tables)
     _execute(full, rows)

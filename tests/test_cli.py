@@ -393,6 +393,32 @@ class TestResources:
         assert cli.main(["resources"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--t", "63"),
+            ("--t", "15000"),
+            ("--t", "20000"),
+            ("--t", "1", "--n", "9223372036854775808"),
+            ("--t", "2", "--n", "10000000000000000000"),
+        ],
+        ids=" ".join,
+    )
+    def test_widths_past_what_a_range_can_count_are_a_usage_error(self, capsys, args):
+        # len() of a range past 2^63 - 1 entries overflows, and a JSON int past
+        # 4,300 digits cannot be printed: circuit() refuses both widths first.
+        assert cli.main(["resources", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n and 2^t must be at most 2^62") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args", [("--t", "62"), ("--t", "62", "--n", str((1 << 62) - 1)), ("--t", "1", "--n", str(1 << 62))], ids=" ".join
+    )
+    def test_the_widest_countable_widths_are_described(self, capsys, args):
+        status, payload = run_json(capsys, "resources", *args)
+        assert status == 0 and payload["t"] == int(args[1])
+
 
 class TestRendering:
     def test_deterministic_json_byte_identical(self, tmp_path, capsys):

@@ -11,9 +11,14 @@ n = 3..9 and t = 3 at n = 4..5 in json, two of them in csv and table),
 captured while the error model still summed over weight configurations;
 and of ``run`` on registers of 9 and 10 measured wires (dj at n = 10 in json
 and table, alg2 t = 2 at n = 11), captured while the executor still made the
-outcome strings.  An ``@name`` argument stands for a truth-table file
-holding ``tables[name]``.  Changes that only simplify the engine must
-reproduce every byte.
+outcome strings; and of ``classify`` (the paper's Theorems 1-3 verdicts,
+the delta sums and the B/C/M counters: the four conftest tables, a seeded
+random function at n = 6, the zero function and the table ``off_promise``,
+in json, csv and table), captured before every description ended with its
+readout Hadamard.  The ``classify`` cases are pins of code that change did
+not touch: they pass on both sides of it.  An ``@name`` argument stands for
+a truth-table file holding ``tables[name]``.  Changes that only simplify
+the engine must reproduce every byte.
 """
 
 import contextlib

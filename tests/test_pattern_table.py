@@ -173,13 +173,13 @@ def reference_table(c):
     width, rows = 1 << (c.t or 0), 1 << len(c.inputs)
     patterns = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
     read = tuple(c.inputs) + (() if c.decision is None else (c.decision,))
-    mask, stop = sum(1 << (c.q - 1 - w) for w in read), -1 if c.decision is None else None
+    mask = sum(1 << (c.q - 1 - w) for w in read)
     pieces = []
     for node in range(c.runs):
         columns = patterns if c.runs == 1 else patterns[:, node : node + 1]
         for lo in range(0, len(patterns), 1 << 12):
             block = columns[lo : lo + (1 << 12)]
-            s = algorithms._evolve(c, np.broadcast_to(block[:, None], (len(block), rows, block.shape[1])), stop)
+            s = algorithms._evolve(c, np.broadcast_to(block[:, None], (len(block), rows, block.shape[1])))
             index = np.broadcast_to(s.index if c.support else sim._indices(c.q), s.amps.shape)
             at_zero = (index & mask) == 0
             row = np.broadcast_to(np.arange(lo, lo + len(block))[:, None], at_zero.shape)
