@@ -1,15 +1,17 @@
 """The six algorithms as circuit descriptions, and the one executor that runs them.
 
-``circuit(algorithm, n, t, adder_layout)`` describes an algorithm as data: its
-width, ordered layers (``Op``), readout plan and static node-assignment log
-entry.  ``_execute`` runs any description, enumerating both measurement
-branches analytically, so reported probabilities carry no sampling noise and
-exactness can be asserted at 1e-12.  A description with work registers runs
-on a support state (``Circuit.support``), the others on a dense one.
-``pattern_table`` runs a circuit narrowed to one input wire once per pattern
-of one row of the truth table, at a cost that does not grow with n, which
-is all a sweep over the promise family needs.  Qubit counts, gate
-breakdowns and ``analysis.resource_table`` are read from the description.
+``circuit(algorithm, n, t)`` is the one description of an algorithm at
+(n, t), as data: its width, ordered layers (``Op``), readout plan and static
+node-assignment log entry.  alg3 places both adders as A, on interleaved
+controls; no description places the compacted A'.  ``_execute`` runs any
+description, enumerating both measurement branches analytically, so reported
+probabilities carry no sampling noise and exactness can be asserted at 1e-12.
+A description with work registers runs on a support state
+(``Circuit.support``), the others on a dense one.  ``pattern_table`` runs a
+circuit narrowed to one input wire once per pattern of one row of the truth
+table, at a cost that does not grow with n, which is all a sweep over the
+promise family needs.  Qubit counts, gate breakdowns and
+``analysis.resource_table`` are read from the description.
 
 Gate accounting: the ops count one gate per Hadamard layer (the readout's
 too), oracle call, named operator and Pauli/CNOT/CCNOT; circuits with work
@@ -26,9 +28,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# compute_stats, make_function, build_oracle, xor_permutation_gate and
-# apply_composed are unused here; they stay importable from this module
-# because perfbench/tracer.py wraps them on this module by name.
+# compute_stats, make_function, build_oracle, build_Aprime,
+# xor_permutation_gate and apply_composed are unused here; they stay
+# importable from this module because perfbench/tracer.py wraps them on this
+# module by name.
 from .boolfn import BooleanFunction, compute_stats, make_function  # noqa: F401
 from .gates import (  # noqa: F401
     build_A,
@@ -115,10 +118,10 @@ class Circuit:
     work: tuple[range, ...] = ()
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
-    # Executor state: the compiled steps (each XOR step carries one
-    # ``FlipLayer``), and, made with them, the start row from ``_start``, or
-    # None when none is kept.
-    steps: Optional[list] = field(default=None, repr=False)
+    # Executor state, which ``dataclasses.replace`` does not copy: the compiled
+    # steps (each XOR step carries one ``FlipLayer``), and, made with them, the
+    # start row from ``_start``, or None when none is kept.
+    steps: Optional[list] = field(default=None, init=False, repr=False)
     start: Optional[tuple[int, State]] = field(default=None, init=False, repr=False)
 
     @property
@@ -269,7 +272,7 @@ def _alg2(n: int, t: int) -> Circuit:
     return _mirrored(t, compute, rotation, (wires, dreg), range(dreg.start, decision + 1))
 
 
-def _alg3(n: int, t: int, adder_layout: str) -> Circuit:
+def _alg3(n: int, t: int) -> Circuit:
     """Subfunctions paired by the low-order bit of w, three wires (value, XOR, AND) per pair.
 
     Two adders accumulate the XOR and AND sums, the pair-difference operator
@@ -282,12 +285,9 @@ def _alg3(n: int, t: int, adder_layout: str) -> Circuit:
     e_reg = range(k_reg.stop, k_reg.stop + t)
     c_reg = range(e_reg.stop, e_reg.stop + t + 1)
     decision = c_reg.stop
-    # "compact" only renames A to A': both run on the interleaved wires.
-    name = "A" if adder_layout == "interleaved" else "A'"
 
     def adder(controls: range, results: range) -> Op:
-        build = build_A if name == "A" else build_Aprime
-        return Op("fixed", "adder_ops", 1, (controls, results), name, lambda: [build(t, tuple(controls), tuple(results))])
+        return Op("fixed", "adder_ops", 1, (controls, results), "A", lambda: [build_A(t, tuple(controls), tuple(results))])
 
     compute = [
         # Subfunction w writes its pair's value wire (even w) or XOR wire (odd w).
@@ -319,7 +319,7 @@ def _err_multi(n: int, t: int) -> Circuit:
 
 
 @lru_cache(maxsize=64)
-def _describe(algorithm: str, n: int, t: Optional[int], adder_layout: str) -> Circuit:
+def _describe(algorithm: str, n: int, t: Optional[int]) -> Circuit:
     if algorithm == "dj":
         return _dj(n)
     if algorithm == "alg1":
@@ -327,17 +327,16 @@ def _describe(algorithm: str, n: int, t: Optional[int], adder_layout: str) -> Ci
     if algorithm == "alg2":
         return _alg2(n, t)
     if algorithm == "alg3":
-        return _alg3(n, t, adder_layout)
+        return _alg3(n, t)
     if algorithm == "err-multi":
         return _err_multi(n, t)
     return _shared_target(n, 2, lambda u: {format(w, "02b"): {"node": w + 1} for w in range(4)})
 
 
-def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str = "interleaved") -> Circuit:
+def circuit(algorithm: str, n: int, t: Optional[int] = None) -> Circuit:
     """The cached description of one algorithm at arity n and split size t.
 
-    Raises ValueError for a configuration that has no circuit, and for an
-    unknown ``adder_layout`` whatever the algorithm.  Allocates
+    Raises ValueError for a configuration that has no circuit.  Allocates
     nothing that grows with 2^n or 2^t, so widths far beyond the simulator
     can be described.  ``dj`` takes no t; ``alg1`` and ``err-4node`` fix it.
     """
@@ -362,21 +361,17 @@ def circuit(algorithm: str, n: int, t: Optional[int] = None, adder_layout: str =
             raise ValueError(f"split size must satisfy 1 <= t < n, got t={t}, n={n}")
     if n > 1 << 62 or (t or 0) > 62:
         raise ValueError(f"n and 2^t must be at most 2^62, past which their wire ranges cannot be counted; got n={n}, t={t}")
-    if adder_layout not in ("interleaved", "compact"):
-        raise ValueError(f"adder_layout must be 'interleaved' or 'compact', got {adder_layout!r}")
-    if algorithm != "alg3":
-        adder_layout = "interleaved"
-    return _describe(algorithm, n, t, adder_layout)
+    return _describe(algorithm, n, t)
 
 
-def validate_run_config(algorithm: str, n: int, t: Optional[int], adder_layout: str = "interleaved") -> Circuit:
+def validate_run_config(algorithm: str, n: int, t: Optional[int]) -> Circuit:
     """The circuit of a run, after rejecting an invalid (algorithm, n, t) with ValueError.
 
     Circuits larger than their state holds are rejected before any gate or
     index table is built: a dense state holds MAX_QUBITS qubits; a support
     state holds MAX_SUPPORT_QUBITS, with arrays of at most 2^MAX_QUBITS entries.
     """
-    c = circuit(algorithm, n, t, adder_layout)
+    c = circuit(algorithm, n, t)
     top = MAX_SUPPORT_QUBITS if c.support else MAX_QUBITS
     if c.q > top:
         raise ValueError(f"{algorithm} at n={n}, t={c.t} needs {c.q} qubits; the simulator holds at most {top}")
@@ -675,13 +670,12 @@ class RunReport:
     ancilla_zero_prob: Optional[float] = None
 
 
-def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None, adder_layout: str = "interleaved") -> RunReport:
+def run_named(algorithm: str, f: BooleanFunction, t: Optional[int] = None) -> RunReport:
     """Run the algorithm named by the CLI selector (one of ``ALGORITHM_NAMES``) on f.
 
     ``t`` is the split size: dj takes none, alg1 and err-4node fix it.
-    ``adder_layout`` "compact" renames alg3's adder A to A'; every algorithm checks the name.
     """
-    c = validate_run_config(algorithm, f.n, t, adder_layout)
+    c = validate_run_config(algorithm, f.n, t)
     rows = f.as_array().reshape(1, -1, 1 << (c.t or 0)).astype(np.int64)
     p_rows, log, anc_rows = _run(c, rows)
     p_constant = float(p_rows[0])

@@ -167,8 +167,7 @@ def resource_table(t: int, n: int) -> ResourceTable:
     for name in ("alg1", "alg2", "alg3"):
         c = circuit(name, n, t if name != "alg1" else 1)
         algorithms[name] = {"total_qubits": c.q, "gate_count": c.gate_count, "operator_widths": c.operator_widths}
-    # The compact adder A' has no placement of its own yet: the compact
-    # layout runs it on A's interleaved wires.  Its width is therefore the
+    # No description places the compacted adder A', so its width is the
     # closed form of the packed placement, 2^(t-1) controls plus t results.
     algorithms["alg3"]["operator_widths"]["A'"] = (1 << (t - 1)) + t
     oracle_qubits = {"dj": circuit("dj", n).oracle_qubits, "distributed": circuit("alg2", n, t).oracle_qubits}

@@ -27,7 +27,7 @@ from djsim.analysis import (
 )
 from djsim.gates import build_A, build_Aprime, build_R, build_Rprime, build_U, build_V
 from djsim.sim import apply_permutation, init_zero
-from tests.conftest import PAIR_TABLE, XOR_KERNEL_TABLE
+from tests.conftest import PAIR_TABLE, XOR_KERNEL_TABLE, adder_placements
 from tests.dense_reference import rotated
 
 TOL_EXACT = 1e-12
@@ -66,7 +66,7 @@ class TestCriterion1Exactness:
     def test_pairing_sweep_t2(self, alg3_t2_sweep):
         bad = [
             promise
-            for promise, a, _ in alg3_t2_sweep
+            for promise, a in alg3_t2_sweep
             if a.verdict != promise or not a.verdict_exact or max(a.p_constant, a.p_balanced) < 1 - TOL_EXACT
         ]
         ok = len(alg3_t2_sweep) == 12872 and not bad
@@ -255,9 +255,13 @@ class TestCriterion9ClosedFormOracle:
 
 
 class TestCriterion10AdderLayoutEquivalence:
-    def test_exhaustive_equivalence(self, alg3_t2_sweep):
-        worst = 0.0
-        for _, a, b in alg3_t2_sweep:
-            worst = max(worst, abs(a.p_constant - b.p_constant), abs(a.p_balanced - b.p_balanced))
-        ok = worst <= TOL_EXACT and len(alg3_t2_sweep) == 12872
-        report("10", ok, f"interleaved vs compact adder identical over 12872 functions; worst gap {worst:.2e}")
+    def test_exhaustive_equivalence(self):
+        # Random amplitudes differ on every basis state, so they pin the whole permutation.
+        rng = np.random.default_rng(10)
+        worst, moved = 0.0, True
+        for t in (1, 2, 3):
+            states, placed, packed = adder_placements(t, rng, 32)
+            worst = max(worst, np.abs(placed - packed).max())
+            moved &= np.abs(placed - states).max() > 0.1
+        ok = worst <= TOL_EXACT and moved
+        report("10", ok, f"A' on packed wires acts as A on alg3's interleaved wires for t in {{1,2,3}}; worst gap {worst:.2e}")

@@ -10,7 +10,7 @@ from djsim import Decomposition, Promise, enumerate_promise_functions, make_func
 from djsim import sim
 from djsim import algorithms
 from djsim.algorithms import ALGORITHM_NAMES, Circuit, InvariantBreach, _execute, circuit, pattern_table, probability_oracle, run_named
-from djsim.gates import build_A, build_Aprime, build_ccnot, build_cnot, build_oracle, build_Rprime, build_V
+from djsim.gates import build_A, build_ccnot, build_cnot, build_oracle, build_Rprime, build_V
 from djsim.sim import apply_block_rotation, apply_hadamard, apply_permutation, init_zero, measure
 
 
@@ -113,16 +113,6 @@ class TestAlgorithm3:
         report = run_named("alg3", pair_example, 2)
         assert report.ancilla_zero_prob == pytest.approx(1.0, abs=1e-12)
 
-    def test_adder_layouts_agree(self, pair_example):
-        a = run_named("alg3", pair_example, 2, adder_layout="interleaved")
-        b = run_named("alg3", pair_example, 2, adder_layout="compact")
-        assert a.p_constant == b.p_constant
-        assert a.p_balanced == b.p_balanced
-
-    def test_unknown_layout_rejected(self, pair_example):
-        with pytest.raises(ValueError):
-            run_named("alg3", pair_example, 2, adder_layout="sideways")
-
     def test_sampled_exactness_n4(self):
         functions = itertools.islice(enumerate_promise_functions(4), 120)
         for f in functions:
@@ -140,15 +130,6 @@ class TestAlgorithm3:
             for f in cases:
                 report = run_named("alg3", f, t)
                 assert report.p_constant == pytest.approx(_literal_alg3_p_constant(f, t), abs=1e-15)
-
-
-@pytest.mark.parametrize("algorithm, t", [("dj", None), ("alg1", 1), ("alg2", 1), ("err-multi", 1), ("err-4node", 2)])
-def test_an_unknown_adder_layout_is_rejected_for_every_algorithm(algorithm, t):
-    # Checked before the algorithms without an adder set it aside.
-    f = make_function(3, [0] * 8)
-    with pytest.raises(ValueError, match="adder_layout"):
-        run_named(algorithm, f, t, adder_layout="sideways")
-    assert run_named(algorithm, f, t, adder_layout="compact").verdict == "constant"
 
 
 @pytest.mark.parametrize("algorithm, t", [("alg1", None), ("alg3", 2)])
@@ -174,29 +155,29 @@ def test_every_description_ends_with_its_readout_and_counts_its_ops(algorithm):
     # The readout Hadamard is an op like any other: the breakdown is the ops'
     # counts per category, times the runs, plus the workspace preparation.
     checked = 0
-    for n, t, layout in itertools.product((3, 4, 6, 12), (None, 1, 2, 3, 4), ("interleaved", "compact")):
+    for n, t in itertools.product((3, 4, 6, 12), (None, 1, 2, 3, 4)):
         try:
-            c = circuit(algorithm, n, t, layout)
+            c = circuit(algorithm, n, t)
         except ValueError:
             continue
         readout = c.ops[-1]
-        assert readout.kind == "hadamard" and set(c.inputs) <= set(readout.wires[0]), (n, t, layout)
+        assert readout.kind == "hadamard" and set(c.inputs) <= set(readout.wires[0]), (n, t)
         counts = Counter()
         for op in c.ops:
             counts[op.category] += op.count
         expected = {category: count * c.runs for category, count in counts.items()}
         if c.work:
             expected["workspace_prep"] = c.runs
-        assert c.gate_breakdown == expected, (n, t, layout)
+        assert c.gate_breakdown == expected, (n, t)
         checked += 1
-    assert checked >= 8
+    assert checked >= 4
 
 
 def _without_readout(algorithm, t, last):
     """The algorithm at n=4 with ``last`` in place of its readout Hadamard, or with no last op when ``last`` is None."""
     c = circuit(algorithm, 4, t)
     ops = c.ops[:-1] + (() if last is None else (last,))
-    return replace(c, ops=ops, steps=None)
+    return replace(c, ops=ops)
 
 
 @pytest.mark.parametrize(
@@ -221,6 +202,17 @@ def test_a_description_not_ending_with_its_readout_is_refused(algorithm, t, last
         _execute(c, rows)
     with pytest.raises(ValueError, match="^" + re.escape(named)):
         pattern_table(_without_readout(algorithm, t, last))
+
+
+def test_a_replaced_description_compiles_its_own_ops():
+    # The compiled steps are not copied with the description: a copy cut to
+    # no readout is refused after the full circuit has run and compiled.
+    c = circuit("alg1", 4)
+    rows = np.zeros((1, 1 << (4 - c.t), 1 << c.t), dtype=np.int64)
+    (p,), _, _ = _execute(c, rows)
+    assert p == pytest.approx(1.0, abs=1e-12) and c.steps is not None
+    with pytest.raises(ValueError, match="^" + re.escape("op 3 (oracle oracle_calls)")):
+        _execute(replace(c, ops=c.ops[:-1]), rows)
 
 
 def _literal_alg3_p_constant(f, t):

@@ -71,13 +71,13 @@ def test_batched_alg3_t2_sweep_matches_the_fixture_reports(alg3_t2_sweep):
     summary = verify_sweep(4, 2, "alg3", jobs=1)
     assert summary.functions_checked == len(alg3_t2_sweep) == 12872
     assert summary.failures == []
-    assert all(a.verdict == promise and a.verdict_exact for promise, a, _ in alg3_t2_sweep)
+    assert all(a.verdict == promise and a.verdict_exact for promise, a in alg3_t2_sweep)
     # One batch of the whole family gives each function run_named's values, bit for bit.
     c = circuit("alg3", 4, 2)
     tables = np.stack([np.frombuffer(f.table, dtype=np.uint8) for f in enumerate_promise_functions(4)])
     p, _, anc = _run(c, batch_rows(c, tables))
-    assert p.tolist() == [a.p_constant for _, a, _ in alg3_t2_sweep]
-    assert anc.tolist() == [a.ancilla_zero_prob for _, a, _ in alg3_t2_sweep]
+    assert p.tolist() == [a.p_constant for _, a in alg3_t2_sweep]
+    assert anc.tolist() == [a.ancilla_zero_prob for _, a in alg3_t2_sweep]
 
 
 @pytest.mark.parametrize("alg,t,rows", [("dj", None, 512), ("alg1", None, 1024), ("alg2", 2, 2048), ("alg3", 2, 2048)])
@@ -126,8 +126,8 @@ def test_rows_own_their_arrays(alg, t):
     rows = np.zeros((3, 1 << (4 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64)
     _evolve(c, rows)
     skip, start = c.start
-    cut = dataclasses.replace(c, steps=c.steps[:skip] + c.steps[-1:])
-    cut.start = c.start
+    cut = dataclasses.replace(c)
+    cut.steps, cut.start = c.steps[:skip] + c.steps[-1:], c.start
     s = _evolve(cut, rows)
     names = ("index", "amps") if c.support else ("amps",)
     kept = {name: getattr(start, name).copy() for name in names}
@@ -237,7 +237,7 @@ def test_alg3_cut_before_its_uncompute_raises_at_its_readout():
     input register: the entries of a row then differ off the input wires, so
     the readout Hadamard refuses them, on one row and in a batch."""
     full = circuit("alg3", 4, 2)
-    cut = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1] + full.ops[-1:], steps=None)
+    cut = dataclasses.replace(full, ops=full.ops[: len(full.ops) // 2 + 1] + full.ops[-1:])
     assert cut.ops[-2].kind == "rotation"
     tables = mixed_tables(4, 10, seed=5)
     rows = batch_rows(cut, tables)

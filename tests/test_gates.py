@@ -15,6 +15,7 @@ from djsim.gates import (
     build_x,
 )
 from djsim.sim import apply_permutation, encode_signed, init_zero
+from tests.conftest import adder_placements
 from tests.dense_reference import destination, pattern_of, rotated
 
 
@@ -136,10 +137,12 @@ class TestAdders:
         assert s.amps[0, 0b100110] == 1.0
 
     def test_compact_variant_same_action(self):
-        a = build_A(2, (0, 1), (2, 3))
-        ap = build_Aprime(2, (0, 1), (2, 3))
-        assert np.array_equal(a.action_table(), ap.action_table())
-        assert (a.name, ap.name) == ("A", "A'")
+        # A' on packed wires acts as alg3's A on its interleaved wires.
+        rng = np.random.default_rng(11)
+        for t in (1, 2, 3):
+            states, placed, packed = adder_placements(t, rng, 4)
+            assert np.abs(placed - packed).max() <= 1e-12
+            assert np.abs(placed - states).max() > 0.1, t  # the adder moves amplitudes
 
     def test_control_count_enforced(self):
         with pytest.raises(ValueError):

@@ -191,15 +191,12 @@ def reference_table(c):
     return table
 
 
-LAYOUTS = [(alg, t, layout) for alg, t in LEGAL for layout in (("interleaved", "compact") if alg == "alg3" else ("interleaved",))]
-
-
-@pytest.mark.parametrize("alg,t,layout", LAYOUTS, ids=str)
-def test_the_narrowed_table_matches_the_table_at_the_circuits_own_n(alg, t, layout):
+@pytest.mark.parametrize("alg,t", LEGAL, ids=str)
+def test_the_narrowed_table_matches_the_table_at_the_circuits_own_n(alg, t):
     checked = 0
     for n in range(1, 9 if t != 4 else 7):
         try:
-            c = circuit(alg, n, t, layout)
+            c = circuit(alg, n, t)
         except ValueError:
             continue
         table, reference = pattern_table(c), reference_table(c)

@@ -37,22 +37,6 @@ def assert_runs_agree(c, rows, reference):
         assert_agree(p, 1.0 - p, anc, log, p_ref, anc_ref, log_ref)
 
 
-def one_reference_serves_both_layouts(n, t):
-    """The compact layout runs A' on A's wires: check that its compiled XOR
-    layers flip what the interleaved ones flip, so one reference run serves
-    both layouts."""
-    interleaved, compact = circuit("alg3", n, t, "interleaved"), circuit("alg3", n, t, "compact")
-    zeros = np.zeros((1, 1 << (n - t), 1 << t), dtype=np.int64)
-    _execute(interleaved, zeros)
-    _execute(compact, zeros)
-    layers = [[step[1] for step in c.steps if step[0] == "xor"] for c in (interleaved, compact)]
-    assert len(layers[0]) == len(layers[1]) > 0
-    for layer, other in zip(*layers):
-        (fields, flip), (other_fields, other_flip) = layer.xor_plan(interleaved.q), other.xor_plan(compact.q)
-        assert fields == other_fields and np.array_equal(flip, other_flip)
-    return interleaved, compact
-
-
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_alg2_support_matches_dense(t):
     for n in range(t + 1, 5):
@@ -63,23 +47,19 @@ def test_alg2_support_matches_dense(t):
 
 
 @pytest.mark.parametrize("t", [1, 2])
-def test_alg3_support_matches_dense_for_both_adder_layouts(t):
+def test_alg3_support_matches_dense(t):
     # n = 4 at t = 2 is the acceptance sweep, checked below.
     for n in range(t + 1, 5 if t == 1 else 4):
-        interleaved, compact = one_reference_serves_both_layouts(n, t)
-        assert interleaved.support and compact.support
+        c = circuit("alg3", n, t)
+        assert c.support
         _, rows = family_rows(n, t)
-        reference = dense_reference.run(interleaved, rows)
-        assert_runs_agree(interleaved, rows, reference)
-        assert_runs_agree(compact, rows, reference)
+        assert_runs_agree(c, rows, dense_reference.run(c, rows))
 
 
 def test_alg3_t2_sweep_matches_dense(alg3_t2_sweep):
-    interleaved, _ = one_reference_serves_both_layouts(4, 2)
     functions, rows = family_rows(4, 2)
     assert len(functions) == len(alg3_t2_sweep) == 12872
-    for f, (_, a, b), p_ref, anc_ref, log_ref in zip(functions, alg3_t2_sweep, *dense_reference.run(interleaved, rows)):
-        for report in (a, b):
-            assert report.function_id == f.digest()
-            # branch_log[0] is the static node-assignment entry run_named adds.
-            assert_agree(report.p_constant, report.p_balanced, report.ancilla_zero_prob, report.branch_log[1:], p_ref, anc_ref, log_ref)
+    for f, (_, report), p_ref, anc_ref, log_ref in zip(functions, alg3_t2_sweep, *dense_reference.run(circuit("alg3", 4, 2), rows)):
+        assert report.function_id == f.digest()
+        # branch_log[0] is the static node-assignment entry run_named adds.
+        assert_agree(report.p_constant, report.p_balanced, report.ancilla_zero_prob, report.branch_log[1:], p_ref, anc_ref, log_ref)

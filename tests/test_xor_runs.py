@@ -16,9 +16,7 @@ from djsim import enumerate_promise_functions
 from djsim.algorithms import ALGORITHM_NAMES, _compile, _execute, circuit, validate_run_config
 from djsim.sim import _XOR_RUN_WIRES, FlipLayer, SupportState, apply_permutation
 
-CIRCUITS = [("alg2", t, "interleaved") for t in (1, 2, 3, 4)] + [
-    ("alg3", t, layout) for t in (1, 2, 3) for layout in ("interleaved", "compact")
-]
+CIRCUITS = [("alg2", t) for t in (1, 2, 3, 4)] + [("alg3", t) for t in (1, 2, 3)]
 
 
 def split(items, inside):
@@ -84,9 +82,9 @@ def on_index_bits(pats, wires, q):
     return out
 
 
-@pytest.mark.parametrize("alg,t,layout", CIRCUITS)
-def test_each_run_table_equals_its_gates_one_by_one(alg, t, layout):
-    c = circuit(alg, t + 1, t, layout)
+@pytest.mark.parametrize("alg,t", CIRCUITS)
+def test_each_run_table_equals_its_gates_one_by_one(alg, t):
+    c = circuit(alg, t + 1, t)
     layers_per_run = []
     for gates, layers in fixed_runs(c):
         # The layers cut the run's gates in order, greedily: the next gate would overflow the cap.
@@ -131,7 +129,9 @@ def gate_by_gate(c):
             steps.extend(("xor", gate) for gate in op.build())
         else:
             steps.append(next(compiled))
-    return dataclasses.replace(c, steps=steps)
+    reference = dataclasses.replace(c)
+    reference.steps = steps
+    return reference
 
 
 def family_rows(n, t):
@@ -139,12 +139,9 @@ def family_rows(n, t):
     return tables.reshape(len(tables), -1, 1 << t).astype(np.int64)
 
 
-@pytest.mark.parametrize(
-    "alg,t,layout",
-    [("alg2", 2, "interleaved"), ("alg3", 1, "interleaved"), ("alg3", 2, "interleaved"), ("alg3", 2, "compact"), ("alg3", 3, "interleaved")],
-)
-def test_execute_with_runs_equals_gates_one_by_one(alg, t, layout):
-    c = circuit(alg, 4, t, layout)
+@pytest.mark.parametrize("alg,t", [("alg2", 2), ("alg3", 1), ("alg3", 2), ("alg3", 3)])
+def test_execute_with_runs_equals_gates_one_by_one(alg, t):
+    c = circuit(alg, 4, t)
     reference = gate_by_gate(c)
     if alg == "alg3":  # its layers compose gates
         assert sum(step[0] == "xor" for step in reference.steps) > sum(step[0] == "xor" for step in _compile(c))
@@ -164,21 +161,20 @@ def test_table_bits_cover_every_composed_table():
     for n in range(2, 13):
         for alg in ("alg2", "alg3"):
             for t in range(1, n):
-                for layout in ("interleaved", "compact") if alg == "alg3" else ("interleaved",):
-                    try:
-                        c = validate_run_config(alg, n, t, layout)
-                    except ValueError:
-                        # Rejected before anything was built.
-                        assert circuit(alg, n, t, layout).steps is None
+                try:
+                    c = validate_run_config(alg, n, t)
+                except ValueError:
+                    # Rejected before anything was built.
+                    assert circuit(alg, n, t).steps is None
+                    continue
+                for step in _compile(c):
+                    if step[0] != "xor":
                         continue
-                    for step in _compile(c):
-                        if step[0] != "xor":
-                            continue
-                        layer = step[1]
-                        assert layer.flip.size <= 1 << c.table_bits
-                        if layer.composed:
-                            assert layer.flip.size == 1 << len(layer.control_qubits)
-                            checked += 1
+                    layer = step[1]
+                    assert layer.flip.size <= 1 << c.table_bits
+                    if layer.composed:
+                        assert layer.flip.size == 1 << len(layer.control_qubits)
+                        checked += 1
     assert checked > 50
 
 
@@ -189,15 +185,14 @@ def test_no_dense_circuit_composes_a_run():
     for n in range(1, 9):
         for alg in ALGORITHM_NAMES:
             for t in (None, *range(1, n)):
-                for layout in ("interleaved", "compact") if alg == "alg3" else ("interleaved",):
-                    try:
-                        c = circuit(alg, n, t, layout)
-                    except ValueError:
-                        continue
-                    if c.support:
-                        continue
-                    layers = [step[1] for step in _compile(c) if step[0] == "xor"]
-                    assert all(isinstance(layer, FlipLayer) for layer in layers)
-                    assert not any(layer.composed for layer in layers), (alg, n, t)
-                    dense.add(c)
+                try:
+                    c = circuit(alg, n, t)
+                except ValueError:
+                    continue
+                if c.support:
+                    continue
+                layers = [step[1] for step in _compile(c) if step[0] == "xor"]
+                assert all(isinstance(layer, FlipLayer) for layer in layers)
+                assert not any(layer.composed for layer in layers), (alg, n, t)
+                dense.add(c)
     assert len(dense) == 8 + 7 + 6 + 28  # dj, alg1, err-4node, err-multi at n <= 8
