@@ -28,7 +28,6 @@ from .sim import (
     apply_permutation,
     block_rotation_gate,
     decode_signed,
-    encode_signed,
     init_zero,
     measure,
     xor_permutation_gate,

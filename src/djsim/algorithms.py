@@ -49,7 +49,6 @@ from . import sim
 from .sim import (  # noqa: F401
     _DEST_CACHE_MAX_Q,
     _PROB_FLOOR,
-    _XOR_RUN_WIRES,
     MAX_QUBITS,
     MAX_SUPPORT_QUBITS,
     Outcomes,
@@ -118,11 +117,6 @@ class Circuit:
     work: tuple[range, ...] = ()
     runs: int = 1
     node_entry: Optional[Callable[[], dict]] = None
-    # Executor state, which ``dataclasses.replace`` does not copy: the compiled
-    # steps (each XOR step carries one ``FlipLayer``), and, made with them, the
-    # start row from ``_start``, or None when none is kept.
-    steps: Optional[list] = field(default=None, init=False, repr=False)
-    start: Optional[tuple[int, State]] = field(default=None, init=False, repr=False)
 
     @property
     def support(self) -> bool:
@@ -136,9 +130,19 @@ class Circuit:
         batch keeps the decision-1 entries, zeroed, in every row), and with
         that relaxed their n=4 check batches ran slower: dj 0.16-0.28 against
         0.49-0.89 ms, err-multi t=1 0.35-0.63 against 1.9-2.0 ms (ROADMAP
-        item 4).
+        item 11).
         """
         return bool(self.work)
+
+    @cached_property
+    def steps(self) -> list:
+        """The ops as executor steps (``_compile``), built on first use; ``dataclasses.replace`` does not copy them."""
+        return _compile(self)
+
+    @cached_property
+    def start(self) -> Optional[tuple[int, State]]:
+        """The start row of every batch (``_start``), kept when a row holds at most 2^_DEST_CACHE_MAX_Q entries, else None."""
+        return _start(self) if self.row_bits <= _DEST_CACHE_MAX_Q else None
 
     @property
     def row_bits(self) -> int:
@@ -147,28 +151,18 @@ class Circuit:
 
     @cached_property
     def table_bits(self) -> int:
-        """log2 of the longest array a support run builds.
+        """log2 of the longest array a support run builds, but for composed XOR tables.
 
-        That is its 2^(n-t+1) entries; a lookup table over the control
+        That is its 2^(n-t+1) entries, or a lookup table over the control
         registers of one layer (all of its registers but the last), which is at
-        least as long as the flip table of any lone gate the layer builds; or
-        the flip table of a composed XOR layer, which covers at most
-        _XOR_RUN_WIRES wires of the span of a maximal run of fixed layers with
-        two or more gates.
+        least as long as the flip table of any lone gate the layer builds.  A
+        composed flip table covers at most _XOR_RUN_WIRES wires, fewer than
+        MAX_QUBITS, so it never decides a refusal.
         """
         bits = [len(self.inputs) + 1]
-        gates = low = high = 0
         for op in self.ops:
             if op.kind in ("fixed", "rotation"):
                 bits.append(sum(map(len, op.wires[:-1])))
-            if op.kind != "fixed":
-                gates = 0
-                continue
-            first, last = min(r[0] for r in op.wires), max(r[-1] for r in op.wires)
-            low, high = (first, last) if not gates else (min(low, first), max(high, last))
-            gates += op.count
-            if gates > 1:
-                bits.append(min(_XOR_RUN_WIRES, high - low + 1))
         return max(bits)
 
     @cached_property
@@ -391,12 +385,10 @@ def _compile(c: Circuit) -> list:
     arithmetic, so the state matches gate-by-gate application bit for bit.
     A dense circuit's runs are lone gates.  An oracle round carries the
     index bit of each queried subfunction's target, so a function's bits
-    shifted there and XORed together are the round's flip table.  Raises
-    ValueError, naming the op, unless the last op is the readout Hadamard.
+    shifted there and XORed together are the round's flip table.  A
+    description ``_check_row_patterns`` refuses raises its ValueError first.
     """
-    i, last = len(c.ops) - 1, c.ops[-1]
-    if last.kind != "hadamard" or not set(c.inputs) <= set(last.wires[0]):
-        raise ValueError(f"op {i} ({last.kind} {last.name or last.category}) is last; the readout must be a Hadamard on all inputs")
+    _check_row_patterns(c)
     steps: list = []
     gates: list = []  # the fixed gates since the last other op
     for op in c.ops:
@@ -446,32 +438,26 @@ def _apply(s: State, step: tuple, rows: Optional[np.ndarray], layers: dict) -> N
         apply_pauli_z(s, step[1])
 
 
-def _start(c: Circuit, support: bool) -> tuple[int, State]:
-    """(the number of steps before the first oracle round, the one-row state they leave on the given form).
+def _start(c: Circuit) -> tuple[int, State]:
+    """(the number of steps before the first oracle round, the one-row state they leave).
 
     Those steps do not depend on the function, so each batch starts from
-    copies of this row instead of running them.  Every batch shares the row,
-    so its arrays are read-only.  Its state comes from ``sim.init_zero``,
-    not this module's name: making it is set-up of the circuit, not one of
-    its runs.
+    copies of this row instead of running them.  The circuit keeps the row,
+    so its arrays are read-only; each batch copies them.  Its state comes
+    from ``sim.init_zero``, not this module's name: making it is set-up of
+    the circuit, not one of its runs.
     """
     skip = next(i for i, step in enumerate(c.steps) if step[0] == "oracle")
-    s = sim.init_zero(c.q, support)
+    s = sim.init_zero(c.q, c.support)
     for step in c.steps[:skip]:
         _apply(s, step, None, {})
-    for array in (s.amps, s.index) if support else (s.amps,):
+    for array in (s.amps, s.index) if c.support else (s.amps,):
         array.flags.writeable = False
     return skip, s
 
 
 def _evolve(c: Circuit, rows: np.ndarray) -> State:
-    """The batch's state before the readout Hadamard, the last step, one row per oracle table of ``rows``.
-
-    The steps, and with them the start row, are compiled on first use.
-    """
-    if c.steps is None:
-        c.steps = _compile(c)
-        c.start = _start(c, c.support) if c.row_bits <= _DEST_CACHE_MAX_Q else None
+    """The batch's state before the readout Hadamard, the last step, one row per oracle table of ``rows``."""
     skip, start = c.start or (0, None)
     s = init_zero(c.q, c.support, batch=len(rows), start=start)
     layers: dict = {}
@@ -546,11 +532,13 @@ def _check_row_patterns(c: Circuit) -> None:
     That holds when the first op on the input register is a Hadamard on all
     of it, and after it the input wires are only the controls of oracle
     rounds that read the whole register, until the last op, the readout
-    Hadamard, which ``_compile`` checks.  Then row u of the function's table
-    alone steers the other wires in branch u.
+    Hadamard on all of it.  Then row u of the function's table alone steers
+    the other wires in branch u.  ``_compile`` and ``pattern_table`` call it first.
     """
     inputs = set(c.inputs)
-    readout = len(c.ops) - 1
+    readout, last = len(c.ops) - 1, c.ops[-1]
+    if last.kind != "hadamard" or not inputs <= set(last.wires[0]):
+        raise ValueError(f"op {readout} ({last.kind} {last.name or last.category}) is last; the readout must be a Hadamard on all inputs")
     opened = False
     for i, op in enumerate(c.ops):
         what = f"op {i} ({op.kind} {op.name or op.category})"

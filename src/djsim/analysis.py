@@ -34,6 +34,9 @@ _SWEEP_CHUNK = 1 << 13
 # ranges of the family, which the worker makes itself; one chunk per
 # message would leave the workers waiting on the parent process.
 _CHUNKS_PER_TASK = 16
+# Most failure records a sweep keeps: an n <= 4 sweep has at most 7,970 and
+# err-multi at n = 5, t = 4 has 12,870, the other inexact n = 5 sweeps millions.
+_MAX_FAILURE_RECORDS = 1 << 14
 # The error model is one coefficient of a polynomial power in exact
 # integers (multinode_misid_probability).  On a 2-vCPU host n = 12 takes
 # 0.2-0.7 s at every t; n = 13 takes 0.09 s at t = 1 but 2.3-3.4 s at
@@ -354,15 +357,25 @@ def verify_sweep(n: int, t: Optional[int], algorithm: str, jobs: int = 1) -> Ver
     raises ValueError before the table is built.  A chunk is a range of
     positions in the family, whose tables the worker makes itself, so the
     family can be partitioned across processes; serial and parallel sweeps
-    check the same chunks.
+    check the same chunks.  Once the failure records pass
+    _MAX_FAILURE_RECORDS the sweep stops its workers and raises ValueError.
     """
     c = validate_run_config(algorithm, n, t)
     start = time.perf_counter()
     summary = VerificationSummary(n=n, t=t, algorithm=algorithm, functions_checked=0)
     chunks = ((algorithm, n, t, chunk) for chunk in _sweep_chunks(n, _SWEEP_CHUNK))
     _field_sums(c)  # the pattern table, built before any worker starts so that each inherits it
-    for count, failures in _sweep_results(chunks, jobs, -(-count_promise_functions(n) // _SWEEP_CHUNK)):
-        summary.functions_checked += count
-        summary.failures.extend(failures)
+    results = _sweep_results(chunks, jobs, -(-count_promise_functions(n) // _SWEEP_CHUNK))
+    try:
+        for count, failures in results:
+            summary.functions_checked += count
+            summary.failures.extend(failures)
+            if len(summary.failures) > _MAX_FAILURE_RECORDS:
+                raise ValueError(
+                    f"{algorithm} at n={n}, t={c.t} has more than {_MAX_FAILURE_RECORDS} failures, "
+                    "past which verify keeps no records (ROADMAP item 3 counts them instead)"
+                )
+    finally:
+        results.close()  # a pool's workers end here, not when the generator is collected
     summary.wall_time = time.perf_counter() - start
     return summary

@@ -53,9 +53,6 @@ class Verdict(enum.Enum):
     BALANCED = "balanced"
     PROMISE_VIOLATED = "promise violated"
 
-    def matches(self, promise: Promise) -> bool:
-        return self.value == promise.value
-
 
 @dataclass(frozen=True)
 class BooleanFunction:
@@ -76,9 +73,6 @@ class BooleanFunction:
     @property
     def popcount(self) -> int:
         return self.table.count(1)
-
-    def value(self, x: int) -> int:
-        return self.table[x]
 
     def digest(self) -> str:
         """Compact identifier: arity plus the table packed as hex."""
@@ -138,9 +132,6 @@ class Decomposition:
     @property
     def u_bits(self) -> int:
         return self.base.n - self.t
-
-    def value(self, w: int, u: int) -> int:
-        return self.base.table[(u << self.t) | w]
 
     def sub_table(self, w: int) -> bytes:
         """Truth table of f_w over u in {0,1}^(n-t)."""
@@ -300,39 +291,28 @@ def _popcounts(values: np.ndarray) -> np.ndarray:
 
 
 def enumerate_promise_functions(n: int) -> Iterator[BooleanFunction]:
-    """Yield every promise function of arity n exactly once: the tables of ``packed_promise_tables``, unpacked.
+    """Yield every promise function of arity n exactly once: the tables of ``packed_promise_range``, unpacked, 2^14 at a time.
 
     Order: the two constants (all-zero then all-one), then balanced tables in
     ascending order of the table read as a big-endian integer.
     """
-    for block in packed_promise_tables(n):
-        for row in unpack_tables(block, n).astype(np.uint8):
+    check_enumerable(n)
+    count = count_promise_functions(n)
+    for lo in range(0, count, 1 << 14):
+        for row in unpack_tables(packed_promise_range(n, lo, min(lo + (1 << 14), count)), n).astype(np.uint8):
             yield make_function(n, row.tobytes())
 
 
-def packed_promise_tables(n: int) -> Iterator[np.ndarray]:
-    """The promise family of arity n as packed int64 tables, in blocks.
+def packed_promise_range(n: int, start: int, stop: int) -> np.ndarray:
+    """Tables start to stop - 1 of the promise family of arity n, packed.
 
     A packed table is the truth table read as a big-endian integer (bit
-    2^n - 1 - x is f(x)).  Blocks come out in ascending order: the two
-    constants, then the balanced tables, at most 2^14 to a block.  An arity
-    past MAX_ENUMERATION_ARITY raises ValueError at the call, before any
-    block is made.
-    """
-    check_enumerable(n)
-    count = count_promise_functions(n)
-    starts = [0, *range(2, count, 1 << 14), count]
-    return (packed_promise_range(n, lo, hi) for lo, hi in zip(starts, starts[1:]))
-
-
-def packed_promise_range(n: int, start: int, stop: int) -> np.ndarray:
-    """Tables start to stop - 1 of the promise family of arity n, packed, in the order of ``packed_promise_tables``.
-
-    Balanced table j is the j-th in ascending order: for each value of the
-    high half of the table, ascending, the low halves that balance it,
-    ascending.  Any range is made by a few gathers from the low halves
-    grouped by popcount, so neither the family nor the range 2^(2^n) is
-    ever held in memory, and workers can each make their own share.
+    2^n - 1 - x is f(x)).  The family is the two constants, then the
+    balanced tables.  Balanced table j is the j-th in ascending order: for
+    each value of the high half of the table, ascending, the low halves that
+    balance it, ascending.  Any range is made by a few gathers from the low
+    halves grouped by popcount, so neither the family nor the range 2^(2^n)
+    is ever held in memory, and workers can each make their own share.
     """
     check_enumerable(n)
     half, lows, offset, ends = _balanced_layout(n)

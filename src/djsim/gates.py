@@ -39,16 +39,14 @@ def build_oracle(
         fn = src.base if isinstance(src, Decomposition) else src
         table = fn.table
         arity = fn.n
-        name = "O_f"
     else:
         if not isinstance(src, Decomposition):
             raise ValueError("a subfunction oracle requires a decomposition")
         table = src.sub_table(w)
         arity = src.u_bits
-        name = f"O_f{w:0{src.t}b}"
     if len(controls) != arity:
         raise ValueError(f"oracle expects {arity} control wires, got {len(controls)}")
-    return xor_permutation_gate(controls, (target,), np.frombuffer(table, dtype=np.uint8), name=name)
+    return xor_permutation_gate(controls, (target,), np.frombuffer(table, dtype=np.uint8))
 
 
 def build_U(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...]) -> PermutationGate:
@@ -59,7 +57,7 @@ def build_U(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, .
         raise ValueError(f"U expects a {t + 2}-wire result register, got {len(result_qubits)}")
     sums = _popcounts(np.arange(1 << len(control_qubits)))
     values = ((1 << t) - 2 * sums) & ((1 << (t + 2)) - 1)
-    return xor_permutation_gate(control_qubits, result_qubits, values, name="U")
+    return xor_permutation_gate(control_qubits, result_qubits, values)
 
 
 def build_A(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[int, ...]) -> PermutationGate:
@@ -87,7 +85,7 @@ def _build_adder(t: int, control_qubits: tuple[int, ...], result_qubits: tuple[i
     if len(result_qubits) != t:
         raise ValueError(f"{name} expects a {t}-wire result register, got {len(result_qubits)}")
     values = _popcounts(np.arange(1 << len(control_qubits)))
-    return xor_permutation_gate(control_qubits, result_qubits, values, name=name)
+    return xor_permutation_gate(control_qubits, result_qubits, values)
 
 
 def build_V(
@@ -108,31 +106,31 @@ def build_V(
     pats = np.arange(1 << (2 * t))
     a, b = pats >> t, pats & ((1 << t) - 1)
     values = ((1 << (t - 1)) - a - 2 * b) & ((1 << (t + 1)) - 1)
-    return xor_permutation_gate(tuple(a_qubits) + tuple(b_qubits), result_qubits, values, name="V")
+    return xor_permutation_gate(tuple(a_qubits) + tuple(b_qubits), result_qubits, values)
 
 
 def build_R(t: int, control_qubits: tuple[int, ...], target: int) -> RotationGate:
     """Rotation reading a signed t+2 bit register d: cos(theta) = clamp(d / 2^t, -1, 1)."""
     if len(control_qubits) != t + 2:
         raise ValueError(f"R expects a {t + 2}-wire control register, got {len(control_qubits)}")
-    return block_rotation_gate(control_qubits, target, scale_exponent=t, name="R")
+    return block_rotation_gate(control_qubits, target, scale_exponent=t)
 
 
 def build_Rprime(t: int, control_qubits: tuple[int, ...], target: int) -> RotationGate:
     """Rotation reading a signed t+1 bit register d: cos(theta) = clamp(d / 2^(t-1), -1, 1)."""
     if len(control_qubits) != t + 1:
         raise ValueError(f"R' expects a {t + 1}-wire control register, got {len(control_qubits)}")
-    return block_rotation_gate(control_qubits, target, scale_exponent=t - 1, name="R'")
+    return block_rotation_gate(control_qubits, target, scale_exponent=t - 1)
 
 
 def build_x(target: int) -> PermutationGate:
     """Bit flip of a single qubit."""
-    return xor_permutation_gate((), (target,), [1], name="X")
+    return xor_permutation_gate((), (target,), [1])
 
 
 def build_cnot(control: int, target: int) -> PermutationGate:
-    return xor_permutation_gate((control,), (target,), [0, 1], name="CNOT")
+    return xor_permutation_gate((control,), (target,), [0, 1])
 
 
 def build_ccnot(control_a: int, control_b: int, target: int) -> PermutationGate:
-    return xor_permutation_gate((control_a, control_b), (target,), [0, 0, 0, 1], name="CCNOT")
+    return xor_permutation_gate((control_a, control_b), (target,), [0, 0, 0, 1])

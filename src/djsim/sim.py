@@ -154,11 +154,6 @@ def decode_signed(pattern: int, width: int) -> int:
     return pattern - (1 << width) if pattern >= 1 << (width - 1) else pattern
 
 
-def encode_signed(value: int, width: int) -> int:
-    """Two's complement encode modulo the register size."""
-    return value & ((1 << width) - 1)
-
-
 class StateVector:
     """Real float64 amplitudes over q qubits, one unit-norm row per state: shape (rows, 2^q)."""
 
@@ -405,7 +400,6 @@ class PermutationGate:
     control_qubits: tuple[int, ...]
     result_qubits: tuple[int, ...]
     value_table: np.ndarray  # control pattern -> XOR value
-    name: str = ""
 
     kind = "permutation"
 
@@ -432,7 +426,6 @@ def xor_permutation_gate(
     control_qubits: Sequence[int],
     result_qubits: Sequence[int],
     values: Union[Sequence[int], np.ndarray],
-    name: str = "",
 ) -> PermutationGate:
     """Build the XOR-form gate: result ^= values[control pattern]."""
     controls = tuple(control_qubits)
@@ -446,7 +439,7 @@ def xor_permutation_gate(
     width = len(results)
     if table.min() < 0 or table.max() >= 1 << width:
         raise ValueError(f"XOR values must fit the {width}-bit result register")
-    return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table, name=name)
+    return PermutationGate(control_qubits=controls, result_qubits=results, value_table=table)
 
 
 @dataclass(eq=False)
@@ -543,7 +536,6 @@ class RotationGate:
     control_qubits: tuple[int, ...]
     target_qubit: int
     scale_exponent: int
-    name: str = ""
 
     kind = "rotation"
 
@@ -560,15 +552,13 @@ class RotationGate:
         return _fields(q, self.control_qubits), 1 << (q - 1 - self.target_qubit), self.cos_table, self.sin_table
 
 
-def block_rotation_gate(
-    control_qubits: Sequence[int], target_qubit: int, scale_exponent: int, name: str = ""
-) -> RotationGate:
+def block_rotation_gate(control_qubits: Sequence[int], target_qubit: int, scale_exponent: int) -> RotationGate:
     controls = tuple(control_qubits)
     if target_qubit in controls:
         raise ValueError("rotation target must not be part of the control register")
     if len(set(controls)) != len(controls):
         raise ValueError(f"control qubits must be distinct, got {controls}")
-    return RotationGate(control_qubits=controls, target_qubit=target_qubit, scale_exponent=scale_exponent, name=name)
+    return RotationGate(control_qubits=controls, target_qubit=target_qubit, scale_exponent=scale_exponent)
 
 
 def apply_block_rotation(state: SupportState, gate: RotationGate) -> SupportState:
@@ -620,19 +610,15 @@ class MeasurementRecord:
         self._patterns = state.patterns(self.measured_qubits)
         self.probs = _outcome_totals(self._patterns, state.probabilities(), len(self.measured_qubits))
 
-    def probability(self, outcome: Union[int, str]) -> np.ndarray:
-        if isinstance(outcome, str):
-            outcome = int(outcome, 2)
+    def probability(self, outcome: int) -> np.ndarray:
         return self.probs[:, outcome]
 
-    def collapse(self, outcome: Union[int, str]) -> State:
+    def collapse(self, outcome: int) -> State:
         """Renormalized post-measurement state for the given outcome.
 
         In a batch, a row where the outcome is negligible collapses to zero
         amplitudes; a ValueError is raised when it is negligible in every row.
         """
-        if isinstance(outcome, str):
-            outcome = int(outcome, 2)
         p = self.probability(outcome)
         live = p > _PROB_FLOOR
         if not live.any():

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from djsim import algorithms, analysis, cli, count_promise_functions, enumerate_promise_functions, make_function
-from djsim.algorithms import _apply, _evolve, _execute, _run, _start, circuit, run_named
+from djsim.algorithms import _apply, _evolve, _execute, _run, circuit, run_named
 from djsim.analysis import verify_sweep
-from djsim.boolfn import packed_promise_range, packed_promise_tables
+from djsim.boolfn import packed_promise_range
 from djsim.sim import StateVector, init_zero
 
 TOL = 1e-12
@@ -97,25 +97,23 @@ def test_chunk_boundaries_do_not_change_the_failures(monkeypatch):
     assert cut.failures == whole.failures
 
 
-@pytest.mark.parametrize("support", [False, True], ids=["dense", "support"])
-@pytest.mark.parametrize("alg,t", [("dj", None), ("alg1", None), ("err-4node", None), ("alg2", 2), ("alg3", 2), ("err-multi", 2)])
-def test_start_row_is_the_prefix_run_on_the_batch(alg, t, support):
+@pytest.mark.parametrize(
+    "alg,t,form",
+    [("dj", None, "dense"), ("alg1", None, "dense"), ("err-4node", None, "dense")]
+    + [("alg2", 2, "support"), ("alg3", 2, "support"), ("err-multi", 2, "dense")],
+)
+def test_start_row_is_the_prefix_run_on_the_batch(alg, t, form):
     c = circuit(alg, 4, t)
-    _execute(c, np.zeros((1, 1 << (4 - (c.t or 0)), 1 << (c.t or 0)), dtype=np.int64))
-    skip, start = _start(c, support)
+    assert form == ("support" if c.support else "dense")
+    skip, start = c.start
     assert skip > 0 and c.steps[skip][0] == "oracle"
     assert all(step[0] != "oracle" for step in c.steps[:skip])
-    batch = init_zero(c.q, support, batch=5)
+    batch = init_zero(c.q, c.support, batch=5)
     for step in c.steps[:skip]:
         _apply(batch, step, None, {})
-    rows = init_zero(c.q, support, batch=5, start=start)
-    names = ("index", "amps") if support else ("amps",)
-    for name in names:
+    rows = init_zero(c.q, c.support, batch=5, start=start)
+    for name in ("index", "amps") if c.support else ("amps",):
         assert np.array_equal(getattr(rows, name), getattr(batch, name))
-    if support == c.support:  # the row the circuit keeps is this one
-        kept_skip, kept = c.start
-        assert kept_skip == skip
-        assert all(np.array_equal(getattr(kept, name), getattr(start, name)) for name in names)
 
 
 @pytest.mark.parametrize("alg,t", [("dj", None), ("alg2", 2)], ids=["dense", "support"])
@@ -256,16 +254,16 @@ def successor(v: int) -> int:
 
 
 def test_packed_tables_at_n5_without_materialising_the_family():
-    size, span = 32, 3000
-    blocks = packed_promise_tables(5)
-    assert next(blocks).tolist() == [0, (1 << size) - 1]
+    size, span, count = 32, 3000, count_promise_functions(5)
+    assert packed_promise_range(5, 0, 2).tolist() == [0, (1 << size) - 1]
+    blocks = (packed_promise_range(5, lo, min(lo + (1 << 14), count)) for lo in range(2, count, 1 << 14))
     total, head, tail = 2, [], np.zeros(0, dtype=np.int64)
     for block in blocks:
         total += len(block)
         if len(head) < span:
             head.extend(block[: span - len(head)].tolist())
         tail = np.concatenate([tail, block])[-span:]
-    assert total == count_promise_functions(5)
+    assert total == count
     v, walk = (1 << (size // 2)) - 1, []
     while len(walk) < span:
         walk.append(v)
@@ -285,15 +283,16 @@ def test_sweep_chunks_cut_the_stream_evenly():
     chunks = list(analysis._sweep_chunks(4, 1000))
     assert [len(c) for c in chunks] == [1000] * 12 + [872]
     made = [packed_promise_range(4, c.start, c.stop) for c in chunks]
-    assert np.array_equal(np.concatenate(made), np.concatenate(list(packed_promise_tables(4))))
+    assert np.array_equal(np.concatenate(made), packed_promise_range(4, 0, count_promise_functions(4)))
 
 
 @pytest.mark.parametrize(
     "alg,t,bits",
-    [("dj", None, 5), ("alg1", None, 4), ("alg2", 2, 4), ("alg3", 2, 13), ("err-multi", 2, 3), ("err-4node", None, 3)],
+    [("dj", None, 5), ("alg1", None, 4), ("alg2", 2, 4), ("alg3", 2, 4), ("err-multi", 2, 3), ("err-4node", None, 3)],
 )
 def test_table_bits_of_every_algorithm(alg, t, bits):
     # alg1, err-4node, dj and err-multi have no fixed or rotation layer with
     # controls: their longest array is the input register's 2^(n-t+1) entries.
-    # alg3's seven fixed gates span 13 wires: one composed XOR run over them.
+    # alg3's longest lookup tables read 4 control wires: CCNOT's value and XOR
+    # wires, and V's two operands.
     assert circuit(alg, 4, t).table_bits == bits

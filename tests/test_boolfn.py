@@ -18,7 +18,17 @@ from djsim import (
     make_function,
     random_balanced_table,
 )
-from djsim.boolfn import packed_promise_range, packed_promise_tables
+from djsim.boolfn import packed_promise_range
+
+
+def value(d, w, u):
+    """f_w(u) = f(uw), read from the base table by the package's index convention."""
+    return d.base.table[(u << d.t) | w]
+
+
+def family(n):
+    """The whole promise family of arity n, packed."""
+    return packed_promise_range(n, 0, count_promise_functions(n))
 
 
 class TestMakeFunction:
@@ -77,7 +87,7 @@ class TestDecomposition:
         d = Decomposition(delta_example, 2)
         for u in range(4):
             for w in range(4):
-                assert d.value(w, u) == delta_example.table[(u << 2) | w]
+                assert d.sub_table(w)[u] == delta_example.table[(u << 2) | w]
 
     def test_split_bounds(self, two_node_example):
         with pytest.raises(ValueError):
@@ -116,19 +126,19 @@ class TestEnumeration:
         size = 1 << n
         ones = itertools.combinations(range(size), size // 2)
         expected = [0, (1 << size) - 1] + sorted(sum(1 << (size - 1 - x) for x in chosen) for chosen in ones)
-        assert np.concatenate(list(packed_promise_tables(n))).tolist() == expected
+        assert family(n).tolist() == expected
         functions = list(enumerate_promise_functions(n))
         assert [int("".join(map(str, f.table)), 2) for f in functions] == expected
         assert [f.promise for f in functions] == [Promise.CONSTANT] * 2 + [Promise.BALANCED] * (len(expected) - 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_range_is_its_slice_of_the_family(self, n):
-        family = np.concatenate(list(packed_promise_tables(n))).tolist()
-        total = len(family)
+        tables = family(n).tolist()
+        total = len(tables)
         rng = np.random.default_rng(n)
         cuts = [(a, a + 1) for a in range(total)] + [tuple(sorted(rng.integers(0, total + 1, 2))) for _ in range(200)]
         for start, stop in cuts + [(0, total), (0, 2), (2, total), (total, total)]:
-            assert packed_promise_range(n, start, stop).tolist() == family[start:stop]
+            assert packed_promise_range(n, start, stop).tolist() == tables[start:stop]
 
     def test_ranges_at_n5_are_the_ranked_tables(self):
         # Balanced table j is the j-th 32-bit integer with 16 ones, ascending:
@@ -183,7 +193,7 @@ class TestStats:
             d = Decomposition(f, t)
             stats = compute_stats(d)
             for u in range(1 << (n - t)):
-                values = [d.value(w, u) for w in range(1 << t)]
+                values = [value(d, w, u) for w in range(1 << t)]
                 direct = values.count(0) - values.count(1)
                 assert stats.delta[u] == direct == (1 << t) - 2 * sum(values)
 
@@ -254,11 +264,11 @@ class TestClassifiers:
     def test_theorems_match_promise_exhaustively(self, n, t):
         for f in enumerate_promise_functions(n):
             stats = compute_stats(Decomposition(f, t))
-            assert classify_theorem2(stats).matches(f.promise)
-            assert classify_theorem3(stats).matches(f.promise)
+            assert classify_theorem2(stats).value == f.promise.value
+            assert classify_theorem3(stats).value == f.promise.value
             if t == 1:
                 v1 = classify_theorem1(stats)
-                assert v1.matches(f.promise)
+                assert v1.value == f.promise.value
                 assert v1 is classify_theorem2(stats)
 
 
@@ -281,11 +291,11 @@ class TestWitness:
             if f.promise is not Promise.BALANCED:
                 continue
             d = Decomposition(f, 1)
-            differs = any(d.value(0, u) != d.value(1, u) for u in range(4))
+            differs = any(value(d, 0, u) != value(d, 1, u) for u in range(4))
             witness = corollary_witness(d)
             assert (witness is not None) == differs
             if witness is not None:
-                assert all(d.value(0, u) == d.value(1, u) for u in range(witness))
+                assert all(value(d, 0, u) == value(d, 1, u) for u in range(witness))
 
     def test_witness_absent_iff_every_subrow_constant(self):
         # Balanced functions whose subrows are each all-equal legitimately

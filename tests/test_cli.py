@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -316,6 +317,24 @@ class TestVerify:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: the failure records of err-4node at n=4, t=2 did not fit in memory\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_records_past_the_cap_are_a_usage_error(self, capsys, monkeypatch, jobs):
+        # err-4node fails 6,150 functions at n=4: past a cap of 100 records the
+        # sweep stops with one line, and a parallel one leaves no worker behind,
+        # also while a caller still holds the error.
+        monkeypatch.setattr(analysis, "_MAX_FAILURE_RECORDS", 100)
+        assert cli.main(["verify", "--n", "4", "--alg", "err-4node", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: err-4node at n=4, t=2 has more than 100 failures, "
+            "past which verify keeps no records (ROADMAP item 3 counts them instead)\n"
+        )
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="more than 100 failures") as held:
+            analysis.verify_sweep(4, None, "err-4node", jobs=int(jobs))
+        assert multiprocessing.active_children() == [] and held.value
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

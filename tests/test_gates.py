@@ -14,7 +14,7 @@ from djsim.gates import (
     build_V,
     build_x,
 )
-from djsim.sim import apply_permutation, encode_signed, init_zero
+from djsim.sim import apply_permutation, init_zero
 from tests.conftest import adder_placements
 from tests.dense_reference import destination, pattern_of, rotated
 
@@ -114,12 +114,13 @@ class TestU:
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_u_and_v_value_tables_match_the_per_entry_encoding(t):
-    # The tables are numpy expressions; the reference encodes each entry on its own, in Python integers.
+    # The tables are numpy expressions; the reference encodes each entry on its own, in Python integers:
+    # two's complement over the register, a value modulo 2^width.
     nodes = 1 << t
     u = build_U(t, tuple(range(nodes)), tuple(range(nodes, nodes + t + 2)))
-    assert u.value_table.tolist() == [encode_signed(nodes - 2 * bin(p).count("1"), t + 2) for p in range(1 << nodes)]
+    assert u.value_table.tolist() == [(nodes - 2 * bin(p).count("1")) % (1 << (t + 2)) for p in range(1 << nodes)]
     v = build_V(t, tuple(range(t)), tuple(range(t, 2 * t)), tuple(range(2 * t, 3 * t + 1)))
-    want = [encode_signed((1 << (t - 1)) - (p >> t) - 2 * (p & (nodes - 1)), t + 1) for p in range(1 << (2 * t))]
+    want = [((1 << (t - 1)) - (p >> t) - 2 * (p & (nodes - 1))) % (1 << (t + 1)) for p in range(1 << (2 * t))]
     assert v.value_table.tolist() == want
 
 

@@ -20,7 +20,7 @@ import pytest
 from djsim import algorithms, analysis, cli, count_promise_functions, sim
 from djsim.algorithms import Circuit, InvariantBreach, Op, _run, circuit, pattern_table
 from djsim.analysis import verify_sweep
-from djsim.boolfn import packed_promise_tables, unpack_tables
+from djsim.boolfn import packed_promise_range, unpack_tables
 from djsim.gates import build_x
 
 TOL = 1e-12
@@ -58,7 +58,7 @@ def assert_table_matches_runs(c, packed, n):
 
 @pytest.mark.parametrize("alg,n,t", list(configs(range(1, 5))), ids=str)
 def test_table_matches_the_circuit_run_on_every_function(alg, n, t):
-    packed = np.concatenate(list(packed_promise_tables(n)))
+    packed = packed_promise_range(n, 0, count_promise_functions(n))
     p_run, flagged = assert_table_matches_runs(circuit(alg, n, t), packed, n)
     assert len(packed) == count_promise_functions(n)
     if alg.startswith("err") and n == 4:
@@ -118,7 +118,7 @@ def test_static_check_rejects_ops_on_the_inputs_before_any_state(op, at, named, 
     forbid_states(monkeypatch)
     with pytest.raises(ValueError, match="^" + re.escape(named)):
         pattern_table(c)
-    assert c.steps is None
+    assert "steps" not in vars(c)
 
 
 def test_static_check_needs_the_readout_hadamard(monkeypatch):
@@ -234,3 +234,49 @@ def test_the_tables_states_do_not_grow_with_n(monkeypatch):
     at_three, entries[:] = max(entries), []
     pattern_table(circuit("alg3", 20, 2))
     assert max(entries) == at_three
+
+
+def integer_scale(table, top):
+    """The smallest k <= top at which 2^(k/2) times every entry of the table is an integer within TOL, or None."""
+    for k in range(top + 1):
+        z = table * 2 ** (k / 2)
+        if np.abs(z - np.round(z)).max() <= TOL:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("alg,t", LEGAL, ids=str)
+def test_one_scale_makes_the_table_an_integer_table(alg, t):
+    # The premise of ROADMAP item 1: s·ψ is integer for one s² = 2^k, with
+    # s² and the entries' range as measured when the item was written.
+    c = circuit(alg, 5, t)
+    table, top = pattern_table(c), 2 * ((c.t or 0) + 1)
+    k = integer_scale(table, top)
+    z = np.round(table * 2 ** (k / 2)).astype(np.int64)
+    if alg in ("alg2", "alg3"):
+        assert k == 2 * (t - 1) and np.abs(z).max() == 1 << (t - 1)
+    else:
+        want = {"dj": (1, {-1, 1}), "alg1": (0, {-1, 0, 1}), "err-4node": (0, {-1, 0, 1}), "err-multi": (1, {-1, 1})}[alg]
+        assert (k, set(z.ravel().tolist())) == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_a_rotation_angle_off_by_a_millionth_has_no_integer_scale(t):
+    class Off(sim.RotationGate):
+        """R' with every angle 1e-6 larger; ``dataclasses.replace`` keeps the class, so narrowing keeps the error."""
+
+        def __post_init__(self):
+            super().__post_init__()
+            angle = np.arccos(self.cos_table) + 1e-6
+            self.cos_table, self.sin_table = np.cos(angle), np.sin(angle)
+
+    c = circuit("alg3", 5, t)
+
+    def perturbed(op):
+        if op.kind != "rotation":
+            return op
+        return replace(op, build=lambda: [Off(g.control_qubits, g.target_qubit, g.scale_exponent) for g in op.build()])
+
+    off = Circuit(c.t, c.q, tuple(map(perturbed, c.ops)), c.inputs, c.decision, c.work, c.runs)
+    assert integer_scale(pattern_table(c), 2 * (t + 1)) == 2 * (t - 1)
+    assert integer_scale(pattern_table(off), 2 * (t + 1)) is None
